@@ -1,5 +1,5 @@
 .PHONY: all build test check bench examples lint analyze chaos soak \
-        cluster-smoke pipeline-smoke clean
+        cluster-smoke pipeline-smoke perf-smoke clean
 
 all: build
 
@@ -73,6 +73,21 @@ cluster-smoke: build
 # exported corpus, with zero client-visible errors throughout
 pipeline-smoke: build
 	scripts/pipeline_smoke.sh
+
+# output identity on the mining hot path: a 2 s run of each mining
+# workload of the repository benchmark (perfbench/); fails unless the
+# first op's patterns match the digest recorded for the instance and
+# every later op, at 1 and 2 domains, repeats them byte for byte
+perf-smoke:
+	@for w in mine-td13 mine-nc40; do \
+	  line=$$(bash perfbench/run.sh --workload $$w --seed 1 --seconds 2 \
+	    --trace 0 | tail -n 1); \
+	  case "$$line" in \
+	    *'"correct": true'*) echo "$$w: correct" ;; \
+	    *) echo "$$w: answer differs from the recorded one: $$line" >&2; \
+	       exit 1 ;; \
+	  esac; \
+	done
 
 clean:
 	dune clean

@@ -1539,6 +1539,7 @@ let micro ctx =
   let a = Tsg_util.Bitset.full 4096 in
   let b = Tsg_util.Bitset.create 4096 in
   List.iter (Tsg_util.Bitset.set b) (List.init 1024 (fun i -> 4 * i));
+  let dst = Tsg_util.Bitset.create 4096 in
   let pattern_graph =
     Graph.build ~labels:[| 0; 0; 1 |] ~edges:[ (0, 1, 0); (1, 2, 0) ]
   in
@@ -1548,7 +1549,9 @@ let micro ctx =
   let tests =
     [
       Test.make ~name:"bitset-intersection"
-        (Staged.stage (fun () -> ignore (Tsg_util.Bitset.inter_cardinal a b)));
+        (Staged.stage (fun () ->
+             Tsg_util.Bitset.inter_into ~dst a b;
+             ignore (Tsg_util.Bitset.cardinal dst)));
       Test.make ~name:"min-dfs-code"
         (Staged.stage (fun () -> ignore (Tsg_gspan.Min_code.minimum pattern_graph)));
       Test.make ~name:"generalized-subiso"

@@ -22,7 +22,19 @@ let key t = Min_code.canonical_key t.graph
 
 let compare a b = String.compare (key a) (key b)
 
-let sort l = List.sort compare l
+(* Decorate, sort, undecorate: a canonical key costs far more than a
+   string comparison, so each is computed once per pattern. The sort is
+   stable, which keeps the order {!compare} defines, ties included. *)
+let by_key (k, _) (k', _) = String.compare k k'
+
+let sort_keyed l = List.stable_sort by_key (List.map (fun p -> (key p, p)) l)
+
+let sort l = List.map snd (sort_keyed l)
+
+let sort_groups groups =
+  let sorted = List.map (fun (g, ps) -> (g, sort_keyed ps)) groups in
+  let all = List.stable_sort by_key (List.concat_map snd sorted) in
+  (List.map (fun (g, kps) -> (g, List.map snd kps)) sorted, List.map snd all)
 
 let equal_sets a b =
   let tag t = (key t, Bitset.to_list t.support_set) in

@@ -24,6 +24,12 @@ val equal_sets : t list -> t list -> bool
     the equivalence used to cross-check the mining algorithms. *)
 
 val sort : t list -> t list
+(** Ascending {!compare} order (stable), computing each key once. *)
+
+val sort_groups : ('g * t list) list -> ('g * t list) list * t list
+(** [sort_groups groups] is [(List.map (fun (g, ps) -> (g, sort ps)) groups,
+    sort (List.concat_map snd groups))], computing each pattern's key once
+    for both orders. *)
 
 val edge_count : t -> int
 

@@ -46,24 +46,29 @@ let enumerate ~taxonomy ~min_support ~enhancements ?stats
   let raw_children pos l =
     List.filter (fun c -> occ_set pos c <> None) (Taxonomy.children taxonomy l)
   in
+  (* [memoize f] answers [f pos l] from per-position tables keyed by label,
+     computing each entry once; the tables live for this call only *)
+  let memoize f =
+    let memo = Array.init positions (fun _ -> Hashtbl.create 16) in
+    fun pos l ->
+      match Hashtbl.find memo.(pos) l with
+      | v -> v
+      | exception Not_found ->
+        let v = f pos l in
+        Hashtbl.add memo.(pos) l v;
+        v
+  in
   (* (d): a label is collapsed when a child shares its occurrence set — any
      pattern through it is over-generalized, so enumeration skips it and
      exposes its children directly. *)
-  let collapsed_memo : (int * int, bool) Hashtbl.t = Hashtbl.create 64 in
-  let collapsed pos l =
-    if not enhancements.collapse_equal_children then false
-    else
-      match Hashtbl.find_opt collapsed_memo (pos, l) with
-      | Some b -> b
-      | None ->
+  let collapsed =
+    memoize (fun pos l ->
+        enhancements.collapse_equal_children
+        &&
         let own = Option.get (occ_set pos l) in
-        let b =
-          List.exists
-            (fun c -> Bitset.equal own (Option.get (occ_set pos c)))
-            (raw_children pos l)
-        in
-        Hashtbl.add collapsed_memo (pos, l) b;
-        b
+        List.exists
+          (fun c -> Bitset.equal own (Option.get (occ_set pos c)))
+          (raw_children pos l))
   in
   let effective_children pos l =
     let seen = Hashtbl.create 8 in
@@ -77,6 +82,16 @@ let enumerate ~taxonomy ~min_support ~enhancements ?stats
     in
     List.iter go (raw_children pos l);
     List.rev !out
+  in
+  (* The candidate table: a (position, label)'s effective children, each
+     with its occurrence set, built on the first visit that needs them and
+     shared by every later visit of the class. *)
+  let candidates =
+    memoize (fun pos l ->
+        Array.of_list
+          (List.map
+             (fun c -> (c, Option.get (occ_set pos c)))
+             (effective_children pos l)))
   in
   (* (c): advance a start label along equal-occurrence-set children, but
      only when the child still dominates every covered label of the
@@ -130,31 +145,31 @@ let enumerate ~taxonomy ~min_support ~enhancements ?stats
     (* One arena scratch per recursion level: every candidate's occurrence
        set is intersected into it in place and, on descent, handed to the
        recursive call directly — the child level borrows its own scratch,
-       so ours is only overwritten once that call has returned. The
-       steady-state allocation rate of this loop (the dominant one in
-       Step 3) is zero. *)
+       so ours is only overwritten once that call has returned. No bitset
+       is allocated per candidate in this loop, the dominant one in
+       Step 3. *)
     let scratch = Arena.acquire (Bitset.capacity ocs) in
     for pos = 0 to positions - 1 do
-      List.iter
-        (fun c ->
-          let child_set = Option.get (occ_set pos c) in
-          Bitset.inter_into ~dst:scratch ocs child_set;
-          stats.intersections <- stats.intersections + 1;
-          let support' = Occ_index.distinct_graph_count oi scratch in
-          if support' = support then over_generalized := true;
-          let descend =
-            pos >= start && support' > 0
-            && ((not enhancements.child_pruning) || support' >= min_support)
-          in
-          if descend then begin
-            let labels' = Array.copy labels in
-            labels'.(pos) <- c;
-            if not (Hashtbl.mem visited labels') then begin
-              Hashtbl.add visited labels' ();
-              visit labels' scratch support' pos
-            end
-          end)
-        (effective_children pos labels.(pos))
+      let cands = candidates pos labels.(pos) in
+      for i = 0 to Array.length cands - 1 do
+        let c, child_set = cands.(i) in
+        Bitset.inter_into ~dst:scratch ocs child_set;
+        stats.intersections <- stats.intersections + 1;
+        let support' = Occ_index.distinct_graph_count oi scratch in
+        if support' = support then over_generalized := true;
+        let descend =
+          pos >= start && support' > 0
+          && ((not enhancements.child_pruning) || support' >= min_support)
+        in
+        if descend then begin
+          let labels' = Array.copy labels in
+          labels'.(pos) <- c;
+          if not (Hashtbl.mem visited labels') then begin
+            Hashtbl.add visited labels' ();
+            visit labels' scratch support' pos
+          end
+        end
+      done
     done;
     Arena.release scratch;
     if !over_generalized then

@@ -251,7 +251,6 @@ let run_sequential ~config ~budget ~class_miner ~sink ~ckpt ~supervised
   let oi_entries = ref 0 in
   let oi_set_members = ref 0 in
   let covered = Bitset.create db_size in
-  let collected = ref [] in
   let diagnostics = ref [] in
   let mining_timer = Timer.start () in
   let seed_tasks =
@@ -273,6 +272,7 @@ let run_sequential ~config ~budget ~class_miner ~sink ~ckpt ~supervised
     | None -> [||]
   in
   let subtrees = Option.map (List.map snd) seed_tasks in
+  (* collected patterns per root, newest root first *)
   let group_rev = ref [] in
   let roots_total =
     match subtrees with Some l -> List.length l | None -> -1
@@ -290,10 +290,7 @@ let run_sequential ~config ~budget ~class_miner ~sink ~ckpt ~supervised
       add_stats spec_stats e.Checkpoint.stats;
       Bitset.union_into ~dst:covered covered e.Checkpoint.covered;
       pattern_count := !pattern_count + List.length e.Checkpoint.patterns;
-      collected := List.rev_append e.Checkpoint.patterns !collected;
-      if Array.length seeds > 0 then
-        group_rev :=
-          (seeds.(e.Checkpoint.root), e.Checkpoint.patterns) :: !group_rev)
+      group_rev := (e.Checkpoint.root, e.Checkpoint.patterns) :: !group_rev)
     stored;
   (* per-root scratch, committed only when the root completes *)
   let r_classes = ref 0 in
@@ -313,9 +310,7 @@ let run_sequential ~config ~budget ~class_miner ~sink ~ckpt ~supervised
     (match sink with
     | `Collect ->
       pattern_count := !pattern_count + List.length !r_patterns;
-      collected := List.rev_append !r_patterns !collected;
-      if Array.length seeds > 0 then
-        group_rev := (seeds.(root), List.rev !r_patterns) :: !group_rev
+      group_rev := (root, List.rev !r_patterns) :: !group_rev
     | `Stream _ -> ());
     (match sv with
     | Some sv ->
@@ -420,11 +415,13 @@ let run_sequential ~config ~budget ~class_miner ~sink ~ckpt ~supervised
   (match sv with Some s -> saver_finish s ~completed | None -> ());
   let mining_total = Timer.elapsed_s mining_timer in
   let mining_seconds = mining_total -. !enumerate_seconds in
+  let groups, patterns =
+    match sink with
+    | `Collect -> Pattern.sort_groups (List.rev !group_rev)
+    | `Stream _ -> ([], [])
+  in
   {
-    patterns =
-      (match sink with
-      | `Collect -> Pattern.sort !collected
-      | `Stream _ -> []);
+    patterns;
     class_count = !class_count;
     pattern_count = !pattern_count;
     completed;
@@ -441,10 +438,8 @@ let run_sequential ~config ~budget ~class_miner ~sink ~ckpt ~supervised
     oi_set_members = !oi_set_members;
     covered_graph_count = Bitset.cardinal covered;
     root_groups =
-      (match sink with
-      | `Collect ->
-        List.rev_map (fun (s, ps) -> (s, Pattern.sort ps)) !group_rev
-      | `Stream _ -> []);
+      (if Array.length seeds = 0 then []
+       else List.map (fun (root, ps) -> (seeds.(root), ps)) groups);
   }
 
 (* --- pool path (domains > 1) ------------------------------------------ *)
@@ -980,31 +975,28 @@ let run_pool ~config ~budget ~class_miner ~exec ~sink ~ckpt ~supervised
       | None -> ());
       patterns_rev := List.rev_append o.t_patterns !patterns_rev)
     included;
-  let patterns =
+  let patterns, root_groups =
     match sink with
-    | `Collect -> Pattern.sort !patterns_rev
-    | `Stream _ -> []
-  in
-  let root_groups =
-    match sink with
-    | `Stream _ -> []
+    | `Stream _ -> ([], [])
+    | `Collect when Array.length seeds = 0 -> (Pattern.sort !patterns_rev, [])
     | `Collect ->
-      if Array.length seeds = 0 then []
-      else begin
-        (* outcomes land per root in schedule order; regroup by root and
-           restore determinism by sorting inside each group *)
-        let arr = Array.make (Array.length seeds) [] in
-        List.iter
-          (fun (e : Checkpoint.entry) ->
-            arr.(e.Checkpoint.root) <-
-              List.rev_append (List.rev e.Checkpoint.patterns)
-                arr.(e.Checkpoint.root))
-          stored;
-        List.iter
-          (fun o -> arr.(o.t_root) <- List.rev_append o.t_patterns arr.(o.t_root))
-          included;
-        Array.to_list (Array.mapi (fun i ps -> (seeds.(i), Pattern.sort ps)) arr)
-      end
+      (* outcomes land per root in schedule order; regroup by root and
+         restore determinism by sorting inside each group *)
+      let arr = Array.make (Array.length seeds) [] in
+      List.iter
+        (fun (e : Checkpoint.entry) ->
+          arr.(e.Checkpoint.root) <-
+            List.rev_append (List.rev e.Checkpoint.patterns)
+              arr.(e.Checkpoint.root))
+        stored;
+      List.iter
+        (fun o -> arr.(o.t_root) <- List.rev_append o.t_patterns arr.(o.t_root))
+        included;
+      let groups, patterns =
+        Pattern.sort_groups
+          (Array.to_list (Array.mapi (fun i ps -> (seeds.(i), ps)) arr))
+      in
+      (patterns, groups)
   in
   let enumerate_wall =
     let f = Atomic.get spec_first_us and l = Atomic.get spec_last_us in

@@ -228,8 +228,7 @@ let candidates t g =
         Pattern.node_count t.patterns.(i) <= Graph.node_count g
         && Array.for_all
              (fun l ->
-               Bitset.inter_cardinal (Taxonomy.descendant_set t.taxonomy l) qset
-               > 0)
+               Bitset.intersects (Taxonomy.descendant_set t.taxonomy l) qset)
              t.distinct_labels.(i)
       then Bitset.set out i)
     union;

@@ -33,10 +33,19 @@ let mem t i =
   let w = i / bits_per_word and b = i mod bits_per_word in
   t.words.(w) land (1 lsl b) <> 0
 
-(* Kernighan-style popcount per word; words are at most 63 bits wide. *)
+(* Branch-free SWAR population count of a 63-bit word: 2-, 4- and 8-bit
+   partial sums, then one multiply gathers the byte sums into the top
+   byte. The masks are the 64-bit ones cut to 63 bits; the total (at most
+   63) fits the 7 bits the top byte has left. *)
 let popcount x =
-  let rec go x acc = if x = 0 then acc else go (x land (x - 1)) (acc + 1) in
-  go x 0
+  if x = 0 then 0
+  else
+    let x = x - ((x lsr 1) land 0x5555_5555_5555_5555) in
+    let x =
+      (x land 0x3333_3333_3333_3333) + ((x lsr 2) land 0x3333_3333_3333_3333)
+    in
+    let x = (x + (x lsr 4)) land 0x0f0f_0f0f_0f0f_0f0f in
+    (x * 0x0101_0101_0101_0101) lsr 56
 
 let cardinal t = Array.fold_left (fun acc w -> acc + popcount w) 0 t.words
 
@@ -73,13 +82,13 @@ let inter a b =
   inter_into ~dst a b;
   dst
 
-let inter_cardinal a b =
-  same_capacity a b "inter_cardinal";
-  let acc = ref 0 in
-  for i = 0 to Array.length a.words - 1 do
-    acc := !acc + popcount (a.words.(i) land b.words.(i))
-  done;
-  !acc
+let intersects a b =
+  same_capacity a b "intersects";
+  let n = Array.length a.words in
+  let rec from i =
+    i < n && (a.words.(i) land b.words.(i) <> 0 || from (i + 1))
+  in
+  from 0
 
 let union_into ~dst a b =
   same_capacity a b "union";
@@ -101,13 +110,45 @@ let diff a b =
   done;
   dst
 
+(* Position of the single set bit of [low]: the top 6 bits of
+   [low * debruijn] (a de Bruijn multiply on 63-bit ints) differ for all
+   63 powers of two, and [bit_of_slot] maps them back. *)
+let debruijn = 0x03f7_9d71_b4cb_0a89
+
+let slot low = (low * debruijn) lsr (bits_per_word - 6)
+
+let bit_of_slot =
+  String.init 64 (fun s ->
+      let rec find b =
+        if b = bits_per_word then '\255'
+        else if slot (1 lsl b) = s then Char.chr b
+        else find (b + 1)
+      in
+      find 0)
+
+let lowest_bit word = Char.code bit_of_slot.[slot (word land (-word))]
+
+(* From this many members on, scanning all 63 positions beats peeling
+   the lowest set bit once per member. *)
+let dense_word = 48
+
 let iter f t =
   for w = 0 to Array.length t.words - 1 do
     let word = t.words.(w) in
-    if word <> 0 then
-      for b = 0 to bits_per_word - 1 do
-        if word land (1 lsl b) <> 0 then f ((w * bits_per_word) + b)
-      done
+    if word <> 0 then begin
+      let base = w * bits_per_word in
+      if popcount word >= dense_word then
+        for b = 0 to bits_per_word - 1 do
+          if word land (1 lsl b) <> 0 then f (base + b)
+        done
+      else begin
+        let rest = ref word in
+        while !rest <> 0 do
+          f (base + lowest_bit !rest);
+          rest := !rest land (!rest - 1)
+        done
+      end
+    end
   done
 
 let fold f t init =
@@ -146,13 +187,7 @@ let choose t =
   let rec scan w =
     if w >= n then None
     else if t.words.(w) = 0 then scan (w + 1)
-    else
-      let word = t.words.(w) in
-      let rec bit b =
-        if word land (1 lsl b) <> 0 then Some ((w * bits_per_word) + b)
-        else bit (b + 1)
-      in
-      bit 0
+    else Some ((w * bits_per_word) + lowest_bit t.words.(w))
   in
   scan 0
 

@@ -20,7 +20,8 @@ val unset : t -> int -> unit
 val mem : t -> int -> bool
 
 val cardinal : t -> int
-(** Number of members; population count over the words. *)
+(** Number of members: a branch-free population count per non-empty word,
+    so the cost is per word, not per member. *)
 
 val is_empty : t -> bool
 
@@ -35,8 +36,9 @@ val inter : t -> t -> t
 val inter_into : dst:t -> t -> t -> unit
 (** [inter_into ~dst a b] stores [a ∩ b] in [dst] (which may alias [a]). *)
 
-val inter_cardinal : t -> t -> int
-(** [inter_cardinal a b] is [cardinal (inter a b)] without allocating. *)
+val intersects : t -> t -> bool
+(** [intersects a b] is [not (is_empty (inter a b))], without allocating;
+    it stops at the first word the two share. *)
 
 val union : t -> t -> t
 
@@ -45,7 +47,11 @@ val union_into : dst:t -> t -> t -> unit
 val diff : t -> t -> t
 
 val iter : (int -> unit) -> t -> unit
-(** Iterate members in increasing order. *)
+(** Iterate members in increasing order. Empty words are skipped at once;
+    a sparse word costs one step per member (the lowest set bit is peeled
+    off and located with a de Bruijn multiply), a dense one (48 or more
+    members) one test per bit position. {!fold}, {!exists}, {!for_all},
+    {!to_list} and {!choose} share this cost model. *)
 
 val fold : (int -> 'a -> 'a) -> t -> 'a -> 'a
 

@@ -72,6 +72,30 @@ let test_pattern_key_iso () =
   let p3 = Pattern.make ~db_size:1 (g ~labels:[| 1; 3 |] ~edges:[ (0, 1, 0) ]) set in
   check bool "different not equal" false (Pattern.equal_sets [ p1 ] [ p3 ])
 
+(* sorting on keys computed once must give [List.sort compare]'s order,
+   ties (isomorphic patterns, here told apart by support set) included *)
+let test_pattern_sort_groups () =
+  let edge a b members =
+    Pattern.make ~db_size:2
+      (g ~labels:[| a; b |] ~edges:[ (0, 1, 0) ])
+      (Bitset.of_list 2 members)
+  in
+  let x = [ edge 3 1 [ 0 ]; edge 1 2 [ 0 ]; edge 2 1 [ 1 ] ] in
+  let z = [ edge 2 2 [ 0 ]; edge 1 1 [ 1 ]; edge 2 1 [ 0; 1 ]; edge 3 3 [ 0 ] ] in
+  let tags l =
+    List.map (fun p -> (Pattern.key p, Bitset.to_list p.Pattern.support_set)) l
+  in
+  let tags_t = Alcotest.(list (pair string (list int))) in
+  let reference l = tags (List.sort Pattern.compare l) in
+  check tags_t "sort" (reference (x @ z)) (tags (Pattern.sort (x @ z)));
+  let groups, all = Pattern.sort_groups [ ("x", x); ("y", []); ("z", z) ] in
+  check tags_t "union" (reference (x @ z)) (tags all);
+  check
+    Alcotest.(list (pair string tags_t))
+    "groups"
+    [ ("x", reference x); ("y", []); ("z", reference z) ]
+    (List.map (fun (name, l) -> (name, tags l)) groups)
+
 (* --- Relabel --------------------------------------------------------------- *)
 
 let test_relabel () =
@@ -472,7 +496,8 @@ let test_enhancements_equivalent () =
         (Pattern.equal_sets reference r.Taxogram.patterns))
     enhancement_configs
 
-let test_enhancements_reduce_work () =
+(* one fixed seeded instance: a 60-concept depth-5 DAG under 30 graphs *)
+let enhancements_instance () =
   let rng = Prng.of_int 11 in
   let t =
     Tsg_taxonomy.Synth_taxonomy.generate rng
@@ -489,17 +514,72 @@ let test_enhancements_reduce_work () =
         node_label = sampler;
       }
   in
+  (t, db)
+
+let run_enhanced t db enh =
+  Taxogram.run
+    (Taxogram.Spec.collect
+       ~config:{ (config ~max_edges:(Some 3) 0.2) with enhancements = enh } ())
+    t db
+
+let test_enhancements_reduce_work () =
+  let t, db = enhancements_instance () in
   let run enh =
-    let r =
-      Taxogram.run (Taxogram.Spec.collect ~config:{ (config ~max_edges:(Some 3) 0.2) with enhancements = enh } ())
-        t db
-    in
+    let r = run_enhanced t db enh in
     (r.Taxogram.patterns, r.Taxogram.spec_stats.Specialize.intersections)
   in
   let on_patterns, on_work = run Specialize.all_on in
   let off_patterns, off_work = run Specialize.all_off in
   check bool "same output" true (Pattern.equal_sets on_patterns off_patterns);
   check bool "enhancements reduce intersections" true (on_work <= off_work)
+
+(* Step 3's exact work on one fixed instance, recorded from the
+   reference walk: a kernel change that alters the visits, intersections
+   or emissions fails here, not only in the benchmark *)
+let test_work_counts_pinned () =
+  let t, db = enhancements_instance () in
+  let counts r =
+    let s = r.Taxogram.spec_stats in
+    [
+      ("intersections", s.Specialize.intersections);
+      ("visited", s.Specialize.visited);
+      ("emitted", s.Specialize.emitted);
+      ("over_generalized", s.Specialize.over_generalized);
+      ("class_count", r.Taxogram.class_count);
+      ("oi_entries", r.Taxogram.oi_entries);
+      ("oi_set_members", r.Taxogram.oi_set_members);
+    ]
+  in
+  List.iter
+    (fun (name, enh, expected) ->
+      check
+        (Alcotest.list (Alcotest.pair Alcotest.string int))
+        name expected
+        (counts (run_enhanced t db enh)))
+    [
+      ( "all on",
+        Specialize.all_on,
+        [
+          ("intersections", 6006);
+          ("visited", 282);
+          ("emitted", 172);
+          ("over_generalized", 12);
+          ("class_count", 13);
+          ("oi_entries", 1166);
+          ("oi_set_members", 9899);
+        ] );
+      ( "all off",
+        Specialize.all_off,
+        [
+          ("intersections", 1459598);
+          ("visited", 93784);
+          ("emitted", 172);
+          ("over_generalized", 91057);
+          ("class_count", 13);
+          ("oi_entries", 1689);
+          ("oi_set_members", 11103);
+        ] );
+    ]
 
 (* --- TAcGM ----------------------------------------------------------------- *)
 
@@ -978,6 +1058,8 @@ let () =
         [
           Alcotest.test_case "make" `Quick test_pattern_make;
           Alcotest.test_case "key isomorphism" `Quick test_pattern_key_iso;
+          Alcotest.test_case "sort and sort_groups" `Quick
+            test_pattern_sort_groups;
         ] );
       ("relabel", [ Alcotest.test_case "most general" `Quick test_relabel ]);
       ( "occ_index",
@@ -1024,6 +1106,8 @@ let () =
           Alcotest.test_case "all configurations equivalent" `Quick
             test_enhancements_equivalent;
           Alcotest.test_case "reduce work" `Quick test_enhancements_reduce_work;
+          Alcotest.test_case "step-3 work counts pinned" `Quick
+            test_work_counts_pinned;
         ] );
       ( "tacgm",
         [

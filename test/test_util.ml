@@ -55,7 +55,8 @@ let test_bitset_set_ops () =
   check (Alcotest.list int) "union" [ 1; 3; 4; 5; 7; 9 ]
     (Bitset.to_list (Bitset.union a b));
   check (Alcotest.list int) "diff" [ 1; 7 ] (Bitset.to_list (Bitset.diff a b));
-  check int "inter_cardinal" 2 (Bitset.inter_cardinal a b);
+  check bool "intersects" true (Bitset.intersects a b);
+  check bool "disjoint" false (Bitset.intersects a (Bitset.of_list 10 [ 0; 2 ]));
   check bool "subset no" false (Bitset.subset a b);
   check bool "subset yes" true (Bitset.subset (Bitset.of_list 10 [ 3; 5 ]) a);
   check bool "subset self" true (Bitset.subset a a)
@@ -81,7 +82,13 @@ let test_bitset_full_clear_choose () =
   check (Alcotest.option int) "choose next" (Some 1) (Bitset.choose b);
   Bitset.clear b;
   check bool "cleared" true (Bitset.is_empty b);
-  check (Alcotest.option int) "choose empty" None (Bitset.choose b)
+  check (Alcotest.option int) "choose empty" None (Bitset.choose b);
+  (* every bit position of two words, the sign bits (62, 125) included *)
+  for i = 0 to 125 do
+    let one = Bitset.of_list 126 [ i ] in
+    check (Alcotest.option int) "choose singleton" (Some i) (Bitset.choose one);
+    check (Alcotest.list int) "iter singleton" [ i ] (Bitset.to_list one)
+  done
 
 let test_bitset_iter_order () =
   let b = Bitset.of_list 200 [ 150; 3; 64; 127 ] in
@@ -105,32 +112,72 @@ let test_bitset_capacity_mismatch () =
 (* model-based property: bitset ops agree with a set-of-ints model *)
 module Int_set = Set.Make (Int)
 
+(* Capacities around one and two words (62/63/64, 125/126/127) or
+   anywhere up to 200, and members drawn as whole words: full words,
+   words holding only their top bit (bit 62, OCaml's sign bit, i.e.
+   [min_int]), dense words (7 in 8 bits) and a few sparse members. Each
+   word shape takes a different branch of the set-bit kernels. *)
+let bitset_capacity_gen =
+  QCheck.Gen.(oneof [ oneofl [ 62; 63; 64; 125; 126; 127 ]; int_range 1 200 ])
+
+let bitset_members_gen cap =
+  let open QCheck.Gen in
+  let w = Sys.int_size in
+  let in_word k keep =
+    List.filter (fun i -> i < cap) (List.filteri keep (List.init w (fun b -> (k * w) + b)))
+  in
+  let chunk =
+    int_bound ((cap - 1) / w) >>= fun k ->
+    frequency
+      [
+        (2, return (in_word k (fun _ _ -> true)));
+        (2, return (in_word k (fun b _ -> b = w - 1)));
+        ( 2,
+          map
+            (fun keep -> in_word k (fun b _ -> List.nth keep b))
+            (list_repeat w (frequency [ (7, return true); (1, return false) ])) );
+        (3, list_size (int_bound 8) (int_bound (cap - 1)));
+      ]
+  in
+  map List.concat (list_size (int_bound 5) chunk)
+
+let bitset_pair_arb =
+  QCheck.make
+    ~print:QCheck.Print.(triple int (list int) (list int))
+    QCheck.Gen.(
+      bitset_capacity_gen >>= fun cap ->
+      map2 (fun xs ys -> (cap, xs, ys)) (bitset_members_gen cap)
+        (bitset_members_gen cap))
+
 let bitset_model_prop =
-  QCheck.Test.make ~name:"bitset agrees with Set model" ~count:200
-    QCheck.(pair (list (int_bound 99)) (list (int_bound 99)))
-    (fun (xs, ys) ->
-      let a = Bitset.of_list 100 xs and b = Bitset.of_list 100 ys in
+  QCheck.Test.make ~name:"bitset agrees with Set model" ~count:300
+    bitset_pair_arb
+    (fun (cap, xs, ys) ->
+      let a = Bitset.of_list cap xs and b = Bitset.of_list cap ys in
       let ma = Int_set.of_list xs and mb = Int_set.of_list ys in
       let eq bs m = Bitset.to_list bs = Int_set.elements m in
+      let via_iter = ref [] in
+      Bitset.iter (fun i -> via_iter := i :: !via_iter) a;
       eq (Bitset.inter a b) (Int_set.inter ma mb)
       && eq (Bitset.union a b) (Int_set.union ma mb)
       && eq (Bitset.diff a b) (Int_set.diff ma mb)
+      && eq a ma
+      && List.rev !via_iter = Int_set.elements ma
+      && Bitset.fold (fun i acc -> i :: acc) a [] = List.rev (Int_set.elements ma)
+      && Bitset.choose a = Int_set.min_elt_opt ma
       && Bitset.cardinal a = Int_set.cardinal ma
       && Bitset.subset a b = Int_set.subset ma mb
-      && Bitset.inter_cardinal a b = Int_set.cardinal (Int_set.inter ma mb))
+      && Bitset.intersects a b = not (Int_set.disjoint ma mb))
 
-(* iter, fold, to_list, cardinal (pop-count) must all agree on the same
-   population, whatever mix of set/unset produced it *)
+(* iter, fold, to_list, choose, cardinal (pop-count) must all agree on
+   the same population, whatever mix of set/unset produced it *)
 let bitset_iteration_consistency_prop =
   QCheck.Test.make ~name:"iter/fold/cardinal agree on population" ~count:300
-    QCheck.(pair (int_range 1 130) (list (pair (int_bound 129) bool)))
-    (fun (cap, ops) ->
+    bitset_pair_arb
+    (fun (cap, sets, unsets) ->
       let b = Bitset.create cap in
-      List.iter
-        (fun (i, on) ->
-          let i = i mod cap in
-          if on then Bitset.set b i else Bitset.unset b i)
-        ops;
+      List.iter (Bitset.set b) sets;
+      List.iter (Bitset.unset b) unsets;
       let via_iter = ref [] in
       Bitset.iter (fun i -> via_iter := i :: !via_iter) b;
       let via_iter = List.rev !via_iter in
@@ -138,6 +185,8 @@ let bitset_iteration_consistency_prop =
       let counted = Bitset.fold (fun _ acc -> acc + 1) b 0 in
       via_iter = via_fold
       && via_iter = Bitset.to_list b
+      && via_iter = Int_set.(elements (diff (of_list sets) (of_list unsets)))
+      && Bitset.choose b = List.nth_opt via_iter 0
       && counted = Bitset.cardinal b
       && List.for_all (Bitset.mem b) via_iter
       && via_iter = List.sort_uniq compare via_iter)
@@ -148,7 +197,7 @@ let bitset_popcount_ops_prop =
     (fun (xs, ys) ->
       let a = Bitset.of_list 100 xs and b = Bitset.of_list 100 ys in
       let inter = Bitset.cardinal (Bitset.inter a b) in
-      Bitset.inter_cardinal a b = inter
+      Bitset.intersects a b = (inter > 0)
       && Bitset.cardinal (Bitset.union a b)
          = Bitset.cardinal a + Bitset.cardinal b - inter
       && Bitset.cardinal (Bitset.diff a b) = Bitset.cardinal a - inter)
