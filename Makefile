@@ -74,17 +74,19 @@ cluster-smoke: build
 pipeline-smoke: build
 	scripts/pipeline_smoke.sh
 
-# output identity on the mining hot path: a 2 s run of each mining
-# workload of the repository benchmark (perfbench/); fails unless the
-# first op's patterns match the digest recorded for the instance and
-# every later op, at 1 and 2 domains, repeats them byte for byte
+# output identity on the mining and serving hot paths: a 2 s run of
+# each mining workload and of the serve workload of the repository
+# benchmark (perfbench/). Mining fails unless the first op's patterns
+# match the digest recorded for the instance and every later op, at 1
+# and 2 domains, repeats them byte for byte; serve fails unless every
+# tsg-serve reply equals Serve.answer on an in-process engine
 perf-smoke:
-	@for w in mine-td13 mine-nc40; do \
+	@for w in mine-td13 mine-nc40 serve; do \
 	  line=$$(bash perfbench/run.sh --workload $$w --seed 1 --seconds 2 \
 	    --trace 0 | tail -n 1); \
 	  case "$$line" in \
 	    *'"correct": true'*) echo "$$w: correct" ;; \
-	    *) echo "$$w: answer differs from the recorded one: $$line" >&2; \
+	    *) echo "$$w: output check failed: $$line" >&2; \
 	       exit 1 ;; \
 	  esac; \
 	done

@@ -13,72 +13,60 @@ let equal_labels = { node_ok = ( = ); edge_ok = ( = ) }
    record the constraints against earlier positions. *)
 type plan_step = {
   pnode : int;
+  plabel : Tsg_graph.Label.id;
   anchor : int option; (* earlier position whose image we expand from *)
   checks : (int * Tsg_graph.Label.id) list;
       (* (earlier position, required edge label) — includes the anchor *)
 }
 
-let plan pattern =
+(* immutable once built: a search allocates its own scratch, so one
+   compiled pattern can serve concurrent searches *)
+type compiled = { nodes : int; steps : plan_step array }
+
+let compile pattern =
   let n = Graph.node_count pattern in
   let placed_pos = Array.make n (-1) in
-  let order = Array.make n 0 in
-  let chosen = Array.make n false in
-  let pick_best candidates =
-    List.fold_left
-      (fun best v ->
-        match best with
-        | None -> Some v
-        | Some b -> if Graph.degree pattern v > Graph.degree pattern b then Some v else best)
-      None candidates
-  in
-  let unplaced_adjacent () =
-    let cs = ref [] in
-    for v = 0 to n - 1 do
-      if not chosen.(v) then
-        if Array.exists (fun (w, _) -> chosen.(w)) (Graph.neighbors pattern v)
-        then cs := v :: !cs
+  let reached = Array.make n false in (* adjacent to a placed node *)
+  (* the highest-degree unplaced node (the highest id among ties), among
+     those adjacent to a placed one when [adjacent] *)
+  let pick ~adjacent =
+    let best = ref (-1) in
+    for v = n - 1 downto 0 do
+      if
+        placed_pos.(v) < 0
+        && ((not adjacent) || reached.(v))
+        && (!best < 0 || Graph.degree pattern v > Graph.degree pattern !best)
+      then best := v
     done;
-    !cs
+    !best
   in
-  let any_unplaced () =
-    let cs = ref [] in
-    for v = 0 to n - 1 do
-      if not chosen.(v) then cs := v :: !cs
-    done;
-    !cs
+  let steps =
+    Array.init n (fun pos ->
+        let v = match pick ~adjacent:true with -1 -> pick ~adjacent:false | v -> v in
+        placed_pos.(v) <- pos;
+        let neighbors = Graph.neighbors pattern v in
+        Array.iter (fun (w, _) -> reached.(w) <- true) neighbors;
+        let checks =
+          Array.fold_left
+            (fun acc (w, lbl) ->
+              let p = placed_pos.(w) in
+              if p >= 0 && p < pos then (p, lbl) :: acc else acc)
+            [] neighbors
+        in
+        let anchor = match checks with [] -> None | (p, _) :: _ -> Some p in
+        { pnode = v; plabel = Graph.node_label pattern v; anchor; checks })
   in
-  let steps = ref [] in
-  for pos = 0 to n - 1 do
-    let candidates =
-      match unplaced_adjacent () with [] -> any_unplaced () | cs -> cs
-    in
-    let v = Option.get (pick_best candidates) in
-    chosen.(v) <- true;
-    placed_pos.(v) <- pos;
-    order.(pos) <- v;
-    let checks =
-      Array.fold_left
-        (fun acc (w, lbl) ->
-          if chosen.(w) && placed_pos.(w) < pos then (placed_pos.(w), lbl) :: acc
-          else acc)
-        []
-        (Graph.neighbors pattern v)
-    in
-    let anchor = match checks with [] -> None | (p, _) :: _ -> Some p in
-    steps := { pnode = v; anchor; checks } :: !steps
-  done;
-  (order, Array.of_list (List.rev !steps))
+  { nodes = n; steps }
 
 exception Stop
 
-let search ?limit spec ~pattern ~target ~bijective emit =
-  let np = Graph.node_count pattern in
+let fits ~bijective np nt = if bijective then np = nt else np <= nt
+
+let search ?limit spec { nodes = np; steps } ~target ~bijective emit =
   let nt = Graph.node_count target in
-  if bijective && np <> nt then ()
-  else if np > nt then ()
+  if not (fits ~bijective np nt) then ()
   else if np = 0 then emit [||]
   else begin
-    let _, steps = plan pattern in
     let image = Array.make np (-1) in (* position -> target node *)
     let used = Array.make nt false in
     let emitted = ref 0 in
@@ -89,9 +77,7 @@ let search ?limit spec ~pattern ~target ~bijective emit =
     in
     let feasible step tnode =
       (not used.(tnode))
-      && spec.node_ok
-           (Graph.node_label pattern step.pnode)
-           (Graph.node_label target tnode)
+      && spec.node_ok step.plabel (Graph.node_label target tnode)
       && List.for_all
            (fun (pos, plbl) ->
              match Graph.edge_label target tnode image.(pos) with
@@ -132,22 +118,30 @@ let search ?limit spec ~pattern ~target ~bijective emit =
     (try extend 0 with Stop -> ())
   end
 
-let iter_embeddings ?limit spec ~pattern ~target f =
-  search ?limit spec ~pattern ~target ~bijective:false f
+(* one-shot callers plan only a pattern whose size fits the target *)
+let search_once ?limit spec ~pattern ~target ~bijective emit =
+  if fits ~bijective (Graph.node_count pattern) (Graph.node_count target) then
+    search ?limit spec (compile pattern) ~target ~bijective emit
+
+let first_found search =
+  let found = ref false in
+  search (fun _ -> found := true);
+  !found
+
+let exists_compiled spec compiled ~target =
+  first_found (search ~limit:1 spec compiled ~target ~bijective:false)
 
 let exists spec ~pattern ~target =
-  let found = ref false in
-  search ~limit:1 spec ~pattern ~target ~bijective:false (fun _ ->
-      found := true);
-  !found
+  first_found (search_once ~limit:1 spec ~pattern ~target ~bijective:false)
+
+let exists_bijective spec ~pattern ~target =
+  first_found (search_once ~limit:1 spec ~pattern ~target ~bijective:true)
+
+let iter_embeddings ?limit spec ~pattern ~target f =
+  search_once ?limit spec ~pattern ~target ~bijective:false f
 
 let count_embeddings ?limit spec ~pattern ~target =
   let count = ref 0 in
-  search ?limit spec ~pattern ~target ~bijective:false (fun _ -> incr count);
+  search_once ?limit spec ~pattern ~target ~bijective:false (fun _ ->
+      incr count);
   !count
-
-let exists_bijective spec ~pattern ~target =
-  let found = ref false in
-  search ~limit:1 spec ~pattern ~target ~bijective:true (fun _ ->
-      found := true);
-  !found

@@ -43,3 +43,23 @@ val exists_bijective :
 (** Generalized {e graph} isomorphism: a bijection of the node sets
     preserving edges in both directions with compatible labels. This is the
     paper's [IS_GEN_ISO] when used with a taxonomy-aware [spec]. *)
+
+(** {1 Compiled patterns}
+
+    Every search follows a {e plan}: a static order over the pattern's
+    nodes with, per position, the edges back to earlier positions.
+    {!exists}, {!iter_embeddings}, {!count_embeddings} and
+    {!exists_bijective} compile the plan on each call, and only when the
+    pattern's node count fits the target's. A caller that tests one
+    pattern against many targets compiles it once instead. *)
+
+type compiled
+(** A pattern graph's matching plan. Immutable: each search allocates its
+    own scratch state, so one compiled pattern may serve concurrent
+    searches on several domains. *)
+
+val compile : Tsg_graph.Graph.t -> compiled
+
+val exists_compiled : spec -> compiled -> target:Tsg_graph.Graph.t -> bool
+(** [exists_compiled spec (compile pattern) ~target] is
+    [exists spec ~pattern ~target]. *)

@@ -3,12 +3,13 @@ module Metrics = Tsg_util.Metrics
 module Timer = Tsg_util.Timer
 module Graph = Tsg_graph.Graph
 module Gen_iso = Tsg_iso.Gen_iso
+module Matcher = Tsg_iso.Matcher
 module Pattern = Tsg_core.Pattern
 
 type t = {
   store : Store.t;
   epoch : Epoch.t;
-  cache : int list Lru.t;
+  cache : int array Lru.t;
   cache_lock : Mutex.t;
   metrics : Metrics.t;
   c_contains : Metrics.counter;
@@ -66,19 +67,17 @@ let timed h f =
   let timer = Timer.start () in
   Fun.protect ~finally:(fun () -> Metrics.observe h (Timer.elapsed_s timer)) f
 
-let scan t target set =
-  let taxonomy = Store.taxonomy t.store in
-  let tested = ref 0 in
-  let hits =
-    Bitset.fold
-      (fun i acc ->
-        incr tested;
-        let pattern = (Store.pattern t.store i).Pattern.graph in
-        if Gen_iso.subgraph_isomorphic taxonomy ~pattern ~target then i :: acc
-        else acc)
-      set []
-  in
-  (List.rev hits, !tested)
+(* the ids of the patterns in [set] that occur in [target], ascending,
+   matched through the store's compiled plans *)
+let scan store target set =
+  let spec = Gen_iso.spec (Store.taxonomy store) in
+  List.rev
+    (Bitset.fold
+       (fun i acc ->
+         if Matcher.exists_compiled spec (Store.plan store i) ~target then
+           i :: acc
+         else acc)
+       set [])
 
 let contains ?(use_cache = true) t target =
   Metrics.incr t.c_contains;
@@ -97,20 +96,28 @@ let contains ?(use_cache = true) t target =
       match hit with
       | Some ids ->
         Metrics.incr t.c_hits;
-        ids
+        Array.to_list ids
       | None ->
         if use_cache then Metrics.incr t.c_misses;
         let cands = Store.candidates t.store target in
-        Metrics.incr ~n:(Bitset.cardinal cands) t.c_candidates;
-        let ids, tested = scan t target cands in
+        let tested = Bitset.cardinal cands in
+        Metrics.incr ~n:tested t.c_candidates;
         Metrics.incr ~n:tested t.c_iso_tests;
+        let ids = scan t.store target cands in
         Option.iter
-          (fun k -> locked t.cache_lock (fun () -> Lru.add t.cache k ids))
+          (fun k ->
+            let cached = Array.of_list ids in
+            locked t.cache_lock (fun () -> Lru.add t.cache k cached))
           key;
         ids)
 
 let contains_brute t target =
-  fst (scan t target (Bitset.full (Store.size t.store)))
+  let taxonomy = Store.taxonomy t.store in
+  List.filter
+    (fun i ->
+      Gen_iso.subgraph_isomorphic taxonomy
+        ~pattern:(Store.pattern t.store i).Pattern.graph ~target)
+    (List.init (Store.size t.store) Fun.id)
 
 let by_label t l =
   Metrics.incr t.c_by_label;

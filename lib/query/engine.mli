@@ -5,13 +5,16 @@
     [contains] answers "which stored patterns occur in this graph?" — the
     same generalized-subgraph-isomorphism question Taxogram's Step 3
     avoids per specialization, answered here per query: the store's
-    inverted indexes prefilter candidates, {!Tsg_iso.Gen_iso} decides the
-    survivors, and results are cached under the query graph's minimum DFS
-    code so isomorphic repeats skip isomorphism entirely.
+    inverted indexes prefilter candidates, generalized subgraph
+    isomorphism ({!Tsg_iso.Gen_iso.spec}) decides the survivors through
+    each pattern's stored plan ({!Store.plan}), and results are cached
+    under the query graph's minimum DFS code so isomorphic repeats skip
+    isomorphism entirely.
 
     All query functions are safe to call concurrently from multiple
-    domains (the cache is mutex-protected; the store and taxonomy are
-    immutable). *)
+    domains (the cache is mutex-protected; the taxonomy is immutable, and
+    so is the store but for its first-use slots, which tolerate racing
+    fills — see {!Store}). *)
 
 type t
 
@@ -21,8 +24,8 @@ val create :
   metrics:Tsg_util.Metrics.t ->
   Store.t ->
   t
-(** [cache_capacity] defaults to 1024 cached result lists; [0] disables
-    caching. [epoch] (default {!Epoch.zero}) records which artifact
+(** [cache_capacity] defaults to 1024 cached answers (each an [int
+    array]); [0] disables caching. [epoch] (default {!Epoch.zero}) records which artifact
     version this engine was built from — the serve loop enforces
     [at <epoch>] request pins against it. *)
 
@@ -53,9 +56,9 @@ val contains : ?use_cache:bool -> t -> Tsg_graph.Graph.t -> int list
     [contains.iso_tests]; histogram: [latency.contains]. *)
 
 val contains_brute : t -> Tsg_graph.Graph.t -> int list
-(** As {!contains} but scanning every stored pattern with
-    {!Tsg_iso.Gen_iso} — no prefilter, no cache, no metrics. The test and
-    benchmark oracle. *)
+(** As {!contains} but testing every stored pattern's graph with
+    {!Tsg_iso.Gen_iso.subgraph_isomorphic} — no prefilter, no stored
+    plans, no cache, no metrics. The test oracle. *)
 
 val by_label : t -> Tsg_graph.Label.id -> int list
 (** Patterns mentioning the label or any taxonomy descendant of it.

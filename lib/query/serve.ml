@@ -1,6 +1,4 @@
-module Taxonomy = Tsg_taxonomy.Taxonomy
 module Label = Tsg_graph.Label
-module Pattern = Tsg_core.Pattern
 module Metrics = Tsg_util.Metrics
 module Fault = Tsg_util.Fault
 module Safe_io = Tsg_util.Safe_io
@@ -38,8 +36,7 @@ let parse_bind_addr s =
           0.0.0.0)"
          s)
 
-let result_line ~names ~db_size ?score store id =
-  let p = Store.pattern store id in
+let result_line ?score store id =
   let score =
     match score with
     | None -> ""
@@ -47,9 +44,14 @@ let result_line ~names ~db_size ?score store id =
   in
   (* the printed id is the id in the unsliced store, so replies from
      shard slices merge without translation (identity when unsliced) *)
-  Printf.sprintf "p %d%s support %d/%d %s" (Store.external_id store id) score
-    p.Pattern.support_count db_size
-    (Pattern.to_string ~names p)
+  String.concat ""
+    [
+      "p ";
+      string_of_int (Store.external_id store id);
+      score;
+      " ";
+      Store.reply_text store id;
+    ]
 
 let is_error r =
   let _, r = Protocol.split_tag r in
@@ -59,25 +61,20 @@ let overloaded_line retry_after_s =
   Protocol.error_line Protocol.Overloaded
     (Printf.sprintf "retry-after %.3f" (Float.max 0.0 retry_after_s))
 
-let execute ~use_cache engine ~names query =
+let execute ~use_cache engine query =
   let store = Engine.store engine in
-  let db_size = Store.db_size store in
   let listing ids line =
     String.concat "\n"
       (Printf.sprintf "ok %d" (List.length ids) :: List.map line ids)
   in
   match query with
   | Protocol.Contains g ->
-    let ids = Engine.contains ~use_cache engine g in
-    listing ids (result_line ~names ~db_size store)
-  | Protocol.By_label l ->
-    let ids = Engine.by_label engine l in
-    listing ids (result_line ~names ~db_size store)
+    listing (Engine.contains ~use_cache engine g) (result_line store)
+  | Protocol.By_label l -> listing (Engine.by_label engine l) (result_line store)
   | Protocol.Top_k (k, order) -> (
     match Engine.top_k engine ~k order with
     | scored ->
-      listing scored (fun (id, s) ->
-          result_line ~names ~db_size ~score:s store id)
+      listing scored (fun (id, s) -> result_line ~score:s store id)
     | exception Failure msg -> Protocol.error_line Protocol.Unavailable msg)
   | Protocol.(
       Stats | Health | Epoch_info | Reload | Prepare | Commit | Abort | Quit)
@@ -91,13 +88,12 @@ let answer ?(use_cache = true) engine query =
     ->
     invalid_arg "Serve.answer: barrier verbs have no engine-level answer"
   | Protocol.(Contains _ | By_label _ | Top_k _) as q ->
-    let names = Taxonomy.labels (Store.taxonomy (Engine.store engine)) in
-    execute ~use_cache engine ~names q
+    execute ~use_cache engine q
 
 (* a request that blew its deadline, crashed, or drew an injected fault
    answers with an error line; the loop itself never dies for one request *)
-let execute_guarded ~use_cache engine ~names ~limits ~deadline_c ~fault_c
-    ~arrival query =
+let execute_guarded ~use_cache engine ~limits ~deadline_c ~fault_c ~arrival
+    query =
   let expired () =
     match limits.request_deadline_s with
     | None -> false
@@ -110,7 +106,7 @@ let execute_guarded ~use_cache engine ~names ~limits ~deadline_c ~fault_c
   else
     match
       Fault.inject "serve.request";
-      execute ~use_cache engine ~names query
+      execute ~use_cache engine query
     with
     | reply ->
       if expired () then begin
@@ -258,23 +254,20 @@ let run ?exec ?(limits = default_limits) ?admission ?client
         Metrics.incr disconnect_c
   in
   let batch = ref [] in
-  let gen_names gen =
-    Taxonomy.labels (Store.taxonomy (Engine.store gen.gen_engine))
-  in
   let fill (arrival, tag, item) =
     Protocol.tag_reply tag
       (match item with
       | `Error (code, msg) -> Protocol.error_line code msg
       | `Query (gen, q) ->
-        execute_guarded ~use_cache:true gen.gen_engine ~names:(gen_names gen)
-          ~limits ~deadline_c ~fault_c ~arrival q
+        execute_guarded ~use_cache:true gen.gen_engine ~limits ~deadline_c
+          ~fault_c ~arrival q
       | `Ticket (gen, adm, ticket, q) -> (
         match Admission.start adm ticket with
         | `Expired retry_after_s -> overloaded_line retry_after_s
         | `Run level ->
           let reply =
-            execute_guarded ~use_cache:(level = 0) gen.gen_engine
-              ~names:(gen_names gen) ~limits ~deadline_c ~fault_c ~arrival q
+            execute_guarded ~use_cache:(level = 0) gen.gen_engine ~limits
+              ~deadline_c ~fault_c ~arrival q
           in
           Admission.finish adm ticket ~ok:(not (is_error reply));
           reply))

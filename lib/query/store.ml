@@ -3,6 +3,7 @@ module Graph = Tsg_graph.Graph
 module Taxonomy = Tsg_taxonomy.Taxonomy
 module Pattern = Tsg_core.Pattern
 module Interest = Tsg_core.Interest
+module Matcher = Tsg_iso.Matcher
 
 type t = {
   taxonomy : Taxonomy.t;
@@ -14,10 +15,32 @@ type t = {
   mentioning : Bitset.t array;  (* indexed by label id *)
   at_most_edges : Bitset.t array;  (* indexed by edge count, cumulative *)
   max_edges : int;
+  at_most_labeled : Bitset.t array array;
+      (* indexed by edge label, then by count k below the label's highest
+         per-pattern count: patterns with at most k edges of that label *)
   by_support : int array;
   by_interest : (int * float) array option;
   trivial : Bitset.t;  (* node-less patterns: match any target *)
+  plans : Matcher.compiled option array;  (* first-use slots *)
+  texts : string option array;  (* first-use slots *)
 }
+
+(* [g]'s number of edges of each edge label below [labels] *)
+let labeled_edge_counts ~labels g =
+  let counts = Array.make labels 0 in
+  Graph.fold_edges
+    (fun _ _ l () -> if l >= 0 && l < labels then counts.(l) <- counts.(l) + 1)
+    g ();
+  counts
+
+let cumulative_buckets ~n ~max_count count_of =
+  let buckets = Array.init max_count (fun _ -> Bitset.create n) in
+  for i = 0 to n - 1 do
+    for k = count_of i to max_count - 1 do
+      Bitset.set buckets.(k) i
+    done
+  done;
+  buckets
 
 let build ~taxonomy ?db ~db_size pattern_list =
   let patterns = Array.of_list pattern_list in
@@ -56,13 +79,30 @@ let build ~taxonomy ?db ~db_size pattern_list =
   let max_edges =
     Array.fold_left (fun acc p -> max acc (Pattern.edge_count p)) 0 patterns
   in
-  let at_most_edges = Array.init (max_edges + 1) (fun _ -> Bitset.create n) in
-  Array.iteri
-    (fun i p ->
-      for k = Pattern.edge_count p to max_edges do
-        Bitset.set at_most_edges.(k) i
-      done)
-    patterns;
+  let at_most_edges =
+    cumulative_buckets ~n ~max_count:(max_edges + 1) (fun i ->
+        Pattern.edge_count patterns.(i))
+  in
+  (* one past the highest edge label any pattern uses *)
+  let edge_label_bound =
+    Array.fold_left
+      (fun acc (p : Pattern.t) ->
+        Graph.fold_edges (fun _ _ l acc -> max acc (l + 1)) p.Pattern.graph acc)
+      0 patterns
+  in
+  let counts =
+    Array.map
+      (fun (p : Pattern.t) ->
+        labeled_edge_counts ~labels:edge_label_bound p.Pattern.graph)
+      patterns
+  in
+  let at_most_labeled =
+    Array.init edge_label_bound (fun l ->
+        let max_count =
+          Array.fold_left (fun acc c -> max acc c.(l)) 0 counts
+        in
+        cumulative_buckets ~n ~max_count (fun i -> counts.(i).(l)))
+  in
   let by_support = Array.init n (fun i -> i) in
   Array.sort
     (fun a b ->
@@ -111,9 +151,12 @@ let build ~taxonomy ?db ~db_size pattern_list =
     mentioning;
     at_most_edges;
     max_edges;
+    at_most_labeled;
     by_support;
     by_interest;
     trivial;
+    plans = Array.make n None;
+    texts = Array.make n None;
   }
 
 let of_strings ~taxonomy ~edge_labels ?db sources =
@@ -220,6 +263,16 @@ let candidates t g =
       end)
     qlabels;
   Bitset.inter_into ~dst:union union (with_at_most_edges t (Graph.edge_count g));
+  (* a match maps pattern edges injectively onto target edges of the same
+     label, so no pattern has more edges of a label than [g] has *)
+  let counts =
+    labeled_edge_counts ~labels:(Array.length t.at_most_labeled) g
+  in
+  Array.iteri
+    (fun l buckets ->
+      if counts.(l) < Array.length buckets then
+        Bitset.inter_into ~dst:union union buckets.(counts.(l)))
+    t.at_most_labeled;
   (* every distinct pattern label must generalize some query label *)
   let out = Bitset.create n in
   Bitset.iter
@@ -235,3 +288,24 @@ let candidates t g =
   (* a pattern with no nodes occurs in every target *)
   Bitset.union_into ~dst:out out t.trivial;
   out
+
+(* A slot is filled on first use, not at build time: a reload that is
+   never queried pays nothing for it. Two domains racing on one slot both
+   write equal immutable values, and a domain reads either [None] or a
+   whole value, so the store stays safe to share. *)
+let first_use slots i make =
+  match slots.(i) with
+  | Some v -> v
+  | None ->
+    let v = make () in
+    slots.(i) <- Some v;
+    v
+
+let plan t i =
+  first_use t.plans i (fun () -> Matcher.compile t.patterns.(i).Pattern.graph)
+
+let reply_text t i =
+  first_use t.texts i (fun () ->
+      let p = t.patterns.(i) in
+      Printf.sprintf "support %d/%d %s" p.Pattern.support_count t.db_size
+        (Pattern.to_string ~names:(Taxonomy.labels t.taxonomy) p))

@@ -1,5 +1,5 @@
-(** An indexed, immutable store of mined pattern sets, ready to serve
-    queries without re-mining.
+(** An indexed store of mined pattern sets, ready to serve queries
+    without re-mining.
 
     The store holds the patterns of one or more {!Tsg_core.Pattern_io}
     pattern sets together with inverted indexes over
@@ -15,11 +15,22 @@
       [by-label] lookup ("patterns about [l] or any specialization");
     - {b edge-count buckets} ([with_at_most_edges]) so [contains]
       candidates never have more edges than the query graph;
+    - {b edge-label count buckets}: for each edge label [e] and count
+      [k], the patterns with at most [k] edges labeled [e], so [contains]
+      candidates never have more edges of a label than the query graph
+      (sound because a match is injective on nodes, hence on edges, and
+      edge labels compare exactly);
     - a {b support-sorted order} (and, when the originating database is
       available, an {!Tsg_core.Interest}-ratio order) for top-k queries.
 
-    Everything is computed at build time; a store is safe to share across
-    OCaml domains. *)
+    The indexes and orders are computed at build time. Two per-pattern
+    values are kept in slots filled on first use instead: the compiled
+    matching plan ({!plan}) and the reply text ({!reply_text}), so a
+    store that is loaded and never queried (a reload pushed on every
+    pipeline commit) does not pay for them. A store is safe to share
+    across OCaml domains: two domains racing to fill one slot each write
+    an equal immutable value, and a reader sees either an empty slot or
+    a whole value. *)
 
 type t
 
@@ -118,7 +129,20 @@ val candidates : t -> Tsg_graph.Graph.t -> Tsg_util.Bitset.t
 (** [candidates t g]: a fresh bitset of every pattern that could be
     generalized-subgraph-isomorphic into target [g] — a superset of the
     true answer (no false negatives), computed from the indexes alone:
-    the union of {!generalizing} over [g]'s labels, cut down by edge- and
-    node-count bounds and by requiring every distinct pattern label to
-    generalize some label of [g]. Query labels outside the taxonomy
-    contribute nothing (no pattern can match them). *)
+    the union of {!generalizing} over [g]'s labels, cut down by edge-,
+    per-edge-label- and node-count bounds and by requiring every distinct
+    pattern label to generalize some label of [g]. Query labels outside
+    the taxonomy contribute nothing (no pattern can match them); query
+    edge labels no pattern uses constrain nothing. *)
+
+(** {1 Per-pattern values filled on first use} *)
+
+val plan : t -> int -> Tsg_iso.Matcher.compiled
+(** [plan t i] is [Matcher.compile] of pattern [i]'s graph, compiled on
+    the first call and shared after. *)
+
+val reply_text : t -> int -> string
+(** [reply_text t i] is [support <count>/<db_size> <pattern>], the tail
+    every serve reply line for pattern [i] ends with (the pattern as
+    {!Tsg_core.Pattern.to_string} over the taxonomy's label names),
+    rendered on the first call and shared after. *)

@@ -646,7 +646,47 @@ let test_serve_epoch_pin () =
   check int "stale pins counted" 1
     (Metrics.value (Metrics.counter metrics "serve.stale_epoch"))
 
+(* reply bytes recorded at a commit before the store kept plans and reply
+   text; the router's merge parses these lines, so any change to them is
+   a wire change *)
+let test_serve_reply_bytes_pinned () =
+  let t = small_taxonomy () in
+  let db = two_graph_db t in
+  let engine = fresh_engine (mined_store ~db t db) in
+  let edge_labels = Label.of_names [ "e0" ] in
+  let p0 = "p 0 support 2/2 pattern[sup=2 (1.00)] 0:b 1:f (0-1)"
+  and p1 = "p 1 support 1/2 pattern[sup=1 (0.50)] 0:d 1:f (0-1)"
+  and p2 = "p 2 support 1/2 pattern[sup=1 (0.50)] 0:e 1:f (0-1)" in
+  List.iter
+    (fun (request, reply) ->
+      let q = Option.get (Protocol.parse ~taxonomy:t ~edge_labels request) in
+      check Alcotest.string request (String.concat "\n" reply)
+        (Serve.answer engine q))
+    [
+      ("contains d,f 0-1", [ "ok 2"; p0; p1 ]);
+      ("contains e,f,d 0-1,1-2", [ "ok 3"; p0; p1; p2 ]);
+      ("contains d,f,e 0-1/e1,1-2", [ "ok 2"; p0; p2 ]);
+      ("contains d,f 0-1/e1", [ "ok 0" ]);
+      ("contains a,b 0-1", [ "ok 0" ]);
+      ("by-label b", [ "ok 3"; p0; p1; p2 ]);
+      ( "top-k 2 support",
+        [
+          "ok 2";
+          "p 0 score 1.0000 support 2/2 pattern[sup=2 (1.00)] 0:b 1:f (0-1)";
+          "p 1 score 0.5000 support 1/2 pattern[sup=1 (0.50)] 0:d 1:f (0-1)";
+        ] );
+      ( "top-k 10 interest",
+        [
+          "ok 3";
+          "p 0 score 1.0000 support 2/2 pattern[sup=2 (1.00)] 0:b 1:f (0-1)";
+          "p 1 score 1.0000 support 1/2 pattern[sup=1 (0.50)] 0:d 1:f (0-1)";
+          "p 2 score 1.0000 support 1/2 pattern[sup=1 (0.50)] 0:e 1:f (0-1)";
+        ] );
+    ]
+
 (* --- properties: engine = brute force over random instances ---------------- *)
+
+let max_edge_labels = 4
 
 let random_instance rng =
   let concepts = 4 + Prng.int rng 6 in
@@ -659,6 +699,7 @@ let random_instance rng =
       }
   in
   let nlabels = Taxonomy.label_count tax in
+  let elabels = 2 + Prng.int rng (max_edge_labels - 1) in
   let ngraphs = 3 + Prng.int rng 3 in
   let graphs =
     List.init ngraphs (fun _ ->
@@ -666,11 +707,34 @@ let random_instance rng =
         let labels = Array.init n (fun _ -> Prng.int rng nlabels) in
         let edges = ref [] in
         for v = 1 to n - 1 do
-          edges := (v, Prng.int rng v, Prng.int rng 2) :: !edges
+          edges := (v, Prng.int rng v, Prng.int rng elabels) :: !edges
         done;
         g ~labels ~edges:!edges)
   in
   (tax, Db.of_list graphs)
+
+(* the DB graphs, and each with one edge removed and with one edge
+   relabeled: these hold exactly as many edges of a label as some pattern,
+   or one fewer, which is where the edge-label count prefilter cuts *)
+let queries rng db =
+  List.concat_map
+    (fun target ->
+      let labels = Graph.node_labels target in
+      let edges = Array.to_list (Graph.edges target) in
+      let variant k edit =
+        g ~labels
+          ~edges:
+            (List.concat (List.mapi (fun i e -> if i = k then edit e else [ e ]) edges))
+      in
+      let relabel (u, v, l) =
+        [ (u, v, (l + 1 + Prng.int rng (max_edge_labels - 1)) mod max_edge_labels) ]
+      in
+      target
+      :: List.concat
+           (List.mapi
+              (fun k _ -> [ variant k (fun _ -> []); variant k relabel ])
+              edges))
+    (Db.to_list db)
 
 let arb_instance =
   QCheck.make QCheck.Gen.(pair (int_bound 1_000_000) (int_bound 2))
@@ -683,13 +747,12 @@ let contains_equals_brute_prop =
       let rng = Prng.of_int seed in
       let tax, db = random_instance rng in
       let engine = fresh_engine (mined_store ~theta:(theta_of k) tax db) in
-      Db.fold
-        (fun ok target ->
-          ok
-          && Engine.contains engine target = Engine.contains_brute engine target
+      List.for_all
+        (fun target ->
+          Engine.contains engine target = Engine.contains_brute engine target
           (* repeat: the cached answer must be identical *)
           && Engine.contains engine target = Engine.contains_brute engine target)
-        true db)
+        (queries rng db))
 
 let by_label_equals_scan_prop =
   QCheck.Test.make ~name:"by-label = direct descendant scan" ~count:60
@@ -712,15 +775,13 @@ let candidates_sound_prop =
       let tax, db = random_instance rng in
       let store = mined_store ~theta:(theta_of k) tax db in
       let engine = fresh_engine store in
-      Db.fold
-        (fun ok target ->
-          ok
-          &&
+      List.for_all
+        (fun target ->
           let cands = Store.candidates store target in
           List.for_all
             (fun i -> Bitset.mem cands i)
             (Engine.contains_brute engine target))
-        true db)
+        (queries rng db))
 
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
@@ -777,6 +838,8 @@ let () =
           Alcotest.test_case "parallel = sequential" `Quick
             test_serve_parallel_matches_sequential;
           Alcotest.test_case "epoch pin" `Quick test_serve_epoch_pin;
+          Alcotest.test_case "reply bytes pinned" `Quick
+            test_serve_reply_bytes_pinned;
         ] );
       ( "properties",
         qsuite
