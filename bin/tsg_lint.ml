@@ -6,17 +6,16 @@
      tsg-lint --taxonomy d.tax --db d.db --patterns p.pat --deep --stats
 
    Findings print one per line as `file:line: severity [RULE] message`
-   (tab-separated with --machine). Exit status: 0 clean, 1 warnings only,
-   2 errors (or warnings under --strict). The rule-code catalog is in
-   DESIGN.md. *)
+   (tab-separated with --format machine). Exit status: 0 clean, 1
+   warnings only, 2 errors (or warnings under --strict). The rule-code
+   catalog is in DESIGN.md. *)
 
 module Diagnostic = Tsg_util.Diagnostic
 module Lint = Tsg_check.Lint
 
 open Cmdliner
 
-let run tax_path dbs patterns wals suppress machine fmt stats deep strict quiet
-    =
+let run tax_path dbs patterns wals suppress fmt stats deep strict quiet =
   if tax_path = None && dbs = [] && patterns = [] && wals = [] then begin
     prerr_endline
       "tsg-lint: nothing to check (give --taxonomy, --db, --patterns or \
@@ -26,11 +25,6 @@ let run tax_path dbs patterns wals suppress machine fmt stats deep strict quiet
   let c = Diagnostic.collector ~suppress () in
   let result =
     Lint.run c ?taxonomy:tax_path ~dbs ~patterns ~wals ~stats ~deep ()
-  in
-  let fmt =
-    match fmt with
-    | Some f -> f
-    | None -> if machine then Diagnostic.Machine else Diagnostic.Text
   in
   Diagnostic.print ~format:fmt stdout c;
   if not quiet then begin
@@ -87,14 +81,6 @@ let suppress_arg =
     & info [ "suppress" ] ~docv:"RULE"
         ~doc:"Drop findings with this rule code, e.g. TAX007 (repeatable).")
 
-let machine_arg =
-  Arg.(
-    value & flag
-    & info [ "machine" ]
-        ~doc:
-          "Tab-separated output: file, line, severity, rule, message \
-           (alias for $(b,--format machine)).")
-
 let format_arg =
   let fmt_conv =
     let parse s =
@@ -117,12 +103,11 @@ let format_arg =
   in
   Arg.(
     value
-    & opt (some fmt_conv) None
+    & opt fmt_conv Diagnostic.Text
     & info [ "format" ] ~docv:"FMT"
         ~doc:
           "Output format: $(b,text) (file:line: severity [RULE] message), \
-           $(b,machine) (tab-separated), or $(b,json). Overrides \
-           $(b,--machine).")
+           $(b,machine) (tab-separated), or $(b,json).")
 
 let stats_arg =
   Arg.(
@@ -156,7 +141,6 @@ let cmd =
     (Cmd.info "tsg-lint" ~doc)
     Term.(
       const run $ tax_arg $ db_arg $ patterns_arg $ wal_arg $ suppress_arg
-      $ machine_arg
       $ format_arg $ stats_arg $ deep_arg $ strict_arg $ quiet_arg)
 
 let () = exit (Cmd.eval' cmd)

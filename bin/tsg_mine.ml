@@ -114,7 +114,7 @@ let run_directed db_path tax_path support max_edges limit quiet =
   0
 
 let run db_path tax_path support algorithm max_edges limit quiet directed out
-    domains parallel no_validate checkpoint_path checkpoint_every corpus_seq
+    domains no_validate checkpoint_path checkpoint_every corpus_seq
     supervised =
   if directed then run_directed db_path tax_path support max_edges limit quiet
   else begin
@@ -126,10 +126,6 @@ let run db_path tax_path support algorithm max_edges limit quiet directed out
   | Some _, (Alg_taxogram | Alg_baseline) | None, _ -> ());
   if not no_validate then validate_inputs db_path tax_path;
   let taxonomy, db, edge_labels = load_inputs db_path tax_path in
-  (* mining is parallel by default now; --domains overrides the
-     TSG_DOMAINS-aware pool default, and the deprecated --parallel flag is
-     accepted as a no-op alias of that default *)
-  ignore parallel;
   let domains =
     Option.value ~default:(Tsg_util.Pool.default_domains ()) domains
   in
@@ -282,12 +278,6 @@ let domains_arg =
                  set, else the machine's recommended domain count capped \
                  at 8.")
 
-let parallel_arg =
-  Arg.(value & flag
-       & info [ "parallel" ]
-           ~deprecated:"use --domains N (mining is parallel by default)"
-           ~doc:"Deprecated no-op alias of the default --domains.")
-
 let directed_arg =
   Arg.(value & flag & info [ "directed" ]
          ~doc:"Treat the database as directed ('a' lines); --max-edges then \
@@ -333,7 +323,7 @@ let cmd =
     Term.(
       const run $ db_arg $ tax_arg $ support_arg $ algorithm_arg
       $ max_edges_arg $ limit_arg $ quiet_arg $ directed_arg $ out_arg
-      $ domains_arg $ parallel_arg $ no_validate_arg $ checkpoint_arg
+      $ domains_arg $ no_validate_arg $ checkpoint_arg
       $ checkpoint_every_arg $ corpus_seq_arg $ supervised_arg)
 
 let () =

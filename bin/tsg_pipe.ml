@@ -176,7 +176,7 @@ let apply_delta session ~max_restarts op =
           note session d
       end)
 
-let commit session ~max_restarts ~out ~push ~stamp =
+let commit session ~max_restarts ~out ~push =
   with_recovery session ~max_restarts ~what:"commit" (fun () ->
       let stats = Incremental.refresh session.engine in
       (match session.state_path with
@@ -188,9 +188,6 @@ let commit session ~max_restarts ~out ~push ~stamp =
         | Some path ->
           let previous = read_file_opt (Some path) in
           let artifact = Incremental.render session.engine in
-          let artifact =
-            if stamp then artifact else Tsg_query.Epoch.payload artifact
-          in
           Publish.write path artifact;
           (match push with
           | None -> None
@@ -272,7 +269,7 @@ let parse_push s =
 (* ------------------------------------------------------------------ *)
 
 let run wal_path tax_path state_path out export deltas push_spec support
-    max_edges domains max_restarts quiet no_epoch_stamp =
+    max_edges domains max_restarts quiet =
   (match Fault.configure_from_env () with
   | Ok () -> ()
   | Error msg ->
@@ -361,7 +358,7 @@ let run wal_path tax_path state_path out export deltas push_spec support
              incr applied
            end
            else if String.equal line "commit" then begin
-             commit session ~max_restarts ~out ~push ~stamp:(not no_epoch_stamp);
+             commit session ~max_restarts ~out ~push;
              incr commits
            end
            else
@@ -394,9 +391,7 @@ let run wal_path tax_path state_path out export deltas push_spec support
              (Corpus.seq session.corpus)
            <> 0
       then begin
-        (match commit session ~max_restarts ~out ~push
-                 ~stamp:(not no_epoch_stamp)
-         with
+        (match commit session ~max_restarts ~out ~push with
         | () -> ()
         | exception Wal.Error d ->
           Printf.eprintf "tsg-pipe: %s\n" (Diagnostic.to_string d);
@@ -510,23 +505,13 @@ let max_restarts_arg =
 let quiet_arg =
   Arg.(value & flag & info [ "quiet"; "q" ] ~doc:"Suppress per-record noise.")
 
-let no_epoch_stamp_arg =
-  Arg.(
-    value & flag
-    & info [ "no-epoch-stamp" ]
-        ~doc:
-          "Publish artifacts without the leading '# epoch' stamp line \
-           (pre-epoch byte format). Clusters served from unstamped \
-           artifacts still agree on versions by checksum, but lose the \
-           WAL-watermark ordering half of the epoch.")
-
 let cmd =
   let doc = "crash-safe incremental mining from a write-ahead delta log" in
   let term =
     Term.(
       const run $ wal_arg $ taxonomy_arg $ state_arg $ out_arg $ export_arg
       $ deltas_arg $ push_arg $ support_arg $ max_edges_arg $ domains_arg
-      $ max_restarts_arg $ quiet_arg $ no_epoch_stamp_arg)
+      $ max_restarts_arg $ quiet_arg)
   in
   Cmd.v (Cmd.info "tsg-pipe" ~doc) term
 

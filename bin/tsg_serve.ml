@@ -55,8 +55,8 @@ let apply_shard shard store =
         = i)
 
 let run patterns tax_path db_path requests domains cache quiet no_validate
-    listen_port bind max_conns timeout max_bytes rate burst degrade
-    reload_on_hup shard_spec require_epoch =
+    listen_port bind max_conns timeout max_bytes rate burst degrade shard_spec
+    require_epoch =
   let shard =
     match shard_spec with
     | None -> None
@@ -94,70 +94,47 @@ let run patterns tax_path db_path requests domains cache quiet no_validate
       Printf.eprintf "tsg-serve: %s\n" (Diagnostic.to_string d);
       exit 2
   in
-  let edge_labels = Label.create () in
-  let db =
-    Option.map
-      (fun path ->
-        Serial.load_db ~node_labels:(Taxonomy.labels taxonomy) ~edge_labels
-          path)
-      db_path
+  let metrics = Metrics.create () in
+  (* everything label-id-dependent is rebuilt from scratch on every load:
+     a fresh edge-label table, the database re-read against it (so pattern
+     and db edge ids agree), the same metrics registry so counters survive
+     a reload *)
+  let build sources =
+    let edge_labels = Label.create () in
+    let db =
+      Option.map
+        (fun path ->
+          Serial.load_db ~node_labels:(Taxonomy.labels taxonomy) ~edge_labels
+            path)
+        db_path
+    in
+    let full = Store.of_strings ~taxonomy ~edge_labels ?db sources in
+    let store = apply_shard shard full in
+    (match shard with
+    | None -> ()
+    | Some (i, n) ->
+      Printf.eprintf "tsg-serve: shard %d/%d keeps %d of %d patterns\n%!" i n
+        (Store.size store) (Store.size full));
+    (Engine.create ~cache_capacity:cache ~metrics store, edge_labels)
   in
-  let full_store =
-    try Store.load ~taxonomy ~edge_labels ?db patterns with
-    | Invalid_argument msg ->
-      prerr_endline ("tsg-serve: " ^ msg);
-      exit 2
-    | Tsg_core.Pattern_io.Parse_error d ->
+  let load () = Serve.load ~require_stamp:require_epoch ~build patterns in
+  let gen =
+    match load () with
+    | Ok gen -> gen
+    | Error d ->
       Printf.eprintf "tsg-serve: %s\n" (Diagnostic.to_string d);
       exit 2
   in
-  let store = apply_shard shard full_store in
-  (match shard with
-  | None -> ()
-  | Some (i, n) ->
-    Printf.eprintf "tsg-serve: shard %d/%d keeps %d of %d patterns\n%!" i n
-      (Store.size store) (Store.size full_store));
-  (* the artifact set's epoch: stamp-verified (a spliced or truncated
-     payload is refused before it serves a single query), sequence from
-     the pipeline's stamps, checksum over the full bytes *)
-  let sources =
-    List.map
-      (fun p ->
-        try (p, Tsg_util.Safe_io.read_file p)
-        with Sys_error msg ->
-          prerr_endline ("tsg-serve: " ^ msg);
-          exit 2)
-      patterns
-  in
-  List.iter
-    (fun (path, content) ->
-      match Epoch.verify_stamp content with
-      | Ok () -> ()
-      | Error msg ->
-        Printf.eprintf "tsg-serve: %s: error [EPO002] %s\n" path msg;
-        exit 2)
-    sources;
-  if require_epoch then
-    List.iter
-      (fun (path, content) ->
-        if not (Epoch.has_stamp content) then begin
-          Printf.eprintf
-            "tsg-serve: %s has no epoch stamp (--require-epoch); publish it \
-             with tsg-pipe or stamp it explicitly\n"
-            path;
-          exit 2
-        end)
-      sources;
-  let epoch = Epoch.of_sources sources in
+  let engine = gen.Serve.gen_engine in
   Printf.eprintf
     "tsg-serve: %d patterns over %d concepts (db size %d), cache %d, %d \
      domains, epoch %s\n\
      %!"
-    (Store.size store)
+    (Store.size (Engine.store engine))
     (Taxonomy.label_count taxonomy)
-    (Store.db_size store) cache domains (Epoch.to_string epoch);
-  let metrics = Metrics.create () in
-  let engine = Engine.create ~cache_capacity:cache ~epoch ~metrics store in
+    (Store.db_size (Engine.store engine))
+    cache domains
+    (Epoch.to_string (Engine.epoch engine));
   (* one executor for the process: --domains (or TSG_DOMAINS, read once in
      the cmdliner default) is pinned here and survives hot reloads *)
   let exec = Tsg_util.Pool.Exec.create ~domains () in
@@ -198,9 +175,6 @@ let run patterns tax_path db_path requests domains cache quiet no_validate
            ~metrics ())
     | None, (`Auto | `Off) -> None
   in
-  let checksum =
-    try Some (Serve.checksum_files patterns) with Sys_error _ -> None
-  in
   let outcome =
     match listen_port with
     | Some port ->
@@ -210,57 +184,25 @@ let run patterns tax_path db_path requests domains cache quiet no_validate
       (try Sys.set_signal Sys.sigterm handler
        with Invalid_argument _ -> ());
       (try Sys.set_signal Sys.sigint handler with Invalid_argument _ -> ());
-      let hup = ref false in
-      if reload_on_hup then (
-        try Sys.set_signal Sys.sighup (Sys.Signal_handle (fun _ -> hup := true))
-        with Invalid_argument _ -> ());
-      let reload_poll () =
-        if !hup then begin
-          hup := false;
-          true
-        end
-        else false
-      in
-      (* rebuild everything label-id-dependent from scratch on reload: a
-         fresh edge-label table, the database re-read against it (so
-         pattern and db edge ids agree), the same metrics registry so
-         counters survive the swap *)
-      let reload_build sources =
-        let edge_labels = Label.create () in
-        let db =
-          Option.map
-            (fun path ->
-              Serial.load_db
-                ~node_labels:(Taxonomy.labels taxonomy)
-                ~edge_labels path)
-            db_path
-        in
-        let store =
-          apply_shard shard (Store.of_strings ~taxonomy ~edge_labels ?db sources)
-        in
-        let engine = Engine.create ~cache_capacity:cache ~metrics store in
-        (engine, Array.to_list (Label.names edge_labels))
-      in
-      let reload = { Serve.reload_paths = patterns; reload_build } in
       let lo =
-        Serve.listen ~exec ~limits ~max_conns ~bind_addr ?admission ?checksum
-          ~reload ~reload_poll
+        Serve.listen ~exec ~limits ~max_conns ~bind_addr ?admission
+          ~reload:load
           ~on_listen:(fun p ->
             Printf.eprintf "tsg-serve: listening on %s:%d\n%!"
               (Unix.string_of_inet_addr bind_addr)
               p)
           ~should_stop:(fun () -> !stop)
-          ~engine ~edge_labels ~port ()
+          gen ~port ()
       in
       Printf.eprintf "tsg-serve: %d connections (%d shed)\n%!"
         lo.Serve.connections lo.Serve.overloaded;
       lo.Serve.aggregate
     | None -> (
-      let checksum () = checksum in
       let client = Option.map Admission.client admission in
+      let edge_labels = Label.Snapshot.to_table gen.Serve.gen_labels in
       let serve ic =
-        Serve.run ~exec ~limits ?admission ?client ~checksum ~engine
-          ~edge_labels ic stdout
+        Serve.run ~exec ~limits ?admission ?client
+          ?checksum:gen.Serve.gen_checksum ~engine ~edge_labels ic stdout
       in
       match requests with
       | [] -> serve stdin
@@ -441,19 +383,10 @@ let require_epoch_arg =
     value & flag
     & info [ "require-epoch" ]
         ~doc:
-          "Refuse pattern artifacts that carry no '# epoch' stamp. Stamped \
-           or not, artifacts whose stamp fingerprint does not match their \
-           payload are always refused (EPO002).")
-
-let reload_on_hup_arg =
-  Arg.(
-    value & flag
-    & info [ "reload-on-hup" ]
-        ~doc:
-          "In --listen mode, reload the pattern artifacts on SIGHUP \
-           (checksum-verified, atomic engine swap; in-flight requests \
-           finish on the old engine). The 'reload' protocol verb is \
-           always available in --listen mode regardless of this flag.")
+          "Refuse pattern artifacts that carry no '# epoch' stamp, at boot \
+           and on every reload or prepare (EPO002). Stamped or not, \
+           artifacts whose stamp fingerprint does not match their payload \
+           are always refused (EPO002).")
 
 let cmd =
   let doc = "serve contains/by-label/top-k queries over mined pattern sets" in
@@ -463,7 +396,7 @@ let cmd =
       const run $ patterns_arg $ tax_arg $ db_arg $ requests_arg $ domains_arg
       $ cache_arg $ quiet_arg $ no_validate_arg $ listen_arg $ bind_arg
       $ max_conns_arg $ timeout_arg $ max_bytes_arg $ rate_arg $ burst_arg
-      $ degrade_arg $ reload_on_hup_arg $ shard_arg $ require_epoch_arg)
+      $ degrade_arg $ shard_arg $ require_epoch_arg)
 
 let () =
   (match Tsg_util.Fault.configure_from_env () with

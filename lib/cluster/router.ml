@@ -463,19 +463,15 @@ let probe_all t =
 
 (* --- two-phase rolling reload ------------------------------------------- *)
 
-(* wait until [rep] probes healthy again, and — when [epoch] is given —
-   reports that serving epoch *)
-let gate t ?epoch rep =
+(* wait until [rep] probes healthy again and reports serving [epoch] *)
+let gate t ~epoch rep =
   let t0 = Unix.gettimeofday () in
   let settled () =
     Replica.probe ~force:true rep
     &&
-    match epoch with
-    | None -> true
-    | Some e -> (
-      match Replica.epoch rep with
-      | Some e' -> Epoch.equal e' e
-      | None -> false)
+    match Replica.epoch rep with
+    | Some e -> Epoch.equal e epoch
+    | None -> false
   in
   let rec go () =
     if settled () then true
@@ -486,42 +482,6 @@ let gate t ?epoch rep =
     end
   in
   go ()
-
-(* pre-epoch walk, one replica at a time — kept for backends that answer
-   [reload] but not the two-phase verbs *)
-let legacy_reload t =
-  let total = ref 0 in
-  let failure = ref None in
-  Array.iter
-    (fun reps ->
-      Array.iter
-        (fun rep ->
-          if !failure = None then
-            match Replica.call ~timeout_s:30.0 rep "reload" with
-            | Ok block when has_prefix ~prefix:"ok reload" block ->
-              (* gate: this replica must probe healthy again before
-                 the next one leaves rotation *)
-              if gate t rep then incr total
-              else
-                failure :=
-                  Some
-                    (Printf.sprintf
-                       "replica %s did not probe healthy within %.0fs of \
-                        reloading"
-                       (Replica.name rep) t.cfg.reload_gate_s)
-            | Ok block ->
-              failure :=
-                Some
-                  (Printf.sprintf "replica %s: %s" (Replica.name rep)
-                     (first_line block))
-            | Error msg -> failure := Some msg)
-        reps)
-    t.shard_array;
-  match !failure with
-  | Some msg -> Error msg
-  | None ->
-    Metrics.incr t.c_reloads;
-    Ok (Printf.sprintf "replicas %d" !total)
 
 (* "ok prepare epoch <e> patterns <n> checksum <hex>" *)
 let prepare_epoch block =
@@ -536,12 +496,11 @@ let two_phase_reload t =
   (* phase 1 — prepare: every replica stages and verifies the new
      artifact set; nothing serves it yet *)
   let prepared = ref [] in
-  let unsupported = ref false in
   let failure = ref None in
   let epoch_seen = ref None in
   List.iter
     (fun rep ->
-      if !failure = None && not !unsupported then
+      if !failure = None then
         match Replica.call ~timeout_s:30.0 rep "prepare" with
         | Ok block when has_prefix ~prefix:"ok prepare" block -> (
           prepared := rep :: !prepared;
@@ -563,10 +522,6 @@ let two_phase_reload t =
                       %s (replica %s) — artifact push incomplete?"
                      (Epoch.to_string e0) (Epoch.to_string e)
                      (Replica.name rep))))
-        | Ok block
-          when error_code block = Some "UNAVAILABLE"
-               || error_code block = Some "BADREQ" ->
-          unsupported := true
         | Ok block ->
           failure :=
             Some
@@ -582,94 +537,87 @@ let two_phase_reload t =
         !prepared
     end
   in
-  if !unsupported then begin
-    (* a backend predates the two-phase verbs: release any staged swaps
-       and fall back to the single-phase walk *)
+  match !failure with
+  | Some msg ->
     abort_prepared ();
-    legacy_reload t
-  end
-  else
-    match !failure with
+    Error msg
+  | None -> (
+    let epoch = Option.get !epoch_seen (* shards are non-empty *) in
+    (* phase 2a — first wave: commit one replica per shard and gate on
+       it serving the new epoch; if any shard cannot field the new
+       epoch, release everything — flipping the target would strand
+       that shard behind STALE_EPOCH *)
+    let committed = ref [] in
+    let wave0 =
+      Array.to_list t.shard_array
+      |> List.map (fun reps ->
+             match Array.to_list reps |> List.find_opt Replica.up with
+             | Some rep -> rep
+             | None -> reps.(0))
+    in
+    let commit_one rep =
+      match Replica.call ~timeout_s:30.0 rep "commit" with
+      | Ok block when has_prefix ~prefix:"ok commit" block ->
+        committed := rep :: !committed;
+        Replica.set_epoch rep (Some epoch);
+        Ok ()
+      | Ok block ->
+        Error
+          (Printf.sprintf "replica %s: %s" (Replica.name rep)
+             (first_line block))
+      | Error msg -> Error msg
+    in
+    let wave0_failure = ref None in
+    List.iter
+      (fun rep ->
+        if !wave0_failure = None then
+          match commit_one rep with
+          | Error msg -> wave0_failure := Some msg
+          | Ok () ->
+            if not (gate t ~epoch rep) then
+              wave0_failure :=
+                Some
+                  (Printf.sprintf
+                     "replica %s did not serve epoch %s within %.0fs of \
+                      committing"
+                     (Replica.name rep) (Epoch.to_string epoch)
+                     t.cfg.reload_gate_s))
+      wave0;
+    match !wave0_failure with
     | Some msg ->
+      (* release replicas still holding a staged swap; replicas that
+         already committed are ahead of the (unchanged) target and the
+         scrubber fences them until a later reload succeeds *)
+      prepared :=
+        List.filter
+          (fun rep -> not (List.memq rep !committed))
+          !prepared;
       abort_prepared ();
       Error msg
-    | None -> (
-      let epoch = Option.get !epoch_seen (* shards are non-empty *) in
-      (* phase 2a — first wave: commit one replica per shard and gate on
-         it serving the new epoch; if any shard cannot field the new
-         epoch, release everything — flipping the target would strand
-         that shard behind STALE_EPOCH *)
-      let committed = ref [] in
-      let wave0 =
-        Array.to_list t.shard_array
-        |> List.map (fun reps ->
-               match Array.to_list reps |> List.find_opt Replica.up with
-               | Some rep -> rep
-               | None -> reps.(0))
-      in
-      let commit_one rep =
-        match Replica.call ~timeout_s:30.0 rep "commit" with
-        | Ok block when has_prefix ~prefix:"ok commit" block ->
-          committed := rep :: !committed;
-          Replica.set_epoch rep (Some epoch);
-          Ok ()
-        | Ok block ->
-          Error
-            (Printf.sprintf "replica %s: %s" (Replica.name rep)
-               (first_line block))
-        | Error msg -> Error msg
-      in
-      let wave0_failure = ref None in
+    | None ->
+      (* the new epoch is live on every shard: flip the pin so new
+         requests target it, then commit the remaining replicas *)
+      Atomic.set t.target (Some epoch);
+      let stragglers = ref 0 in
       List.iter
         (fun rep ->
-          if !wave0_failure = None then
+          if not (List.memq rep !committed) then
             match commit_one rep with
-            | Error msg -> wave0_failure := Some msg
             | Ok () ->
-              if not (gate t ~epoch rep) then
-                wave0_failure :=
-                  Some
-                    (Printf.sprintf
-                       "replica %s did not serve epoch %s within %.0fs of \
-                        committing"
-                       (Replica.name rep) (Epoch.to_string epoch)
-                       t.cfg.reload_gate_s))
-        wave0;
-      match !wave0_failure with
-      | Some msg ->
-        (* release replicas still holding a staged swap; replicas that
-           already committed are ahead of the (unchanged) target and the
-           scrubber fences them until a later reload succeeds *)
-        prepared :=
-          List.filter
-            (fun rep -> not (List.memq rep !committed))
-            !prepared;
-        abort_prepared ();
-        Error msg
-      | None ->
-        (* the new epoch is live on every shard: flip the pin so new
-           requests target it, then commit the remaining replicas *)
-        Atomic.set t.target (Some epoch);
-        let stragglers = ref 0 in
-        List.iter
-          (fun rep ->
-            if not (List.memq rep !committed) then
-              match commit_one rep with
-              | Ok () ->
-                if Replica.degraded rep then Replica.set_degraded rep false
-              | Error msg ->
-                incr stragglers;
-                Replica.set_degraded rep true;
-                t.on_diagnostic
-                  (Diagnostic.makef ~rule:"RSY001" Diagnostic.Warning
-                     "replica %s failed to commit epoch %s (%s): fenced \
-                      until the scrubber repairs it"
-                     (Replica.name rep) (Epoch.to_string epoch) msg))
-          (all_replicas t);
-        Metrics.set_gauge t.g_degraded (degraded_count t);
-        Metrics.incr t.c_reloads;
-        let total = List.length !committed in
-        Ok (Printf.sprintf "replicas %d epoch %s" total (Epoch.to_string epoch)))
+              if Replica.degraded rep then Replica.set_degraded rep false
+            | Error msg ->
+              incr stragglers;
+              Replica.set_degraded rep true;
+              t.on_diagnostic
+                (Diagnostic.makef ~rule:"RSY001" Diagnostic.Warning
+                   "replica %s failed to commit epoch %s (%s): fenced \
+                    until the scrubber repairs it"
+                   (Replica.name rep) (Epoch.to_string epoch) msg))
+        (all_replicas t);
+      Metrics.set_gauge t.g_degraded (degraded_count t);
+      Metrics.incr t.c_reloads;
+      let total = List.length !committed in
+      Ok (Printf.sprintf "replicas %d epoch %s" total (Epoch.to_string epoch)))
 
 let rolling_reload t =
   if not (Mutex.try_lock t.reload_lock) then

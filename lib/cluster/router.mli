@@ -50,10 +50,7 @@
     once every shard serves the new epoch the router flips its target
     pin and commits the rest. A replica that fails this second wave is
     fenced ([RSY001]) for the scrubber to repair — clients never see
-    the gap because the pin routes around it. Backends that answer
-    [UNAVAILABLE]/[BADREQ] to [prepare] get the pre-epoch single-phase
-    walk (one replica out of rotation at a time, gated on its health
-    probe).
+    the gap because the pin routes around it.
 
     {b Anti-entropy.} Every [scrub_interval_s] the probe thread runs
     {!scrub}: force-probes every replica, recomputes the target epoch,
@@ -115,9 +112,9 @@ val dispatch : t -> string -> [ `Reply of string | `Quit | `None ]
     connections dispatch concurrently. *)
 
 val rolling_reload : t -> (string, string) result
-(** The two-phase reload described above. [Ok "replicas <n> epoch <e>"]
-    (or [Ok "replicas <n>"] via the legacy walk); [Error] aborts leave
-    every replica serving its pre-reload artifact set. *)
+(** The two-phase reload described above. [Ok "replicas <n> epoch <e>"];
+    [Error] aborts leave every replica serving its pre-reload artifact
+    set. *)
 
 val probe_all : t -> int
 (** Probe every replica once; the number currently healthy. *)

@@ -160,8 +160,6 @@ let flush_batch ~domains ~fill batch =
   end;
   out
 
-let default_domains () = Tsg_util.Pool.default_domains ()
-
 module Exec = Tsg_util.Pool.Exec
 
 (* read one request line without trusting its length: past [max_bytes]
@@ -187,34 +185,188 @@ let read_bounded_line ic ~max_bytes =
 
 (* --- serving generations ----------------------------------------------- *)
 
-(* what one request executes against: an engine, the edge-label parse
-   table matching it, and the artifact checksum it was loaded from. The
-   serve loop re-captures the current generation for every request
-   (listen's [current] reads the hot-swap cell), so a long-lived pooled
-   connection — the router keeps them open for hours — starts serving a
-   reloaded artifact at its next request, not at its next reconnect. *)
+(* what a request executes against: an engine, the edge-label snapshot
+   its store was built against, and the checksum of the artifact bytes it
+   came from. One generation is shared by every connection; each parses
+   against a private overlay table over the snapshot. *)
 type generation = {
   gen_engine : Engine.t;
-  gen_labels : Label.t;
+  gen_labels : Label.Snapshot.t;
   gen_checksum : int64 option;
 }
 
-(* the two-phase reload hooks (TCP mode wires these to the staged cell) *)
-type staging = {
-  stage_prepare : unit -> (string, string) result;
-  stage_commit : unit -> (string, string) result;
-  stage_abort : unit -> (string, string) result;
+(* the one load path — boot, [reload] and [prepare] all come through
+   here, so they cannot drift apart *)
+let load ~require_stamp ~build paths =
+  let fail rule msg = Error (Diagnostic.make ~rule Diagnostic.Error msg) in
+  let stamp_error (path, content) =
+    match Epoch.verify_stamp content with
+    | Error msg -> Some (path ^ ": " ^ msg)
+    | Ok () when require_stamp && not (Epoch.has_stamp content) ->
+      Some (path ^ ": no epoch stamp, and stamps are required")
+    | Ok () -> None
+  in
+  match List.map (fun p -> (p, Safe_io.read_file p)) paths with
+  | exception Sys_error msg -> fail "SRV002" msg
+  | sources -> (
+    let csum = checksum_strings (List.map snd sources) in
+    (* a second read must hash identically: a writer racing the load (no
+       atomic rename) would otherwise be parsed half old, half new *)
+    let stable =
+      match checksum_files paths with
+      | c -> Int64.equal c csum
+      | exception Sys_error _ -> false
+    in
+    if not stable then
+      fail "SRV003"
+        "artifact changed on disk while reloading (checksum instability)"
+    else
+      match List.find_map stamp_error sources with
+      | Some msg -> fail "EPO002" msg
+      | None -> (
+        match build sources with
+        | engine, labels ->
+          (* the epoch of exactly the bytes verified above, whatever the
+             builder stamped *)
+          Ok
+            {
+              gen_engine = Engine.with_epoch engine (Epoch.of_sources sources);
+              gen_labels = Label.Snapshot.of_table labels;
+              gen_checksum = Some csum;
+            }
+        | exception Tsg_core.Pattern_io.Parse_error d ->
+          fail "SRV002" (Diagnostic.to_string d)
+        | exception (Invalid_argument msg | Failure msg) -> fail "SRV002" msg
+        | exception e -> fail "SRV002" (Printexc.to_string e)))
+
+(* --- the staging slot --------------------------------------------------- *)
+
+(* the live generation, at most one staged generation, and the lock that
+   serializes loads. The two steps below are the only way a generation
+   becomes live: [prepare] is [stage], [commit] is [promote], and
+   [reload] is both under one lock. *)
+type slot = {
+  live : generation Atomic.t;
+  staged : generation option Atomic.t;
+  lock : Mutex.t;
+  load : unit -> (generation, Diagnostic.t) result;
+  on_diagnostic : Diagnostic.t -> unit;
+  reloads_c : Metrics.counter;
+  rollbacks_c : Metrics.counter;
+  prepares_c : Metrics.counter;
+  commits_c : Metrics.counter;
+  aborts_c : Metrics.counter;
 }
 
-let run ?exec ?(limits = default_limits) ?admission ?client
-    ?(checksum = fun () -> None) ?reloader ?staging ?current ~engine
-    ~edge_labels ic oc =
-  (* the executor pins the domain count for the whole loop: TSG_DOMAINS is
-     read when the Exec is created (at most once, here), never re-read
+let slot ~on_diagnostic ~load gen =
+  let counter = Metrics.counter (Engine.metrics gen.gen_engine) in
+  (* bound in sequence: registration order is the stats table's order *)
+  let reloads_c = counter "serve.reloads" in
+  let rollbacks_c = counter "serve.reload.rollbacks" in
+  let prepares_c = counter "serve.reload.prepares" in
+  let commits_c = counter "serve.reload.commits" in
+  let aborts_c = counter "serve.reload.aborts" in
+  {
+    live = Atomic.make gen;
+    staged = Atomic.make None;
+    lock = Mutex.create ();
+    load;
+    on_diagnostic;
+    reloads_c;
+    rollbacks_c;
+    prepares_c;
+    commits_c;
+    aborts_c;
+  }
+
+let live s = Atomic.get s.live
+
+let staged s = Atomic.get s.staged
+
+let rollback s (d : Diagnostic.t) =
+  Metrics.incr s.rollbacks_c;
+  s.on_diagnostic
+    (Diagnostic.makef ~rule:d.rule Diagnostic.Error
+       "reload rolled back, keeping current artifact: %s" d.message);
+  Error d.message
+
+let with_lock s f =
+  if not (Mutex.try_lock s.lock) then Error "a reload is already in progress"
+  else Fun.protect ~finally:(fun () -> Mutex.unlock s.lock) f
+
+let stage s = match s.load () with Ok g -> Ok g | Error d -> rollback s d
+
+let promote s g =
+  Atomic.set s.live g;
+  Metrics.incr s.reloads_c
+
+let size_epoch g =
+  ( Store.size (Engine.store g.gen_engine),
+    Epoch.to_string (Engine.epoch g.gen_engine) )
+
+let checksum_hex g =
+  Printf.sprintf "%016Lx" (Option.value ~default:0L g.gen_checksum)
+
+let prepare s =
+  with_lock s (fun () ->
+      match Fault.inject "reload.prepare" with
+      | exception Fault.Injected { site; hit } ->
+        rollback s
+          (Diagnostic.makef ~rule:"SRV002" Diagnostic.Error
+             "injected fault at %s (hit %d)" site hit)
+      | () ->
+        Result.map
+          (fun g ->
+            Atomic.set s.staged (Some g);
+            Metrics.incr s.prepares_c;
+            let patterns, epoch = size_epoch g in
+            Printf.sprintf "prepare epoch %s patterns %d checksum %s" epoch
+              patterns (checksum_hex g))
+          (stage s))
+
+let commit s =
+  match Fault.inject "reload.commit" with
+  | exception Fault.Injected { site; hit } ->
+    Metrics.incr s.rollbacks_c;
+    Error (Printf.sprintf "injected fault at %s (hit %d)" site hit)
+  | () -> (
+    match Atomic.exchange s.staged None with
+    | None -> Error "nothing prepared"
+    | Some g ->
+      promote s g;
+      Metrics.incr s.commits_c;
+      let patterns, epoch = size_epoch g in
+      Ok (Printf.sprintf "commit epoch %s patterns %d" epoch patterns))
+
+let abort s =
+  (match Atomic.exchange s.staged None with
+  | Some _ -> Metrics.incr s.aborts_c
+  | None -> ());
+  Ok "abort"
+
+let reload s =
+  with_lock s (fun () ->
+      Result.map
+        (fun g ->
+          (* whatever was staged predates the artifact just loaded *)
+          Atomic.set s.staged None;
+          promote s g;
+          let patterns, epoch = size_epoch g in
+          Printf.sprintf "reload patterns %d checksum %s epoch %s" patterns
+            (checksum_hex g) epoch)
+        (stage s))
+
+(* --- the request loop --------------------------------------------------- *)
+
+(* one connection's view of a generation: the engine, a private parse
+   table (Label.t is not thread-safe), and the checksum [health] reports *)
+type view = { engine : Engine.t; labels : Label.t; checksum : int64 option }
+
+let run ~exec ?(limits = default_limits) ?admission ?client ?checksum ?slot
+    ~engine ~edge_labels ic oc =
+  (* the executor pins the domain count for the whole loop, never re-read
      behind a live loop's back by a concurrent reload *)
-  let domains =
-    match exec with Some e -> Exec.domains e | None -> default_domains ()
-  in
+  let domains = Exec.domains exec in
   let metrics = Engine.metrics engine in
   Metrics.set_gauge (Metrics.gauge metrics "serve.domains") domains;
   let oversized_c = Metrics.counter metrics "serve.oversized" in
@@ -223,18 +375,30 @@ let run ?exec ?(limits = default_limits) ?admission ?client
   let fault_c = Metrics.counter metrics "serve.injected_faults" in
   let health_c = Metrics.counter metrics "serve.health" in
   let stale_c = Metrics.counter metrics "serve.stale_epoch" in
+  (* re-read per request, so a long-lived pooled connection (the router
+     keeps them open for hours) serves a reload at its next request; the
+     parse table is rebuilt only when the generation changed *)
   let current =
-    match current with
-    | Some f -> f
+    match slot with
     | None ->
-      let static =
-        {
-          gen_engine = engine;
-          gen_labels = edge_labels;
-          gen_checksum = checksum ();
-        }
-      in
+      let static = { engine; labels = edge_labels; checksum } in
       fun () -> static
+    | Some s -> (
+      let cached = ref None in
+      fun () ->
+        let g = live s in
+        match !cached with
+        | Some (g', view) when g' == g -> view
+        | _ ->
+          let view =
+            {
+              engine = g.gen_engine;
+              labels = Label.Snapshot.to_table g.gen_labels;
+              checksum = g.gen_checksum;
+            }
+          in
+          cached := Some (g, view);
+          view)
   in
   let client =
     match (admission, client) with
@@ -259,14 +423,14 @@ let run ?exec ?(limits = default_limits) ?admission ?client
       (match item with
       | `Error (code, msg) -> Protocol.error_line code msg
       | `Query (gen, q) ->
-        execute_guarded ~use_cache:true gen.gen_engine ~limits ~deadline_c
+        execute_guarded ~use_cache:true gen.engine ~limits ~deadline_c
           ~fault_c ~arrival q
       | `Ticket (gen, adm, ticket, q) -> (
         match Admission.start adm ticket with
         | `Expired retry_after_s -> overloaded_line retry_after_s
         | `Run level ->
           let reply =
-            execute_guarded ~use_cache:(level = 0) gen.gen_engine ~limits
+            execute_guarded ~use_cache:(level = 0) gen.engine ~limits
               ~deadline_c ~fault_c ~arrival q
           in
           Admission.finish adm ticket ~ok:(not (is_error reply));
@@ -311,7 +475,7 @@ let run ?exec ?(limits = default_limits) ?admission ?client
             ( Protocol.Badreq,
               Printf.sprintf "bad epoch %S in at-pin" token )
         | Some wanted ->
-          let serving = Engine.epoch gen.gen_engine in
+          let serving = Engine.epoch gen.engine in
           if Epoch.equal serving wanted then None
           else begin
             Metrics.incr stale_c;
@@ -361,17 +525,16 @@ let run ?exec ?(limits = default_limits) ?admission ?client
         output_char oc '\n';
         Stdlib.flush oc)
   in
-  let staged_reply tag verb hook =
+  let slot_reply tag verb step =
     incr requests;
     flush ();
     barrier_reply tag
-      (match (staging, hook) with
-      | None, _ ->
+      (match slot with
+      | None ->
         Protocol.error_line Protocol.Unavailable
           (Printf.sprintf "%s is not enabled" verb)
-      | Some _, None -> assert false
-      | Some _, Some f -> (
-        match f () with
+      | Some s -> (
+        match step s with
         | Ok msg -> "ok " ^ msg
         | Error msg -> Protocol.error_line Protocol.Reload_failed msg))
   in
@@ -390,12 +553,12 @@ let run ?exec ?(limits = default_limits) ?admission ?client
                     limits.max_line_bytes ))
           | `Line line -> (
             let gen = current () in
-            let taxonomy = Store.taxonomy (Engine.store gen.gen_engine) in
+            let taxonomy = Store.taxonomy (Engine.store gen.engine) in
             let tag, body = Protocol.split_tag line in
             let pin, body = Protocol.split_at body in
             match
               Protocol.parse ~max_bytes:limits.max_line_bytes ~taxonomy
-                ~edge_labels:gen.gen_labels body
+                ~edge_labels:gen.labels body
             with
             | None -> ()
             | Some Protocol.Stats ->
@@ -413,7 +576,7 @@ let run ?exec ?(limits = default_limits) ?admission ?client
               flush ();
               let gen = current () in
               let csum =
-                match gen.gen_checksum with
+                match gen.checksum with
                 | Some c -> Printf.sprintf "%016Lx" c
                 | None -> "-"
               in
@@ -426,39 +589,21 @@ let run ?exec ?(limits = default_limits) ?admission ?client
                 (Printf.sprintf
                    "ok health patterns %d uptime %.3f checksum %s degrade %d \
                     inflight %d domains %d epoch %s"
-                   (Store.size (Engine.store gen.gen_engine))
+                   (Store.size (Engine.store gen.engine))
                    (Unix.gettimeofday () -. started)
                    csum level inflight domains
-                   (Epoch.to_string (Engine.epoch gen.gen_engine)))
+                   (Epoch.to_string (Engine.epoch gen.engine)))
             | Some Protocol.Epoch_info ->
               incr requests;
               flush ();
               let gen = current () in
               barrier_reply tag
                 (Printf.sprintf "ok epoch %s"
-                   (Epoch.to_string (Engine.epoch gen.gen_engine)))
-            | Some Protocol.Reload ->
-              incr requests;
-              flush ();
-              barrier_reply tag
-                (match reloader with
-                | None ->
-                  Protocol.error_line Protocol.Unavailable
-                    "reload is not enabled"
-                | Some f -> (
-                  match f () with
-                  | Ok msg -> "ok reload " ^ msg
-                  | Error msg ->
-                    Protocol.error_line Protocol.Reload_failed msg))
-            | Some Protocol.Prepare ->
-              staged_reply tag "prepare"
-                (Option.map (fun s -> s.stage_prepare) staging)
-            | Some Protocol.Commit ->
-              staged_reply tag "commit"
-                (Option.map (fun s -> s.stage_commit) staging)
-            | Some Protocol.Abort ->
-              staged_reply tag "abort"
-                (Option.map (fun s -> s.stage_abort) staging)
+                   (Epoch.to_string (Engine.epoch gen.engine)))
+            | Some Protocol.Reload -> slot_reply tag "reload" reload
+            | Some Protocol.Prepare -> slot_reply tag "prepare" prepare
+            | Some Protocol.Commit -> slot_reply tag "commit" commit
+            | Some Protocol.Abort -> slot_reply tag "abort" abort
             | Some Protocol.Quit ->
               incr requests;
               quit := true
@@ -490,21 +635,6 @@ type listen_outcome = {
   aggregate : outcome;
 }
 
-type reload_config = {
-  reload_paths : string list;
-  reload_build : (string * string) list -> Engine.t * string list;
-}
-
-(* the unit of hot swap. Connections re-read the cell for every request
-   (through [current] above), so pooled connections pick up a swap at
-   their next request; the swap itself stays atomic — no request ever
-   sees the engine of one generation with the labels of another. *)
-type swap = {
-  sw_engine : Engine.t;
-  sw_labels : Label.Snapshot.t;
-  sw_checksum : int64 option;
-}
-
 let merge_outcome a b =
   {
     requests = a.requests + b.requests;
@@ -521,10 +651,9 @@ let ignore_sigpipe () =
 let default_on_diagnostic d = prerr_endline (Diagnostic.to_string d)
 
 let listen ?exec ?(limits = default_limits) ?(max_conns = 64) ?(drain_s = 5.0)
-    ?(bind_addr = Unix.inet_addr_loopback) ?admission ?checksum ?reload
-    ?(reload_poll = fun () -> false)
+    ?(bind_addr = Unix.inet_addr_loopback) ?admission ?reload
     ?(on_diagnostic = default_on_diagnostic) ?on_listen
-    ?(should_stop = fun () -> false) ~engine ~edge_labels ~port () =
+    ?(should_stop = fun () -> false) gen ~port () =
   ignore_sigpipe ();
   (* one executor for the whole listener: the per-connection domain count
      is decided here, once, and every generation of hot-reloaded engine
@@ -533,163 +662,12 @@ let listen ?exec ?(limits = default_limits) ?(max_conns = 64) ?(drain_s = 5.0)
   let exec =
     match exec with Some e -> e | None -> Exec.create ~domains:1 ()
   in
-  let metrics = Engine.metrics engine in
+  let metrics = Engine.metrics gen.gen_engine in
   Metrics.set_gauge (Metrics.gauge metrics "serve.domains") (Exec.domains exec);
   let conns_c = Metrics.counter metrics "serve.connections" in
   let overloaded_c = Metrics.counter metrics "serve.overloaded" in
   let disconnect_c = Metrics.counter metrics "serve.disconnects" in
-  let reloads_c = Metrics.counter metrics "serve.reloads" in
-  let rollbacks_c = Metrics.counter metrics "serve.reload.rollbacks" in
-  let prepares_c = Metrics.counter metrics "serve.reload.prepares" in
-  let commits_c = Metrics.counter metrics "serve.reload.commits" in
-  let aborts_c = Metrics.counter metrics "serve.reload.aborts" in
-  (* Protocol.parse interns edge labels, and Label.t is not thread-safe:
-     every connection parses against its own table. The swap cell holds an
-     immutable snapshot; each connection builds a private O(1) overlay
-     table over it ({!Label.Snapshot.to_table}) — no copying, and a label
-     first seen on some other connection simply matches no stored pattern
-     on this one, exactly what an unseen label means anyway. *)
-  let cell =
-    Atomic.make
-      {
-        sw_engine = engine;
-        sw_labels = Label.Snapshot.of_table edge_labels;
-        sw_checksum = checksum;
-      }
-  in
-  (* the two-phase staging cell: [prepare] verifies and parks a complete
-     swap here without serving it; [commit] promotes it atomically *)
-  let staged_cell = Atomic.make None in
-  let reload_lock = Mutex.create () in
-  let rollback rule fmt =
-    Printf.ksprintf
-      (fun msg ->
-        Metrics.incr rollbacks_c;
-        on_diagnostic
-          (Diagnostic.makef ~rule Diagnostic.Error
-             "reload rolled back, keeping current artifact: %s" msg);
-        Error msg)
-      fmt
-  in
-  (* read the artifact set, prove it stable on disk (double read) and
-     internally consistent (epoch stamp), and build the swap — shared by
-     the one-shot reload and the two-phase prepare *)
-  let load_swap cfg =
-    match List.map (fun p -> (p, Safe_io.read_file p)) cfg.reload_paths with
-    | exception Sys_error msg -> rollback "SRV002" "%s" msg
-    | sources -> (
-      let csum = checksum_strings (List.map snd sources) in
-      (* a second read must hash identically: a writer racing the
-         reload (no atomic rename) would otherwise be parsed half
-         old, half new *)
-      let csum2 =
-        try Some (checksum_files cfg.reload_paths)
-        with Sys_error _ -> None
-      in
-      if csum2 <> Some csum then
-        rollback "SRV003"
-          "artifact changed on disk while reloading (checksum instability)"
-      else
-        let rec bad_stamp = function
-          | [] -> None
-          | (path, content) :: rest -> (
-            match Epoch.verify_stamp content with
-            | Ok () -> bad_stamp rest
-            | Error msg -> Some (path, msg))
-        in
-        match bad_stamp sources with
-        | Some (path, msg) -> rollback "EPO002" "%s: %s" path msg
-        | None -> (
-          match cfg.reload_build sources with
-          | engine, names ->
-            let engine =
-              Engine.with_epoch engine (Epoch.of_sources sources)
-            in
-            Ok
-              {
-                sw_engine = engine;
-                sw_labels = Label.Snapshot.of_table (Label.of_names names);
-                sw_checksum = Some csum;
-              }
-          | exception Tsg_core.Pattern_io.Parse_error d ->
-            rollback "SRV002" "%s" (Diagnostic.to_string d)
-          | exception (Invalid_argument msg | Failure msg) ->
-            rollback "SRV002" "%s" msg
-          | exception e -> rollback "SRV002" "%s" (Printexc.to_string e)))
-  in
-  let with_reload_lock f =
-    if not (Mutex.try_lock reload_lock) then
-      Error "a reload is already in progress"
-    else Fun.protect ~finally:(fun () -> Mutex.unlock reload_lock) f
-  in
-  let swap_stats sw =
-    ( Store.size (Engine.store sw.sw_engine),
-      Epoch.to_string (Engine.epoch sw.sw_engine) )
-  in
-  let do_reload cfg =
-    with_reload_lock (fun () ->
-        match load_swap cfg with
-        | Error _ as e -> e
-        | Ok sw ->
-          Atomic.set cell sw;
-          (* whatever was staged predates the artifact just loaded *)
-          Atomic.set staged_cell None;
-          Metrics.incr reloads_c;
-          let patterns, epoch = swap_stats sw in
-          Ok
-            (Printf.sprintf "patterns %d checksum %016Lx epoch %s" patterns
-               (Option.value ~default:0L sw.sw_checksum)
-               epoch))
-  in
-  let do_prepare cfg =
-    with_reload_lock (fun () ->
-        match Fault.inject "reload.prepare" with
-        | exception Tsg_util.Fault.Injected { site; hit } ->
-          rollback "SRV002" "injected fault at %s (hit %d)" site hit
-        | () -> (
-          match load_swap cfg with
-          | Error _ as e -> e
-          | Ok sw ->
-            Atomic.set staged_cell (Some sw);
-            Metrics.incr prepares_c;
-            let patterns, epoch = swap_stats sw in
-            Ok
-              (Printf.sprintf "prepare epoch %s patterns %d checksum %016Lx"
-                 epoch patterns
-                 (Option.value ~default:0L sw.sw_checksum))))
-  in
-  let do_commit () =
-    match Fault.inject "reload.commit" with
-    | exception Tsg_util.Fault.Injected { site; hit } ->
-      Metrics.incr rollbacks_c;
-      Error (Printf.sprintf "injected fault at %s (hit %d)" site hit)
-    | () -> (
-      match Atomic.exchange staged_cell None with
-      | None -> Error "nothing prepared"
-      | Some sw ->
-        Atomic.set cell sw;
-        Metrics.incr commits_c;
-        Metrics.incr reloads_c;
-        let patterns, epoch = swap_stats sw in
-        Ok (Printf.sprintf "commit epoch %s patterns %d" epoch patterns))
-  in
-  let do_abort () =
-    (match Atomic.exchange staged_cell None with
-    | Some _ -> Metrics.incr aborts_c
-    | None -> ());
-    Ok "abort"
-  in
-  let reloader = Option.map (fun cfg () -> do_reload cfg) reload in
-  let staging =
-    Option.map
-      (fun cfg ->
-        {
-          stage_prepare = (fun () -> do_prepare cfg);
-          stage_commit = do_commit;
-          stage_abort = do_abort;
-        })
-      reload
-  in
+  let slot = Option.map (fun load -> slot ~on_diagnostic ~load gen) reload in
   let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   let actual_port =
     try
@@ -723,30 +701,15 @@ let listen ?exec ?(limits = default_limits) ?(max_conns = 64) ?(drain_s = 5.0)
     in
     let ic = Unix.in_channel_of_descr fd in
     let oc = Unix.out_channel_of_descr fd in
-    (* per-request generation capture: the overlay parse table is rebuilt
-       only when the swap cell actually changed under this connection *)
-    let cached = ref None in
-    let current () =
-      let sw = Atomic.get cell in
-      match !cached with
-      | Some (sw', gen) when sw' == sw -> gen
-      | _ ->
-        let gen =
-          {
-            gen_engine = sw.sw_engine;
-            gen_labels = Label.Snapshot.to_table sw.sw_labels;
-            gen_checksum = sw.sw_checksum;
-          }
-        in
-        cached := Some (sw, gen);
-        gen
-    in
-    let sw = Atomic.get cell in
     let client = Option.map Admission.client admission in
+    (* Protocol.parse interns edge labels and Label.t is not thread-safe,
+       so each connection parses against its own O(1) overlay table over
+       the shared snapshot: a label first seen on another connection
+       matches no stored pattern here, exactly what an unseen label means *)
     match
-      run ~exec ~limits ?admission ?client ?reloader ?staging ~current
-        ~engine:sw.sw_engine
-        ~edge_labels:(Label.Snapshot.to_table sw.sw_labels)
+      run ~exec ~limits ?admission ?client ?checksum:gen.gen_checksum ?slot
+        ~engine:gen.gen_engine
+        ~edge_labels:(Label.Snapshot.to_table gen.gen_labels)
         ic oc
     with
     | o ->
@@ -761,13 +724,6 @@ let listen ?exec ?(limits = default_limits) ?(max_conns = 64) ?(drain_s = 5.0)
   while !running do
     if should_stop () then running := false
     else begin
-      (if reload_poll () then
-         match reload with
-         | Some cfg ->
-           (* off the accept thread: a slow artifact load must not stall
-              accepts *)
-           ignore (Thread.create (fun () -> ignore (do_reload cfg)) ())
-         | None -> ());
       match Unix.select [ sock ] [] [] 0.25 with
       | [], _, _ -> ()
       | _ :: _, _, _ -> (

@@ -5,8 +5,7 @@
     block per request, in request order.
 
     Consecutive data queries ([contains]/[by-label]/[top-k]) form a batch
-    that is executed in parallel; [stats], [health], [reload] and [quit]
-    are barriers — the pending batch is flushed before they are handled,
+    that is executed in parallel; every other verb is a barrier — the pending batch is flushed before they are handled,
     so [stats] reflects every earlier request. Responses:
 
     {v
@@ -114,65 +113,100 @@ val parse_bind_addr : string -> (Unix.inet_addr, Tsg_util.Diagnostic.t) result
 (** Parse an IP literal for {!listen}'s [bind_addr]. Invalid spellings
     answer a rule-[SRV001] diagnostic instead of raising. *)
 
-(** {1 Serving generations}
-
-    What one request executes against. The serve loop re-captures the
-    current generation for {e every} request through [current], so a
-    long-lived pooled connection (the cluster router keeps them open
-    indefinitely) starts serving a hot-reloaded artifact at its next
-    request — health, epoch and data answers on one connection can
-    never disagree about which artifact is live. *)
+(** {1 Serving generations} *)
 
 type generation = {
   gen_engine : Engine.t;
-  gen_labels : Tsg_graph.Label.t;
-      (** connection-private edge-label parse table for this engine *)
+  gen_labels : Tsg_graph.Label.Snapshot.t;
+      (** the edge labels [gen_engine]'s store was built against; every
+          connection parses against a private overlay table over them *)
   gen_checksum : int64 option;
+      (** {!checksum_strings} of the artifact bytes, reported by [health] *)
 }
 
-(** Two-phase reload hooks, wired by {!listen} to its staging cell:
-    [prepare] loads and verifies the on-disk artifact into a staged swap
-    without serving it, [commit] promotes the staged swap atomically,
-    [abort] drops it. Each returns the [ok]-line suffix or an error
-    message (answered as [error RELOAD ...]). *)
-type staging = {
-  stage_prepare : unit -> (string, string) result;
-  stage_commit : unit -> (string, string) result;
-  stage_abort : unit -> (string, string) result;
-}
+val load :
+  require_stamp:bool ->
+  build:((string * string) list -> Engine.t * Tsg_graph.Label.t) ->
+  string list ->
+  (generation, Tsg_util.Diagnostic.t) result
+(** The one way pattern artifacts become a generation — [tsg-serve]'s
+    boot, [reload] and [prepare] all call it. Reads each path once, then
+    re-reads to prove the bytes stable on disk (rule [SRV003] when a
+    writer raced the load), verifies every {!Epoch} stamp against its
+    payload ([EPO002]; with [require_stamp] an unstamped file fails the
+    same way), and hands the [(path, contents)] pairs to [build] — which
+    returns the engine plus the edge-label table its store was built
+    against, and whose exceptions (parse, validation, [Failure]) answer
+    [SRV002], as does an unreadable path. The engine is then stamped
+    with {!Epoch.of_sources} of exactly the verified bytes and the
+    checksum is their {!checksum_strings}. *)
+
+(** {1 The staging slot}
+
+    The live generation, at most one staged generation, and the lock
+    that serializes loads, driven by a load thunk; {!run} serves the
+    protocol's reload verbs from it. [prepare] runs the thunk and parks
+    the result without serving it (honoring the ["reload.prepare"]
+    failpoint; counter [serve.reload.prepares]); [commit] promotes the
+    staged generation atomically (["reload.commit"] failpoint;
+    [serve.reload.commits]); [abort] drops it ([serve.reload.aborts]);
+    [reload] is the prepare step followed by the commit step under the
+    same lock, and clears anything staged before it. Every promotion
+    counts in [serve.reloads]. A failing load rolls back: the live
+    generation keeps serving, the thunk's diagnostic goes to
+    [on_diagnostic] and [serve.reload.rollbacks] is incremented. A load
+    attempted while another holds the lock answers an error. Counters
+    live in the first generation's metrics registry. *)
+
+type slot
+
+val slot :
+  on_diagnostic:(Tsg_util.Diagnostic.t -> unit) ->
+  load:(unit -> (generation, Tsg_util.Diagnostic.t) result) ->
+  generation ->
+  slot
+(** A slot serving [generation] until the first promotion. *)
+
+val live : slot -> generation
+
+val staged : slot -> generation option
+(** What [prepare] parked and no [commit], [abort] or [reload] has
+    consumed yet. *)
+
+(** {1 The request loop} *)
 
 val run :
-  ?exec:Tsg_util.Pool.Exec.t ->
+  exec:Tsg_util.Pool.Exec.t ->
   ?limits:limits ->
   ?admission:Admission.t ->
   ?client:Admission.client ->
-  ?checksum:(unit -> int64 option) ->
-  ?reloader:(unit -> (string, string) result) ->
-  ?staging:staging ->
-  ?current:(unit -> generation) ->
+  ?checksum:int64 ->
+  ?slot:slot ->
   engine:Engine.t ->
   edge_labels:Tsg_graph.Label.t ->
   in_channel ->
   out_channel ->
   outcome
 (** [exec] pins the batch-fill domain count for the whole loop (reported
-    by the [health] verb and the [serve.domains] gauge). When absent, the
-    count is {!Tsg_util.Pool.default_domains} — the [TSG_DOMAINS]
-    environment variable when set, otherwise
-    [Domain.recommended_domain_count ()] capped at 8 — read once at loop
-    start, never re-read mid-stream. Parsing (which interns edge labels)
-    stays on the calling domain; only query execution fans out. A worker
-    exception that is not handled per-request is re-raised on the caller
-    with its original backtrace.
+    by the [health] verb and the [serve.domains] gauge). Parsing (which
+    interns edge labels) stays on the calling domain; only query
+    execution fans out. A worker exception that is not handled
+    per-request is re-raised on the caller with its original backtrace.
+    [engine]'s metrics registry receives the loop's counters.
 
     [admission] gates data queries (see above); [client] is the
     per-connection admission state (a fresh one is created when absent).
-    [checksum] supplies the artifact checksum for [health] ([None] prints
-    ["-"]). [reloader] handles the [reload] verb; without it the verb
-    answers [error UNAVAILABLE reload is not enabled]. [staging]
-    likewise handles [prepare]/[commit]/[abort]. [current] supplies the
-    generation each request executes against (default: one static
-    generation built from [engine], [edge_labels] and [checksum ()]).
+
+    Without [slot], every request executes against [engine], parsing
+    against [edge_labels]; [health] reports [checksum] (["-"] when
+    absent), and the [reload], [prepare], [commit] and [abort] verbs
+    answer [error UNAVAILABLE <verb> is not enabled]. With [slot], those
+    verbs drive it, and {e every} request re-captures its live
+    generation — so a long-lived pooled connection (the cluster router
+    keeps them open indefinitely) serves a reloaded artifact at its next
+    request, and health, epoch and data answers on one connection never
+    disagree about which artifact is live. Requests started before a
+    swap finish on the generation they captured.
 
     {b Epoch pins.} A data query prefixed [at <epoch>] is answered only
     when the generation that would execute it serves exactly that epoch
@@ -190,15 +224,6 @@ type listen_outcome = {
   aggregate : outcome;  (** summed over all served connections *)
 }
 
-type reload_config = {
-  reload_paths : string list;  (** pattern artifact files to re-read *)
-  reload_build : (string * string) list -> Engine.t * string list;
-      (** build a fresh engine (plus its edge-label names) from
-          [(path, contents)] pairs — typically {!Store.of_strings} +
-          {!Engine.create} against the {e same} metrics registry, so
-          counters survive the swap. Raising aborts the reload. *)
-}
-
 val listen :
   ?exec:Tsg_util.Pool.Exec.t ->
   ?limits:limits ->
@@ -206,14 +231,11 @@ val listen :
   ?drain_s:float ->
   ?bind_addr:Unix.inet_addr ->
   ?admission:Admission.t ->
-  ?checksum:int64 ->
-  ?reload:reload_config ->
-  ?reload_poll:(unit -> bool) ->
+  ?reload:(unit -> (generation, Tsg_util.Diagnostic.t) result) ->
   ?on_diagnostic:(Tsg_util.Diagnostic.t -> unit) ->
   ?on_listen:(int -> unit) ->
   ?should_stop:(unit -> bool) ->
-  engine:Engine.t ->
-  edge_labels:Tsg_graph.Label.t ->
+  generation ->
   port:int ->
   unit ->
   listen_outcome
@@ -227,44 +249,23 @@ val listen :
     table over the current edge-label snapshot
     ({!Tsg_graph.Label.Snapshot.to_table} — {!Tsg_graph.Label.t} is not
     thread-safe; a label first seen on another connection matches no
-    stored pattern, which is exactly what an unseen label means). Beyond [max_conns] (default 64)
-    concurrent connections, new clients are shed with a single
-    [OVERLOADED] line (kept code-less for compatibility — request-level
-    sheds use [error OVERLOADED ...]).
+    stored pattern, which is exactly what an unseen label means). Beyond
+    [max_conns] (default 64) concurrent connections, new clients are
+    shed with a single [OVERLOADED] line (kept code-less for
+    compatibility — request-level sheds use [error OVERLOADED ...]).
 
     When [admission] is given it is shared across connections, each of
     which gets its own per-client token bucket.
 
-    {b Hot reload.} With [reload] configured, the engine lives in an
-    atomic swap cell: a [reload] verb (any connection), or [reload_poll]
-    answering [true] (polled in the accept loop — hook a SIGHUP flag
-    here), re-reads [reload_paths], checksums them
-    ({!checksum_strings}), re-reads to verify the artifact is stable on
-    disk, verifies any {!Epoch} stamp against its payload (mismatch
-    rolls back under rule [EPO002]), builds the new engine off the
-    accept thread, stamps it with {!Epoch.of_sources}, and swaps it in.
-    Requests started before the swap finish on the engine they captured;
-    the {e next} request on any connection — pooled ones included — sees
-    the new generation. A failing reload (unreadable file, checksum
-    instability, stamp mismatch, parse or validation error) rolls back:
-    the old engine keeps serving, a diagnostic (rule [SRV002], [SRV003]
-    for checksum instability, [EPO002] for stamp mismatch) goes to
-    [on_diagnostic] (default: stderr) and [serve.reload.rollbacks] is
-    incremented; successful swaps increment [serve.reloads]. Concurrent
-    reloads are serialized; the loser answers an error. [checksum] seeds
-    the cell so [health] can report the artifact fingerprint before any
-    reload.
-
-    {b Two-phase reload.} With [reload] configured the
-    [prepare]/[commit]/[abort] verbs are live too: [prepare] runs the
-    same load-and-verify pipeline but parks the result in a staging
-    cell (honoring the ["reload.prepare"] failpoint; counter
-    [serve.reload.prepares]); [commit] atomically promotes the staged
-    swap (["reload.commit"] failpoint; counters [serve.reload.commits]
-    and [serve.reloads]); [abort] drops it ([serve.reload.aborts]). A
-    one-shot [reload] clears any staged swap — it would predate the
-    artifact just loaded. The cluster router drives these across
-    replicas so a shard fleet changes epochs all-or-nothing.
+    {b Hot reload.} [generation] serves first. With [reload] (typically
+    {!load} over the served paths) the listener keeps a {!slot} driven
+    by it, so the [reload], [prepare], [commit] and [abort] verbs work
+    from any connection, and the next request on every connection —
+    pooled ones included — sees each promoted generation. Rollback
+    diagnostics go to [on_diagnostic] (default: stderr). The cluster
+    router drives the two-phase verbs across replicas so a shard fleet
+    changes epochs all-or-nothing. Without [reload] those verbs answer
+    [error UNAVAILABLE].
 
     The accept loop polls [should_stop] (default never) about four times
     a second; once it returns [true] — typically flipped by a

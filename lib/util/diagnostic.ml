@@ -157,12 +157,7 @@ let print_json oc c =
     "],\"errors\":%d,\"warnings\":%d,\"infos\":%d,\"suppressed\":%d}\n"
     c.errors c.warnings c.infos c.suppressed
 
-let print ?(machine = false) ?format oc c =
-  let format =
-    match format with
-    | Some f -> f
-    | None -> if machine then Machine else Text
-  in
+let print ?(format = Text) oc c =
   match format with
   | Json -> print_json oc c
   | Text | Machine ->
@@ -246,7 +241,9 @@ module Registry = struct
       e "SRV003" Error "artifact reload unstable, engine rolled back";
       (* epoch-consistent cluster deployment *)
       e "EPO001" Error "no common artifact epoch across shards";
-      e "EPO002" Error "artifact epoch stamp does not match its payload";
+      e "EPO002" Error
+        "artifact epoch stamp does not match its payload, or is missing \
+         where required";
       e "RSY001" Warning "replica serving a stale epoch, fenced from merges";
       e "RSY002" Error "replica resync failed, artifact re-push required";
       (* tsg-analyze: domain-safety and determinism passes *)

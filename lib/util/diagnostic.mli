@@ -101,10 +101,10 @@ type format = Text | Machine | Json
 val format_of_string : string -> format option
 (** Parses ["text"], ["machine"], ["json"]. *)
 
-val print : ?machine:bool -> ?format:format -> out_channel -> collector -> unit
-(** One finding per line ({!to_string}; {!to_machine} when [machine] or
-    [~format:Machine]), or one JSON document under [~format:Json].
-    [format] wins over the legacy [machine] flag. *)
+val print : ?format:format -> out_channel -> collector -> unit
+(** One finding per line ({!to_string} under the default [Text];
+    {!to_machine} under [~format:Machine]), or one JSON document under
+    [~format:Json]. *)
 
 val print_json : out_channel -> collector -> unit
 (** The whole collector as one JSON document:

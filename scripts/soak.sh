@@ -45,12 +45,12 @@ cp examples/data/demo.pat "$WORK/live.pat"
 cmp -s "$WORK/live.pat" "$WORK/alt.pat" &&
   fail "alt artifact is identical to the live one"
 
-echo "== soak: starting tsg-serve (1% injected faults, reload-on-hup)"
+echo "== soak: starting tsg-serve (1% injected faults)"
 TSG_FAULTS=serve.request:0.01 "$BIN/tsg-serve" \
   --patterns "$WORK/live.pat" \
   --taxonomy examples/data/demo.tax \
   --db examples/data/demo.db \
-  --listen 0 --reload-on-hup --request-timeout 5 \
+  --listen 0 --request-timeout 5 \
   >"$WORK/serve.out" 2>"$WORK/serve.err" &
 SERVER_PID=$!
 
@@ -74,11 +74,11 @@ echo "== soak: blasting for ${DURATION}s (paced: 4 clients x 100 rounds/s)"
   --clients 4 --rate 100 --request "contains c0 -" >"$WORK/blast.out" 2>&1 &
 BLAST_PID=$!
 
-# mid-blast: hot swap to the alternate artifact over SIGHUP
+# mid-blast: hot swap to the alternate artifact with the reload verb
 sleep $((DURATION / 3))
 cp "$WORK/alt.pat" "$WORK/live.pat"
-kill -HUP "$SERVER_PID"
-sleep 1
+RELOAD1=$(ask reload)
+case "$RELOAD1" in "ok reload "*) ;; *) fail "hot reload replied: $RELOAD1";; esac
 HEALTH1=$(ask health)
 SUM1=$(checksum_of "$HEALTH1")
 [ -n "$SUM1" ] && [ "$SUM1" != "-" ] || fail "post-reload health broken: $HEALTH1"
@@ -87,8 +87,8 @@ echo "== soak: hot reload ok ($SUM0 -> $SUM1)"
 
 # mid-blast: a corrupt artifact must roll back and keep serving
 printf 'this is not a pattern artifact\n' >"$WORK/live.pat"
-kill -HUP "$SERVER_PID"
-sleep 1
+RELOAD2=$(ask reload)
+case "$RELOAD2" in "error RELOAD "*) ;; *) fail "corrupt reload replied: $RELOAD2";; esac
 kill -0 "$SERVER_PID" 2>/dev/null || fail "server died on corrupt reload"
 HEALTH2=$(ask health)
 SUM2=$(checksum_of "$HEALTH2")

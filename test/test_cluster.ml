@@ -26,7 +26,6 @@ module Protocol = Tsg_query.Protocol
 module Serve = Tsg_query.Serve
 module Epoch = Tsg_query.Epoch
 module Pattern_io = Tsg_core.Pattern_io
-module Safe_io = Tsg_util.Safe_io
 module Fault = Tsg_util.Fault
 module Diagnostic = Tsg_util.Diagnostic
 
@@ -367,7 +366,7 @@ let locked lock f =
   Mutex.lock lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock lock) f
 
-let serve_backend ?reloader ?staging ?current store =
+let serve_backend ?slot store =
   let e = engine store in
   let lsock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   Unix.setsockopt lsock Unix.SO_REUSEADDR true;
@@ -404,8 +403,8 @@ let serve_backend ?reloader ?staging ?current store =
                        let edge_labels = Label.of_names [ "e0" ] in
                        try
                          ignore
-                           (Serve.run ~exec:(Tsg_util.Pool.Exec.create ~domains:1 ()) ?reloader ?staging
-                              ?current ~engine:e ~edge_labels ic oc)
+                           (Serve.run ~exec:(Tsg_util.Pool.Exec.create ~domains:1 ()) ?slot
+                              ~engine:e ~edge_labels ic oc)
                        with
                        | Sys_error _ | End_of_file | Unix.Unix_error _ -> ())
                      fd)
@@ -636,39 +635,6 @@ let test_hedge_win_is_counted () =
   slow.b_kill ();
   fast.b_kill ()
 
-let test_rolling_reload_walks_every_replica () =
-  let _, _, store = fixture_store () in
-  let reloads = Atomic.make 0 in
-  let reloader () =
-    Atomic.incr reloads;
-    Ok "patterns 5 checksum 0"
-  in
-  let b0 = serve_backend ~reloader store in
-  let b1 = serve_backend ~reloader store in
-  let metrics = Metrics.create () in
-  let router =
-    router_over metrics
-      [ [ replica b0.b_port "0/0"; replica b1.b_port "0/1" ] ]
-  in
-  check string "reload verb reports the walk" "ok reload replicas 2"
-    (reply_exn router "reload");
-  check int "every replica reloaded exactly once" 2 (Atomic.get reloads);
-  check int "reload counted" 1 (counter_value metrics "cluster.reloads");
-  (* a replica that refuses aborts the walk with the stable code *)
-  let refusing = serve_backend ~reloader:(fun () -> Error "disk gone") store in
-  let metrics2 = Metrics.create () in
-  let router2 =
-    router_over metrics2
-      [ [ replica b0.b_port "0/0"; replica refusing.b_port "0/1" ] ]
-  in
-  check bool "failed walk answers error RELOAD" true
-    (has_prefix "error RELOAD" (reply_exn router2 "reload"));
-  check int "no reload recorded on failure" 0
-    (counter_value metrics2 "cluster.reloads");
-  b0.b_kill ();
-  b1.b_kill ();
-  refusing.b_kill ()
-
 let test_router_verbs_and_tags () =
   let _, _, store = fixture_store () in
   let b0 = serve_backend store in
@@ -700,11 +666,6 @@ let test_router_verbs_and_tags () =
 
 (* --- epoch-consistent deployment ---------------------------------------------- *)
 
-(* a serve_backend whose generation lives in a swap cell with real
-   two-phase staging over an on-disk artifact: Serve.listen's reload
-   machinery in miniature, but hard-killable like every other backend
-   in this suite *)
-
 let write_file path contents =
   let oc = open_out_bin path in
   output_string oc contents;
@@ -726,32 +687,21 @@ let artifact_bytes t db ~seq ~support =
     (Pattern_io.to_string ~node_labels:(Taxonomy.labels t) ~edge_labels
        ~db_size:(Db.size db) patterns)
 
-(* engine + labels + epoch from the artifact at [path], sliced for shard
-   [si] of [nshards] exactly the way [tsg-serve --shard] does *)
-let build_gen t ~shard:(si, nshards) path =
-  let contents = Safe_io.read_file path in
-  match Epoch.verify_stamp contents with
-  | Error msg -> Error msg
-  | Ok () ->
-    let edge_labels = Label.create () in
-    let full = Store.of_strings ~taxonomy:t ~edge_labels [ (path, contents) ] in
-    let store =
-      if nshards = 1 then full
-      else begin
-        let map = Shard_map.create ~shards:nshards () in
-        Store.slice full ~keep:(fun i ->
-            Shard_map.shard_of_key map (Pattern.key (Store.pattern full i)) = si)
-      end
-    in
-    let epoch = Epoch.of_sources [ (path, contents) ] in
-    Ok
-      ( {
-          Serve.gen_engine =
-            Engine.create ~epoch ~metrics:(Metrics.create ()) store;
-          gen_labels = edge_labels;
-          gen_checksum = Some (Serve.checksum_strings [ contents ]);
-        },
-        epoch )
+(* the loader's build step: engine + labels for the artifact bytes,
+   sliced for shard [si] of [nshards] exactly the way [tsg-serve --shard]
+   does *)
+let build_shard t ~metrics ~shard:(si, nshards) sources =
+  let edge_labels = Label.create () in
+  let full = Store.of_strings ~taxonomy:t ~edge_labels sources in
+  let store =
+    if nshards = 1 then full
+    else begin
+      let map = Shard_map.create ~shards:nshards () in
+      Store.slice full ~keep:(fun i ->
+          Shard_map.shard_of_key map (Pattern.key (Store.pattern full i)) = si)
+    end
+  in
+  (Engine.create ~metrics store, edge_labels)
 
 type epoch_backend = {
   e_port : int;
@@ -761,79 +711,35 @@ type epoch_backend = {
   e_epoch : unit -> Epoch.t;  (** the serving epoch right now *)
 }
 
+(* a serve_backend driving the library's staging slot over an on-disk
+   artifact: Serve.listen's reload machinery, but hard-killable like
+   every other backend in this suite *)
+
 let epoch_backend ?(fail_prepare = ref false) t ~shard path =
-  let gen0 =
-    match build_gen t ~shard path with
-    | Ok g -> g
-    | Error msg -> Alcotest.fail msg
-  in
-  let cell = Atomic.make gen0 in
-  let slock = Mutex.create () in
-  let staged = ref None in
-  let swaps = Atomic.make 0 in
-  let promote g =
-    Atomic.set cell g;
-    Atomic.incr swaps
-  in
-  let size_of (gen, _) = Store.size (Engine.store gen.Serve.gen_engine) in
-  let csum_of (gen, _) = Option.value ~default:0L gen.Serve.gen_checksum in
-  let prepare () =
-    if !fail_prepare then Error "injected prepare failure"
+  let metrics = Metrics.create () in
+  let load () =
+    if !fail_prepare then
+      Error
+        (Diagnostic.make ~rule:"SRV002" Diagnostic.Error
+           "injected prepare failure")
     else
-      match build_gen t ~shard path with
-      | Error msg -> Error msg
-      | Ok ((_, e) as g) ->
-        locked slock (fun () -> staged := Some g);
-        Ok
-          (Printf.sprintf "prepare epoch %s patterns %d checksum %016Lx"
-             (Epoch.to_string e) (size_of g) (csum_of g))
+      Serve.load ~require_stamp:false
+        ~build:(build_shard t ~metrics ~shard)
+        [ path ]
   in
-  let commit () =
-    match
-      locked slock (fun () ->
-          let s = !staged in
-          staged := None;
-          s)
-    with
-    | None -> Error "nothing prepared"
-    | Some ((_, e) as g) ->
-      promote g;
-      Ok
-        (Printf.sprintf "commit epoch %s patterns %d" (Epoch.to_string e)
-           (size_of g))
+  let gen0 =
+    match load () with
+    | Ok g -> g
+    | Error d -> Alcotest.fail (Diagnostic.to_string d)
   in
-  let abort () =
-    locked slock (fun () -> staged := None);
-    Ok "abort"
-  in
-  let reloader () =
-    match build_gen t ~shard path with
-    | Error msg -> Error msg
-    | Ok ((_, e) as g) ->
-      locked slock (fun () -> staged := None);
-      promote g;
-      Ok
-        (Printf.sprintf "patterns %d checksum %016Lx epoch %s" (size_of g)
-           (csum_of g) (Epoch.to_string e))
-  in
-  let staging =
-    {
-      Serve.stage_prepare = prepare;
-      stage_commit = commit;
-      stage_abort = abort;
-    }
-  in
-  let current () = fst (Atomic.get cell) in
-  let b =
-    serve_backend ~reloader ~staging ~current
-      (Engine.store (fst gen0).Serve.gen_engine)
-  in
+  let slot = Serve.slot ~on_diagnostic:ignore ~load gen0 in
+  let b = serve_backend ~slot (Engine.store gen0.Serve.gen_engine) in
   {
     e_port = b.b_port;
     e_kill = b.b_kill;
-    e_swaps = (fun () -> Atomic.get swaps);
-    e_staged = (fun () -> locked slock (fun () -> !staged <> None));
-    e_epoch = (fun () -> snd (Atomic.get cell));
+    e_swaps = (fun () -> counter_value metrics "serve.reloads");
+    e_staged = (fun () -> Serve.staged slot <> None);
+    e_epoch = (fun () -> Engine.epoch (Serve.live slot).Serve.gen_engine);
   }
 
 let epoch_fixture () =
@@ -896,6 +802,33 @@ let epoch_router ?(resync = true) ?on_diagnostic t backends =
       ()
   in
   (router, metrics)
+
+let test_rolling_reload_walks_every_replica () =
+  with_epoch_pair (fun ~t ~v1:_ ~v2 ~p0 ~p1 ~b0 ~b1 ~fail_prepare:_ ->
+      let router, metrics = epoch_router t [ [ b0; b1 ] ] in
+      write_file p0 v2;
+      write_file p1 v2;
+      check bool "reload verb reports the walk" true
+        (has_prefix "ok reload replicas 2 epoch " (reply_exn router "reload"));
+      check bool "every replica reloaded exactly once" true
+        (b0.e_swaps () = 1 && b1.e_swaps () = 1);
+      check int "reload counted" 1 (counter_value metrics "cluster.reloads");
+      (* a replica without a staging slot answers UNAVAILABLE to prepare:
+         that aborts the walk like any other refusal *)
+      let _, _, store = fixture_store () in
+      let refusing = serve_backend store in
+      Fun.protect ~finally:refusing.b_kill (fun () ->
+          let metrics2 = Metrics.create () in
+          let router2 =
+            router_over metrics2
+              [ [ replica b0.e_port "0/0"; replica refusing.b_port "0/1" ] ]
+          in
+          check bool "failed walk answers error RELOAD" true
+            (has_prefix "error RELOAD" (reply_exn router2 "reload"));
+          check bool "the staged replica was released" false (b0.e_staged ());
+          check int "no swap on the failed walk" 1 (b0.e_swaps ());
+          check int "no reload recorded on failure" 0
+            (counter_value metrics2 "cluster.reloads")))
 
 let test_two_phase_reload_flips_epoch () =
   with_epoch_pair (fun ~t ~v1 ~v2 ~p0 ~p1 ~b0 ~b1 ~fail_prepare:_ ->

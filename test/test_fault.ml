@@ -656,7 +656,12 @@ let with_listener ?max_conns f =
         Serve.listen ?max_conns ~drain_s:2.0
           ~on_listen:(fun p -> Atomic.set port p)
           ~should_stop:(fun () -> Atomic.get stop)
-          ~engine ~edge_labels ~port:0 ())
+          {
+            Serve.gen_engine = engine;
+            gen_labels = Label.Snapshot.of_table edge_labels;
+            gen_checksum = None;
+          }
+          ~port:0 ())
       ()
   in
   let deadline = Unix.gettimeofday () +. 5.0 in

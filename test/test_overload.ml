@@ -21,6 +21,7 @@ module Store = Tsg_query.Store
 module Engine = Tsg_query.Engine
 module Admission = Tsg_query.Admission
 module Protocol = Tsg_query.Protocol
+module Epoch = Tsg_query.Epoch
 module Serve = Tsg_query.Serve
 
 let check = Alcotest.check
@@ -637,26 +638,33 @@ let write_file path contents =
   output_string oc contents;
   close_out oc
 
-(* a listener over an on-disk artifact with reload enabled; returns the
-   bound port, the metrics registry, collected diagnostics, and a stopper *)
-let with_reload_listener f =
+(* the serve loader's build step over the fixture taxonomy *)
+let build_engine t ~metrics sources =
+  let edge_labels = Label.create () in
+  let store = Store.of_strings ~taxonomy:t ~edge_labels sources in
+  (Engine.create ~metrics store, edge_labels)
+
+let mine_fixture t db ~support =
+  let config =
+    { Taxogram.min_support = support; max_edges = Some 2;
+      enhancements = Specialize.all_on }
+  in
+  (Taxogram.run (Taxogram.Spec.collect ~config ~domains:1 ()) t db).Taxogram.patterns
+
+let render_fixture t db patterns =
+  Pattern_io.to_string ~node_labels:(Taxonomy.labels t)
+    ~edge_labels:(Label.of_names [ "e0" ]) ~db_size:(Db.size db) patterns
+
+(* a listener over an on-disk artifact with reload enabled (stamped with
+   [seq] when given, loaded under [require_stamp]); returns the bound
+   port, the metrics registry, collected diagnostics, and a stopper *)
+let with_reload_listener ?(require_stamp = false) ?seq f =
   let t, db, _ = fixture_store () in
-  let node_labels = Taxonomy.labels t in
   let artifact = Filename.temp_file "tsg_overload" ".pat" in
-  let mine ~support =
-    let config =
-      { Taxogram.min_support = support; max_edges = Some 2;
-        enhancements = Specialize.all_on }
-    in
-    (Taxogram.run (Taxogram.Spec.collect ~config ~domains:1 ()) t db).Taxogram.patterns
-  in
-  let save patterns =
-    let edge_labels = Label.of_names [ "e0" ] in
-    write_file artifact
-      (Pattern_io.to_string ~node_labels ~edge_labels ~db_size:(Db.size db)
-         patterns)
-  in
-  save (mine ~support:0.5);
+  let mine = mine_fixture t db in
+  let save patterns = write_file artifact (render_fixture t db patterns) in
+  let stamp = match seq with None -> Fun.id | Some seq -> Epoch.stamp ~seq in
+  write_file artifact (stamp (render_fixture t db (mine ~support:0.5)));
   let metrics = Metrics.create () in
   let diags = ref [] in
   let diag_lock = Mutex.create () in
@@ -665,13 +673,13 @@ let with_reload_listener f =
     diags := d :: !diags;
     Mutex.unlock diag_lock
   in
-  let edge_labels = Label.create () in
-  let store = Store.load ~taxonomy:t ~edge_labels [ artifact ] in
-  let engine = Engine.create ~metrics store in
-  let reload_build sources =
-    let edge_labels = Label.create () in
-    let store = Store.of_strings ~taxonomy:t ~edge_labels sources in
-    (Engine.create ~metrics store, Array.to_list (Label.names edge_labels))
+  let load () =
+    Serve.load ~require_stamp ~build:(build_engine t ~metrics) [ artifact ]
+  in
+  let gen =
+    match load () with
+    | Ok gen -> gen
+    | Error d -> Alcotest.fail (Diagnostic.to_string d)
   in
   let admission =
     Admission.create
@@ -686,13 +694,10 @@ let with_reload_listener f =
       (fun () ->
         outcome :=
           Some
-            (Serve.listen ~drain_s:5.0 ~admission
-               ~checksum:(Serve.checksum_files [ artifact ])
-               ~reload:{ Serve.reload_paths = [ artifact ]; reload_build }
-               ~on_diagnostic
+            (Serve.listen ~drain_s:5.0 ~admission ~reload:load ~on_diagnostic
                ~on_listen:(fun p -> Atomic.set port p)
                ~should_stop:(fun () -> Atomic.get stop)
-               ~engine ~edge_labels ~port:0 ()))
+               gen ~port:0 ()))
       ()
   in
   let deadline = Unix.gettimeofday () +. 5.0 in
@@ -847,6 +852,69 @@ let test_corrupt_reload_rolls_back () =
                (diags ())));
       ignore (finish ()))
 
+(* the one load path behind boot, [reload] and [prepare]: a stamped
+   artifact serves its stamp's sequence at the bytes' checksum, a
+   tampered stamp is EPO002, and under require_stamp an unstamped
+   artifact is refused *)
+let test_loader_verifies_stamps () =
+  let t, db, _ = fixture_store () in
+  let path = Filename.temp_file "tsg_loader" ".pat" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+    (fun () ->
+      let plain = render_fixture t db (mine_fixture t db ~support:0.5) in
+      let load ~require_stamp contents =
+        write_file path contents;
+        Serve.load ~require_stamp
+          ~build:(build_engine t ~metrics:(Metrics.create ()))
+          [ path ]
+      in
+      let stamped = Epoch.stamp ~seq:7L plain in
+      (match load ~require_stamp:true stamped with
+      | Error d -> Alcotest.fail (Diagnostic.to_string d)
+      | Ok gen ->
+        check bool "epoch sequence from the stamp" true
+          (Epoch.seq (Engine.epoch gen.Serve.gen_engine) = 7L);
+        check bool "checksum of the bytes on disk" true
+          (gen.Serve.gen_checksum = Some (Serve.checksum_files [ path ])));
+      let tampered = Bytes.of_string stamped in
+      Bytes.set tampered (Bytes.length tampered - 2) 'X';
+      (match load ~require_stamp:false (Bytes.to_string tampered) with
+      | Error d -> check Alcotest.string "tampered stamp" "EPO002" d.rule
+      | Ok _ -> Alcotest.fail "tampered stamp loaded");
+      (match load ~require_stamp:true plain with
+      | Error d -> check Alcotest.string "missing stamp" "EPO002" d.rule
+      | Ok _ -> Alcotest.fail "unstamped artifact loaded under require_stamp");
+      match load ~require_stamp:false plain with
+      | Ok gen ->
+        check bool "unstamped is sequence 0 when stamps are optional" true
+          (Epoch.seq (Engine.epoch gen.Serve.gen_engine) = 0L)
+      | Error d -> Alcotest.fail (Diagnostic.to_string d))
+
+(* require_stamp holds on every way an artifact becomes live: reload and
+   prepare of an unstamped artifact both answer RELOAD and the stamped
+   epoch keeps serving *)
+let test_require_stamp_on_reload () =
+  with_reload_listener ~require_stamp:true ~seq:7L
+    (fun ~port ~artifact:_ ~metrics ~diags:_ ~save ~mine ~finish ->
+      let fd, ic, oc = connect port in
+      Fun.protect
+        ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+        (fun () ->
+          let before = request_reply ic oc "epoch" in
+          check bool "booted at the stamped epoch" true
+            (has_prefix "ok epoch 7." before);
+          save (mine ~support:1.0);
+          check bool "reload refused" true
+            (has_prefix "error RELOAD" (request_reply ic oc "reload"));
+          check bool "prepare refused" true
+            (has_prefix "error RELOAD" (request_reply ic oc "prepare"));
+          check Alcotest.string "stamped epoch still serving" before
+            (request_reply ic oc "epoch");
+          check int "both rolled back" 2
+            (Metrics.value (Metrics.counter metrics "serve.reload.rollbacks")));
+      ignore (finish ()))
+
 let test_reload_unavailable_in_stdio () =
   let _, _, store = fixture_store () in
   let _, text, _ = run_serve store "reload\nquit\n" in
@@ -950,5 +1018,9 @@ let () =
             test_hot_reload_under_traffic;
           Alcotest.test_case "corrupt reload rolls back" `Quick
             test_corrupt_reload_rolls_back;
+          Alcotest.test_case "loader verifies stamps" `Quick
+            test_loader_verifies_stamps;
+          Alcotest.test_case "require-stamp holds on reload and prepare"
+            `Quick test_require_stamp_on_reload;
         ] );
     ]

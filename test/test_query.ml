@@ -518,12 +518,8 @@ let run_serve ?domains ?epoch store requests =
             close_in ic;
             close_out oc)
           (fun () ->
-            let exec =
-              Option.map
-                (fun d -> Tsg_util.Pool.Exec.create ~domains:d ())
-                domains
-            in
-            Serve.run ?exec ~engine ~edge_labels ic oc)
+            let exec = Tsg_util.Pool.Exec.create ?domains () in
+            Serve.run ~exec ~engine ~edge_labels ic oc)
       in
       let ic = open_in out_path in
       let text =
