@@ -74,14 +74,16 @@ cluster-smoke: build
 pipeline-smoke: build
 	scripts/pipeline_smoke.sh
 
-# output identity on the mining and serving hot paths: a 2 s run of
-# each mining workload and of the serve workload of the repository
-# benchmark (perfbench/). Mining fails unless the first op's patterns
-# match the digest recorded for the instance and every later op, at 1
-# and 2 domains, repeats them byte for byte; serve fails unless every
-# tsg-serve reply equals Serve.answer on an in-process engine
+# output identity on the mining, serving and pipeline hot paths: a 2 s
+# run of every workload of the repository benchmark (perfbench/). Mining
+# fails unless the first op's patterns match the digest recorded for the
+# instance and every later op, at 1 and 2 domains, repeats them byte for
+# byte; serve fails unless every tsg-serve reply equals Serve.answer on
+# an in-process engine; pipe-churn boots a linted tsg-serve and fails
+# unless every push is acknowledged and the served artifact at the end
+# equals a from-scratch mine of the corpus
 perf-smoke:
-	@for w in mine-td13 mine-nc40 serve; do \
+	@for w in mine-td13 mine-nc40 serve pipe-churn; do \
 	  line=$$(bash perfbench/run.sh --workload $$w --seed 1 --seconds 2 \
 	    --trace 0 | tail -n 1); \
 	  case "$$line" in \

@@ -40,30 +40,26 @@ let check_store c store =
   let patterns = Store.patterns store in
   if Array.length patterns <> n then
     error "store size %d but %d patterns" n (Array.length patterns);
-  (* distinct node labels per pattern, for re-deriving the label indexes *)
-  let labels_of =
-    Array.map
-      (fun (p : Pattern.t) ->
-        List.filter
-          (fun l -> l >= 0 && l < known)
-          (Graph.distinct_node_labels p.Pattern.graph))
-      patterns
+  (* re-derive the label indexes from the taxonomy side, independently of
+     Store.build's walk from the pattern side: [carrying.(a)] holds the
+     patterns with a node labeled [a]; a pattern generalizes [l] when it
+     carries an ancestor of [l], and mentions (a specialization of) [l]
+     when it carries a descendant of [l] *)
+  let carrying = Array.init known (fun _ -> Bitset.create n) in
+  Array.iteri
+    (fun i (p : Pattern.t) ->
+      List.iter
+        (fun l -> if l >= 0 && l < known then Bitset.set carrying.(l) i)
+        (Graph.distinct_node_labels p.Pattern.graph))
+    patterns;
+  let union_over labels =
+    let acc = Bitset.create n in
+    Bitset.iter (fun a -> Bitset.union_into ~dst:acc acc carrying.(a)) labels;
+    acc
   in
   for l = 0 to known - 1 do
-    let expect_gen = Bitset.create n in
-    let expect_men = Bitset.create n in
-    Array.iteri
-      (fun i ls ->
-        List.iter
-          (fun pl ->
-            (* pattern i generalizes l when pl is an ancestor of l;
-               it mentions (a specialization of) l when pl descends from l *)
-            if Taxonomy.is_ancestor taxonomy ~anc:pl l then
-              Bitset.set expect_gen i;
-            if Taxonomy.is_ancestor taxonomy ~anc:l pl then
-              Bitset.set expect_men i)
-          ls)
-      labels_of;
+    let expect_gen = union_over (Taxonomy.ancestor_set taxonomy l) in
+    let expect_men = union_over (Taxonomy.descendant_set taxonomy l) in
     if not (Bitset.equal (Store.generalizing store l) expect_gen) then
       error "generalizing index disagrees at label %s"
         (Taxonomy.name taxonomy l);

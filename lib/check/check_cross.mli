@@ -25,7 +25,14 @@ val check_store :
   Tsg_util.Diagnostic.collector -> Tsg_query.Store.t -> unit
 (** Re-derive every index of the store from its own pattern array and
     compare: generalizing/mentioning membership per taxonomy label,
-    edge-count buckets, and the support-sorted order. *)
+    edge-count buckets, and the support-sorted order. The label indexes
+    are re-derived from the taxonomy side, not by {!Tsg_query.Store.build}'s
+    walk over each pattern label's descendants: one bitset per label holds
+    the patterns carrying it, the expected [generalizing l] is the union
+    of these sets over the ancestors of [l]
+    ({!Tsg_taxonomy.Taxonomy.ancestor_set}), and the expected
+    [mentioning l] the union over its descendants
+    ({!Tsg_taxonomy.Taxonomy.descendant_set}). *)
 
 val check_supports :
   Tsg_util.Diagnostic.collector ->

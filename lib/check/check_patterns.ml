@@ -3,6 +3,7 @@ module Graph = Tsg_graph.Graph
 module Label = Tsg_graph.Label
 module Taxonomy = Tsg_taxonomy.Taxonomy
 module Gen_iso = Tsg_iso.Gen_iso
+module Min_code = Tsg_gspan.Min_code
 module Pattern = Tsg_core.Pattern
 module Pattern_io = Tsg_core.Pattern_io
 
@@ -57,49 +58,65 @@ let check_all c ?file ?taxonomy ~stats ~canonical ~node_labels
                  else string_of_int l))
           (Graph.distinct_node_labels g))
     entries;
-  (* pairwise rules, cut down by node/edge counts before the iso tests *)
-  for i = 0 to n - 1 do
-    let pi, line_i = entries.(i) in
-    let gi = pi.Pattern.graph in
-    for j = i + 1 to n - 1 do
-      let pj, line_j = entries.(j) in
-      let gj = pj.Pattern.graph in
-      if
-        Graph.node_count gi = Graph.node_count gj
-        && Graph.edge_count gi = Graph.edge_count gj
-      then begin
-        let duplicate =
-          match (keys.(i), keys.(j)) with
-          | Some a, Some b -> a = b
-          | _ -> false
+  (* pairwise rules ([PAT003]..[PAT005]), tried only on pairs that can be
+     related. Between patterns of equal size, a generalized isomorphism in
+     either direction is a bijection on nodes that maps each edge onto an
+     edge of equal label, so it maps the one edge set onto the other: it is
+     an isomorphism of the two graphs with their node labels erased. So a
+     connected pattern is only compared with the patterns of its shape, the
+     canonical key of its graph with node labels erased. A disconnected
+     pattern ([PAT001]) has no canonical key; as the isomorphism keeps it
+     disconnected, it is compared with the disconnected patterns of its
+     node and edge counts. *)
+  let class_of i =
+    let g = (fst entries.(i)).Pattern.graph in
+    if connected.(i) then
+      `Shape (Min_code.canonical_key (Graph.relabel g (fun _ -> 0)))
+    else `Disconnected (Graph.node_count g, Graph.edge_count g)
+  in
+  (* [later.(i)]: the patterns after [i] in its class, in order *)
+  let later = Array.make n [] in
+  let members = Hashtbl.create 64 in
+  for i = n - 1 downto 0 do
+    let cls = class_of i in
+    let after = Option.value ~default:[] (Hashtbl.find_opt members cls) in
+    later.(i) <- after;
+    Hashtbl.replace members cls (i :: after)
+  done;
+  let compare_pair i j =
+    let pi, line_i = entries.(i) and pj, line_j = entries.(j) in
+    let duplicate =
+      match (keys.(i), keys.(j)) with
+      | Some a, Some b -> a = b
+      | _ -> false
+    in
+    if duplicate then
+      error ?line:line_j "PAT003" "pattern #%d duplicates pattern #%d" j i
+    else
+      match taxonomy with
+      | None -> ()
+      | Some tax ->
+        let report gen_idx gen_line spec_idx (gen : Pattern.t)
+            (spec : Pattern.t) =
+          if gen.Pattern.support_count < spec.Pattern.support_count then
+            error ?line:gen_line "PAT004"
+              "pattern #%d generalizes pattern #%d but records smaller \
+               support (%d < %d)"
+              gen_idx spec_idx gen.Pattern.support_count
+              spec.Pattern.support_count
+          else if gen.Pattern.support_count = spec.Pattern.support_count then
+            warn ?line:gen_line "PAT005"
+              "pattern #%d is over-generalized: specialization #%d has \
+               equal support %d"
+              gen_idx spec_idx gen.Pattern.support_count
         in
-        if duplicate then
-          error ?line:line_j "PAT003" "pattern #%d duplicates pattern #%d" j i
-        else
-          match taxonomy with
-          | None -> ()
-          | Some tax ->
-            let report gen_idx gen_line spec_idx (gen : Pattern.t)
-                (spec : Pattern.t) =
-              if gen.Pattern.support_count < spec.Pattern.support_count then
-                error ?line:gen_line "PAT004"
-                  "pattern #%d generalizes pattern #%d but records smaller \
-                   support (%d < %d)"
-                  gen_idx spec_idx gen.Pattern.support_count
-                  spec.Pattern.support_count
-              else if gen.Pattern.support_count = spec.Pattern.support_count
-              then
-                warn ?line:gen_line "PAT005"
-                  "pattern #%d is over-generalized: specialization #%d has \
-                   equal support %d"
-                  gen_idx spec_idx gen.Pattern.support_count
-            in
-            if Gen_iso.graph_isomorphic tax gi gj then
-              report i line_i j pi pj
-            else if Gen_iso.graph_isomorphic tax gj gi then
-              report j line_j i pj pi
-      end
-    done
+        let gi = pi.Pattern.graph and gj = pj.Pattern.graph in
+        if Gen_iso.graph_isomorphic tax gi gj then report i line_i j pi pj
+        else if Gen_iso.graph_isomorphic tax gj gi then
+          report j line_j i pj pi
+  in
+  for i = 0 to n - 1 do
+    List.iter (compare_pair i) later.(i)
   done;
   if stats && n > 0 then begin
     let max_edges = ref 0 and min_sup = ref max_int and max_sup = ref 0 in

@@ -22,7 +22,17 @@
 
     The pairwise rules ([PAT003]..[PAT005]) compare patterns under
     generalized graph isomorphism ({!Tsg_iso.Gen_iso.graph_isomorphic}),
-    so they subsume single-node-relabeling generalizations. *)
+    so they subsume single-node-relabeling generalizations. They test only
+    pairs of one {e shape}: the minimum-DFS-code key
+    ({!Tsg_gspan.Min_code.canonical_key}) of the pattern graph with every
+    node label erased. This is sound: between patterns of equal size, a
+    generalized isomorphism in either direction maps the nodes one to one
+    and each edge onto an edge of equal label, so it maps the edge sets
+    onto each other and is an isomorphism of the two graphs with node
+    labels erased. A disconnected pattern ([PAT001]) has no canonical key
+    and is tested against the disconnected patterns of its node and edge
+    counts (the isomorphism keeps it disconnected). The findings are those
+    of a test of every pair of equal node and edge counts. *)
 
 val check_located :
   Tsg_util.Diagnostic.collector ->

@@ -20,7 +20,13 @@ module Relabel = Tsg_core.Relabel
 module Occ_index = Tsg_core.Occ_index
 module Taxogram = Tsg_core.Taxogram
 module Synth_graph = Tsg_data.Synth_graph
+module Bitset = Tsg_util.Bitset
+module Gen_iso = Tsg_iso.Gen_iso
+module Pattern = Tsg_core.Pattern
+module Store = Tsg_query.Store
 module Lint = Tsg_check.Lint
+module Check_patterns = Tsg_check.Check_patterns
+module Check_cross = Tsg_check.Check_cross
 
 let check = Alcotest.check
 let bool = Alcotest.bool
@@ -231,6 +237,59 @@ let test_x003_support_mismatch () =
   (* without --deep the mismatch goes unnoticed (it needs brute force) *)
   assert_no_rule (lint ~tax:tax_ok ~db:db_ok ~pat:(pat_ab 1) ()) "X003"
 
+(* X002: every single-bit corruption of a label index is caught, and
+   named at the label it corrupts *)
+let test_x002_store_index_flip () =
+  let tax = Taxonomy_io.parse tax_ok in
+  let id = Taxonomy.id_of_name tax in
+  let pat labels edges support =
+    Pattern.make ~db_size:2
+      (Graph.build ~labels:(Array.map id labels) ~edges)
+      (Bitset.of_list 2 (List.init support Fun.id))
+  in
+  let store =
+    Store.build ~taxonomy:tax ~db_size:2
+      [
+        pat [| "a"; "b" |] [ (0, 1, 0) ] 2;
+        pat [| "root"; "root" |] [ (0, 1, 0) ] 2;
+        pat [| "x" |] [] 1;
+        pat [| "a"; "root"; "b" |] [ (0, 1, 0); (1, 2, 1) ] 1;
+      ]
+  in
+  let findings () =
+    let c = Diagnostic.collector () in
+    Check_cross.check_store c store;
+    Diagnostic.items c
+  in
+  check int "clean store, no findings" 0 (List.length (findings ()));
+  for l = 0 to Taxonomy.label_count tax - 1 do
+    List.iter
+      (fun (index, set) ->
+        let i = l mod Store.size store in
+        let flip () =
+          if Bitset.mem set i then Bitset.unset set i else Bitset.set set i
+        in
+        flip ();
+        let found = findings () in
+        flip ();
+        let what = Printf.sprintf "%s flip at %s" index (Taxonomy.name tax l) in
+        match found with
+        | [ d ] ->
+          check Alcotest.string (what ^ ": rule") "X002" d.Diagnostic.rule;
+          check Alcotest.string (what ^ ": message")
+            (Printf.sprintf "%s index disagrees at label %s" index
+               (Taxonomy.name tax l))
+            d.Diagnostic.message
+        | ds ->
+          Alcotest.failf "%s: expected one X002, got [%s]" what
+            (String.concat "; " (List.map Diagnostic.to_string ds)))
+      [
+        ("generalizing", Store.generalizing store l);
+        ("mentioning", Store.mentioning store l);
+      ]
+  done;
+  check int "restored store, no findings" 0 (List.length (findings ()))
+
 let test_io001_unreadable () =
   let c = Diagnostic.collector () in
   ignore (Lint.run c ~taxonomy:"/nonexistent/no.tax" ());
@@ -340,6 +399,198 @@ let miner_output_lint_clean_prop =
       if Diagnostic.has_errors c then
         QCheck.Test.fail_reportf "lint errors: %s" (rules c)
       else true)
+
+(* --- pairwise rules against the all-pairs loop (qcheck) ---------------------- *)
+
+(* A pattern set built so that PAT003..PAT005 all fire: 2-4 base graphs
+   on 2-4 nodes with edge labels e0..e2 (one in five on 3-4 nodes is
+   disconnected), each followed by variants — an exact duplicate, one or
+   two node labels moved to an ancestor or a descendant, one edge
+   relabeled, or one edge dropped — all under random supports out of 4,
+   in random order. *)
+let random_pattern_set rng tax =
+  let edge_label () = Prng.int rng 3 in
+  let base () =
+    let n = 2 + Prng.int rng 3 in
+    let labels =
+      Array.init n (fun _ -> Prng.int rng (Taxonomy.label_count tax))
+    in
+    let edges =
+      if n >= 3 && Prng.int rng 5 = 0 then
+        (* edge 0-1; the other nodes isolated, or nodes 2-3 joined *)
+        (0, 1, edge_label ())
+        :: (if n = 4 && Prng.bool rng then [ (2, 3, edge_label ()) ] else [])
+      else
+        let tree =
+          List.init (n - 1) (fun v ->
+              (Prng.int rng (v + 1), v + 1, edge_label ()))
+        in
+        let u = Prng.int rng n and v = Prng.int rng n in
+        let taken (a, b, _) = (a = u && b = v) || (a = v && b = u) in
+        if u <> v && not (List.exists taken tree) then
+          (u, v, edge_label ()) :: tree
+        else tree
+    in
+    Graph.build ~labels ~edges
+  in
+  let variant g =
+    let labels = Graph.node_labels g and edges = Graph.edges g in
+    let move () =
+      let v = Prng.int rng (Array.length labels) in
+      let related =
+        Bitset.to_list
+          ((if Prng.bool rng then Taxonomy.ancestor_set
+            else Taxonomy.descendant_set)
+             tax labels.(v))
+      in
+      labels.(v) <- List.nth related (Prng.int rng (List.length related))
+    in
+    let k = Prng.int rng (Array.length edges) in
+    let edges =
+      match Prng.int rng 4 with
+      | 0 -> Array.to_list edges
+      | 1 ->
+        move ();
+        if Prng.bool rng then move ();
+        Array.to_list edges
+      | 2 ->
+        let u, v, _ = edges.(k) in
+        edges.(k) <- (u, v, edge_label ());
+        Array.to_list edges
+      | _ -> List.filteri (fun i _ -> i <> k) (Array.to_list edges)
+    in
+    Graph.build ~labels ~edges
+  in
+  let graphs =
+    List.concat_map
+      (fun _ ->
+        let g = base () in
+        g :: List.init (1 + Prng.int rng 3) (fun _ -> variant g))
+      (List.init (2 + Prng.int rng 3) Fun.id)
+  in
+  let patterns =
+    Array.of_list
+      (List.map
+         (fun g ->
+           Pattern.make ~db_size:4 g
+             (Bitset.of_list 4 (List.init (1 + Prng.int rng 4) Fun.id)))
+         graphs)
+  in
+  Prng.shuffle rng patterns;
+  Array.to_list patterns
+
+(* the set written in canonical numbering and parsed back, as lint sees it *)
+let located_pattern_set rng =
+  let tax = random_taxonomy rng in
+  let text =
+    Pattern_io.to_string ~node_labels:(Taxonomy.labels tax)
+      ~edge_labels:(edge_label_names 3) ~db_size:4
+      (random_pattern_set rng tax)
+  in
+  let node_labels =
+    Label.of_names (Array.to_list (Label.names (Taxonomy.labels tax)))
+  and edge_labels = edge_label_names 3 in
+  let located, _ = Pattern_io.parse_located ~node_labels ~edge_labels text in
+  (tax, node_labels, edge_labels, located)
+
+let check_located_findings (tax, node_labels, edge_labels, located) =
+  let c = Diagnostic.collector () in
+  Check_patterns.check_located c ~taxonomy:tax ~node_labels ~edge_labels
+    located;
+  Diagnostic.items c
+
+(* the oracle: PAT001, then the pairwise rules tried on every pair of
+   equal node and edge counts, in both directions *)
+let all_pairs_findings (tax, _, _, located) =
+  let c = Diagnostic.collector () in
+  let entries =
+    Array.of_list
+      (List.map
+         (fun (l : Pattern_io.located) ->
+           (l.Pattern_io.pattern, l.Pattern_io.header_line))
+         located)
+  in
+  let key i =
+    let p, _ = entries.(i) in
+    if Graph.is_connected p.Pattern.graph then Some (Pattern.key p) else None
+  in
+  Array.iteri
+    (fun i ((p : Pattern.t), line) ->
+      if not (Graph.is_connected p.Pattern.graph) then
+        Diagnostic.emitf c ~line ~rule:"PAT001" Diagnostic.Error
+          "pattern #%d is not connected" i)
+    entries;
+  let report gen_idx spec_idx =
+    let (gen : Pattern.t), line = entries.(gen_idx)
+    and (spec : Pattern.t), _ = entries.(spec_idx) in
+    if gen.Pattern.support_count < spec.Pattern.support_count then
+      Diagnostic.emitf c ~line ~rule:"PAT004" Diagnostic.Error
+        "pattern #%d generalizes pattern #%d but records smaller support (%d \
+         < %d)"
+        gen_idx spec_idx gen.Pattern.support_count spec.Pattern.support_count
+    else if gen.Pattern.support_count = spec.Pattern.support_count then
+      Diagnostic.emitf c ~line ~rule:"PAT005" Diagnostic.Warning
+        "pattern #%d is over-generalized: specialization #%d has equal \
+         support %d"
+        gen_idx spec_idx gen.Pattern.support_count
+  in
+  let n = Array.length entries in
+  for i = 0 to n - 1 do
+    for j = i + 1 to n - 1 do
+      let gi = (fst entries.(i)).Pattern.graph
+      and gj = (fst entries.(j)).Pattern.graph in
+      if
+        Graph.node_count gi = Graph.node_count gj
+        && Graph.edge_count gi = Graph.edge_count gj
+      then
+        if key i <> None && key i = key j then
+          Diagnostic.emitf c ~line:(snd entries.(j)) ~rule:"PAT003"
+            Diagnostic.Error "pattern #%d duplicates pattern #%d" j i
+        else if Gen_iso.graph_isomorphic tax gi gj then report i j
+        else if Gen_iso.graph_isomorphic tax gj gi then report j i
+    done
+  done;
+  Diagnostic.items c
+
+let pairwise_rules_prop =
+  QCheck.Test.make ~name:"pairwise rules = all-pairs gen-iso loop" ~count:100
+    arb_seed (fun seed ->
+      let set = located_pattern_set (Prng.of_int seed) in
+      let render ds = List.map Diagnostic.to_string ds in
+      let got = render (check_located_findings set)
+      and want = render (all_pairs_findings set) in
+      if got = want then true
+      else
+        QCheck.Test.fail_reportf "check_located:\n%s\nall pairs:\n%s"
+          (String.concat "\n" got) (String.concat "\n" want))
+
+(* the generator reaches every pairwise rule, and relates disconnected
+   patterns, so the property above is not vacuous *)
+let test_pairwise_generator_coverage () =
+  let sets =
+    List.init 100 (fun seed ->
+        all_pairs_findings (located_pattern_set (Prng.of_int seed)))
+  in
+  let is rule (d : Diagnostic.t) = d.Diagnostic.rule = rule in
+  List.iter
+    (fun rule ->
+      check bool (rule ^ " drawn") true
+        (List.exists (List.exists (is rule)) sets))
+    [ "PAT003"; "PAT004"; "PAT005" ];
+  (* generalized isomorphism keeps connectivity, so a PAT004/PAT005
+     anchored on a PAT001 line relates two disconnected patterns *)
+  check bool "disconnected patterns related" true
+    (List.exists
+       (fun ds ->
+         List.exists
+           (fun d ->
+             (is "PAT004" d || is "PAT005" d)
+             && List.exists
+                  (fun d' ->
+                    is "PAT001" d' && d'.Diagnostic.line = d.Diagnostic.line)
+                  ds)
+           ds)
+       sets)
 
 (* --- occurrence-index self check (qcheck) ------------------------------------ *)
 
@@ -452,6 +703,8 @@ let () =
         [
           Alcotest.test_case "X001 unmatchable pattern" `Quick
             test_x001_unmatchable_pattern;
+          Alcotest.test_case "X002 store index bit flips" `Quick
+            test_x002_store_index_flip;
           Alcotest.test_case "X003 support mismatch (deep)" `Quick
             test_x003_support_mismatch;
           Alcotest.test_case "IO001 unreadable file" `Quick
@@ -470,4 +723,8 @@ let () =
             occ_index_self_check_prop;
             occ_index_self_check_filtered_prop;
           ] );
+      ( "pairwise rules",
+        Alcotest.test_case "generator reaches every rule" `Quick
+          test_pairwise_generator_coverage
+        :: qsuite [ pairwise_rules_prop ] );
     ]
