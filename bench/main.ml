@@ -930,18 +930,10 @@ let query_exp ctx =
    while the unprotected queue (and with it every sojourn) grows without
    bound. *)
 
-let percentile_sorted sorted q =
-  let n = Array.length sorted in
-  if n = 0 then 0.0
-  else begin
-    let rank = int_of_float (ceil (q /. 100.0 *. float_of_int n)) in
-    sorted.(max 0 (min (n - 1) (rank - 1)))
-  end
-
 let p99_of samples =
   let sorted = Array.copy samples in
   Array.sort compare sorted;
-  percentile_sorted sorted 99.0
+  Tsg_util.Stats.percentile_sorted 99.0 sorted
 
 let overload_exp ctx =
   header "Overload: CoDel admission vs unprotected FIFO at 4x saturation";
@@ -1278,7 +1270,8 @@ let cluster_exp ctx =
   let percentiles samples =
     let sorted = Array.copy samples in
     Array.sort compare sorted;
-    (percentile_sorted sorted 50.0, percentile_sorted sorted 99.0)
+    ( Tsg_util.Stats.percentile_sorted 50.0 sorted,
+      Tsg_util.Stats.percentile_sorted 99.0 sorted )
   in
   (* closed-loop clients: [clients] threads, [per_client] requests each,
      issued through [call : int -> string -> string] (client index first,

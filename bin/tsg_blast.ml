@@ -23,10 +23,9 @@
    arrived, a connection saw a malformed stream, or the success rate
    ok/(ok+errors) fell below --min-success. *)
 
-open Cmdliner
+module Protocol = Tsg_query.Protocol
 
-let has_prefix p l =
-  String.length l >= String.length p && String.sub l 0 (String.length p) = p
+open Cmdliner
 
 type tally = {
   lock : Mutex.t;
@@ -55,32 +54,13 @@ let locked t f =
   Mutex.lock t.lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
 
-let count_error t head =
-  let code =
-    match String.split_on_char ' ' head with
-    | "error" :: code :: _ when code <> "" -> code
-    | _ -> "(uncoded)"
-  in
+let count_error t code =
+  let name = Protocol.code_string code in
   locked t (fun () ->
       t.errors <- t.errors + 1;
-      if code = "OVERLOADED" then t.overloaded <- t.overloaded + 1;
-      Hashtbl.replace t.codes code
-        (1 + Option.value ~default:0 (Hashtbl.find_opt t.codes code)))
-
-(* read one response block, returning its (possibly tagged) header line
-   with the tag stripped: an [ok <n>] header owns n result lines;
-   everything else (errors, health, reload acks) is a single line *)
-let read_block ic =
-  let head = input_line ic in
-  let tag, head = Tsg_query.Protocol.split_tag head in
-  (if has_prefix "ok " head then
-     match int_of_string_opt (String.sub head 3 (String.length head - 3)) with
-     | Some n ->
-       for _ = 1 to n do
-         ignore (input_line ic)
-       done
-     | None -> ());
-  (tag, head)
+      if code = Protocol.Overloaded then t.overloaded <- t.overloaded + 1;
+      Hashtbl.replace t.codes name
+        (1 + Option.value ~default:0 (Hashtbl.find_opt t.codes name)))
 
 let client ~host ~port ~request ~rate ~router ~deadline t =
   let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
@@ -111,15 +91,17 @@ let client ~host ~port ~request ~rate ~router ~deadline t =
     let reader () =
       try
         while true do
-          let tag, head = read_block ic in
+          let tag, block = Protocol.read_reply ic in
           (* in router mode every reply is tagged and ends one round *)
           if router && tag <> None then note_rtt (pop_pending ());
-          if has_prefix "ok health" head then begin
-            if not router then note_rtt (pop_pending ())
-          end
-          else if has_prefix "error" head then count_error t head
-          else if has_prefix "ok" head then
-            locked t (fun () -> t.ok <- t.ok + 1)
+          match Protocol.reply_error block with
+          | Some code -> count_error t code
+          | None ->
+            if String.starts_with ~prefix:"ok health" block then begin
+              if not router then note_rtt (pop_pending ())
+            end
+            else if String.starts_with ~prefix:"ok" block then
+              locked t (fun () -> t.ok <- t.ok + 1)
         done
       with End_of_file | Sys_error _ -> ()
     in
@@ -151,14 +133,6 @@ let client ~host ~port ~request ~rate ~router ~deadline t =
     Thread.join rt;
     try Unix.close fd with Unix.Unix_error _ -> ()
 
-let percentile sorted q =
-  let n = Array.length sorted in
-  if n = 0 then 0.0
-  else begin
-    let rank = int_of_float (ceil (q /. 100.0 *. float_of_int n)) in
-    sorted.(max 0 (min (n - 1) (rank - 1)))
-  end
-
 let run host port request duration clients rate router min_success =
   match Tsg_query.Serve.parse_bind_addr host with
   | Error d ->
@@ -176,7 +150,7 @@ let run host port request duration clients rate router min_success =
     List.iter Thread.join threads;
     let rtt = Array.of_list t.rtt_s in
     Array.sort compare rtt;
-    let ms s = 1000.0 *. s in
+    let ms q = 1000.0 *. Tsg_util.Stats.percentile_sorted q rtt in
     let replies = t.ok + t.errors in
     let success_rate =
       if replies = 0 then 0.0
@@ -196,8 +170,8 @@ let run host port request duration clients rate router min_success =
     Printf.printf "  broken connections: %d\n" t.broken;
     Printf.printf "  success rate:       %.4f (min %.3f)\n" success_rate
       min_success;
-    Printf.printf "  round rtt p50:      %.3f ms\n" (ms (percentile rtt 50.0));
-    Printf.printf "  round rtt p99:      %.3f ms\n" (ms (percentile rtt 99.0));
+    Printf.printf "  round rtt p50:      %.3f ms\n" (ms 50.0);
+    Printf.printf "  round rtt p99:      %.3f ms\n" (ms 99.0);
     if replies = 0 then begin
       prerr_endline "tsg-blast: no replies received";
       1

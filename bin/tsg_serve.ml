@@ -199,11 +199,7 @@ let run patterns tax_path db_path requests domains cache quiet no_validate
       lo.Serve.aggregate
     | None -> (
       let client = Option.map Admission.client admission in
-      let edge_labels = Label.Snapshot.to_table gen.Serve.gen_labels in
-      let serve ic =
-        Serve.run ~exec ~limits ?admission ?client
-          ?checksum:gen.Serve.gen_checksum ~engine ~edge_labels ic stdout
-      in
+      let serve ic = Serve.run ~exec ~limits ?admission ?client gen ic stdout in
       match requests with
       | [] -> serve stdin
       | paths ->

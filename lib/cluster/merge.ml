@@ -48,10 +48,6 @@ let row_of_line line =
   in
   { id; score; support_count; line }
 
-let is_error_block b =
-  let _, b = Protocol.split_tag b in
-  String.length b >= 5 && String.sub b 0 5 = "error"
-
 (* [ok <n>] plus n result lines -> rows *)
 let rows_of_block block =
   match String.split_on_char '\n' block with
@@ -110,7 +106,7 @@ let merge ?(epochs = []) verb blocks =
     Protocol.error_line Protocol.Stale_epoch
       (Printf.sprintf "merge refused: shard blocks from epochs %s and %s" a b)
   | None -> (
-  match List.find_opt is_error_block blocks with
+  match List.find_opt (fun b -> Protocol.reply_error b <> None) blocks with
   | Some e -> e
   | None -> (
     let rows = dedup_by_id (List.concat_map rows_of_block blocks) in

@@ -12,15 +12,17 @@ type verb =
   | Top_k of int * [ `Support | `Interest ]
       (** best [k] by (support desc, id asc) or (score desc, id asc) *)
 
-val verb_of_query : Tsg_query.Protocol.query -> verb option
-(** [None] for barrier verbs. *)
+val verb_of_query : (_, _) Tsg_query.Protocol.request -> verb option
+(** The merge plan of a data query, labels resolved or not (the router
+    plans from {!Tsg_query.Protocol.split}); [None] for barrier verbs. *)
 
 val merge : ?epochs:string option list -> verb -> string list -> string
 (** [merge verb blocks] combines one reply block per shard (in shard
     order) into the single-node reply. If any shard answered an error
-    block, that error (the first, in shard order) is the merged answer —
-    a partial listing would be silently wrong. Duplicate global ids
-    (overlapping slices) keep their first occurrence.
+    block ({!Tsg_query.Protocol.reply_error}), that error (the first, in
+    shard order) is the merged answer — a partial listing would be
+    silently wrong. Duplicate global ids (overlapping slices) keep their
+    first occurrence.
 
     [epochs] (parallel to [blocks], [None] for a shard with no epoch
     pin) is the mixed-merge refusal: two {e different} [Some] epochs

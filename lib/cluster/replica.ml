@@ -135,37 +135,6 @@ let next_tag t =
       t.seq <- t.seq + 1;
       Printf.sprintf "r%d" t.seq)
 
-(* one reply block: a single line, [ok <n>] plus n result lines, or a
-   [begin stats]/[end stats] bracket; the first line may carry a tag *)
-let read_block ic =
-  let first = input_line ic in
-  let tag, body = Protocol.split_tag first in
-  let block =
-    match String.split_on_char ' ' body with
-    | [ "ok"; n ] when int_of_string_opt n <> None ->
-      let n = int_of_string n in
-      let buf = Buffer.create 256 in
-      Buffer.add_string buf body;
-      for _ = 1 to n do
-        Buffer.add_char buf '\n';
-        Buffer.add_string buf (input_line ic)
-      done;
-      Buffer.contents buf
-    | "begin" :: "stats" :: _ ->
-      let buf = Buffer.create 256 in
-      Buffer.add_string buf body;
-      let rec go () =
-        let line = input_line ic in
-        Buffer.add_char buf '\n';
-        Buffer.add_string buf line;
-        if line <> "end stats" then go ()
-      in
-      go ();
-      Buffer.contents buf
-    | _ -> body
-  in
-  (tag, block)
-
 let max_stale_blocks = 64
 
 let call ?timeout_s t request =
@@ -180,17 +149,17 @@ let call ?timeout_s t request =
        with Unix.Unix_error _ | Invalid_argument _ -> ());
       output_string c.oc (Printf.sprintf "id %s %s\n" tag request);
       flush c.oc;
-      let rec read_reply budget =
+      let rec await budget =
         if budget = 0 then failwith "too many unmatched replies"
         else
-          let got_tag, block = read_block c.ic in
+          let got_tag, block = Protocol.read_reply c.ic in
           if got_tag = Some tag then block
           else
             (* a reply abandoned by an earlier timed-out call on this
                pooled connection: skip it *)
-            read_reply (budget - 1)
+            await (budget - 1)
       in
-      read_reply max_stale_blocks
+      await max_stale_blocks
     in
     match attempt () with
     | block ->
@@ -208,10 +177,6 @@ let call ?timeout_s t request =
         | e -> Printexc.to_string e
       in
       Error (Printf.sprintf "%s: %s" t.r_name msg))
-
-let has_prefix ~prefix s =
-  String.length s >= String.length prefix
-  && String.sub s 0 (String.length prefix) = prefix
 
 (* [... epoch <e> ...] anywhere in a health line *)
 let epoch_of_health block =
@@ -244,7 +209,7 @@ let probe ?(timeout_s = 1.0) ?(force = false) t =
   else begin
     let healthy =
       match call ~timeout_s t "health" with
-      | Ok block when has_prefix ~prefix:"ok health" block ->
+      | Ok block when String.starts_with ~prefix:"ok health" block ->
         Atomic.set t.r_epoch (epoch_of_health block);
         true
       | Ok _ | Error _ -> false

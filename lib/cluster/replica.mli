@@ -43,10 +43,11 @@ val endpoint : t -> Unix.inet_addr * int
 
 val call : ?timeout_s:float -> t -> string -> (string, string) result
 (** [call t request] sends one request line and returns the reply block
-    with its tag stripped — [ok <n>] listings arrive whole, [begin
-    stats]/[end stats] blocks too. [Error msg] is a transport-level
-    failure (protocol-level failures are [Ok "error ..."] blocks — the
-    router classifies those). The read deadline is [timeout_s] (default
+    with its tag stripped, framed by {!Tsg_query.Protocol.read_reply} —
+    [ok <n>] listings arrive whole, [begin stats]/[end stats] blocks
+    too. [Error msg] is a transport-level failure (protocol-level
+    failures are [Ok "error ..."] blocks — the router classifies
+    those). The read deadline is [timeout_s] (default
     [io_timeout_s]), enforced with [SO_RCVTIMEO]. *)
 
 val probe : ?timeout_s:float -> ?force:bool -> t -> bool

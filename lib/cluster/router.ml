@@ -111,21 +111,7 @@ let shards t = t.shard_array
 
 let target_epoch t = Atomic.get t.target
 
-let has_prefix ~prefix s =
-  String.length s >= String.length prefix
-  && String.sub s 0 (String.length prefix) = prefix
-
-(* --- request classification -------------------------------------------- *)
-
-type request =
-  | Data of Merge.verb * string  (* merge plan, affinity key *)
-  | Health
-  | Stats
-  | Epoch_verb
-  | Reload_verb
-  | Quit
-  | Ignore
-  | Bad of string
+(* --- request affinity ---------------------------------------------------- *)
 
 (* [by-label] queries for any label of one closure share their shard
    key: the most general ancestor. Repeats land on the same replica. *)
@@ -136,33 +122,6 @@ let by_label_key t name =
     match Taxonomy.id_of_name tax name with
     | id -> "root:" ^ Label.name (Taxonomy.labels tax) (Taxonomy.most_general tax id)
     | exception Not_found -> "root:" ^ name)
-
-let classify t body =
-  if body = "" || body.[0] = '#' then Ignore
-  else
-    match String.split_on_char ' ' body with
-    | [ "health" ] -> Health
-    | [ "stats" ] -> Stats
-    | [ "epoch" ] -> Epoch_verb
-    | [ "reload" ] -> Reload_verb
-    | [ "quit" ] -> Quit
-    | "contains" :: _ -> Data (Merge.List, body)
-    | "by-label" :: rest ->
-      Data
-        ( Merge.List,
-          match rest with [ name ] -> by_label_key t name | _ -> body )
-    | "top-k" :: rest -> (
-      match rest with
-      | [ k; "support" ] when int_of_string_opt k <> None ->
-        Data (Merge.Top_k (int_of_string k, `Support), body)
-      | [ k; "interest" ] when int_of_string_opt k <> None ->
-        Data (Merge.Top_k (int_of_string k, `Interest), body)
-      (* other spellings scatter anyway: the shards answer the
-         authoritative BADREQ, which merge propagates before any
-         row-level work *)
-      | _ -> Data (Merge.List, body))
-    | cmd :: _ -> Bad cmd
-    | [] -> Ignore
 
 (* --- cached helper threads --------------------------------------------- *)
 
@@ -235,28 +194,12 @@ end
 
 (* --- attempt outcome classes ------------------------------------------- *)
 
-type block_class = Good | Retryable | Stale | Terminal
+type error_class = Retryable | Stale | Terminal
 
-let first_line s =
-  match String.index_opt s '\n' with
-  | None -> s
-  | Some i -> String.sub s 0 i
-
-let error_code block =
-  match String.split_on_char ' ' (first_line block) with
-  | "error" :: code :: _ -> Some code
-  | _ -> None
-
-let classify_block block =
-  match error_code block with
-  | None -> Good
-  | Some code -> (
-    match code with
-    | "OVERLOADED" | "UNAVAILABLE" | "FAULT" | "INTERNAL" -> Retryable
-    | "STALE_EPOCH" -> Stale
-    | _ -> Terminal (* DEADLINE, BADREQ, OVERSIZED, RELOAD *))
-
-let is_deadline block = error_code block = Some "DEADLINE"
+let error_class = function
+  | Protocol.(Overloaded | Unavailable | Fault | Internal) -> Retryable
+  | Protocol.Stale_epoch -> Stale
+  | Protocol.(Badreq | Oversized | Deadline | Reload_failed) -> Terminal
 
 (* --- hedged, breaker-aware call to one shard --------------------------- *)
 
@@ -325,17 +268,19 @@ let shard_call t si ~key line ~deadline =
         in
         let elapsed = Unix.gettimeofday () -. t0 in
         (* the attempt records its own outcome, win or lose *)
-        (match res with
-        | Ok block -> (
-          match classify_block block with
-          | Good ->
-            Limiter.Breaker.record (Replica.breaker rep) ~ok:true;
-            Limiter.Window.observe (Replica.window rep) elapsed
-          | Retryable -> Limiter.Breaker.record (Replica.breaker rep) ~ok:false
-          | Stale | Terminal ->
-            (* the server is responsive; the request just can't win *)
-            Limiter.Breaker.record (Replica.breaker rep) ~ok:true)
-        | Error _ -> Limiter.Breaker.record (Replica.breaker rep) ~ok:false);
+        let ok =
+          match res with
+          | Ok block -> (
+            match Protocol.reply_error block with
+            | None ->
+              Limiter.Window.observe (Replica.window rep) elapsed;
+              true
+            (* a stale or terminal answer: the server is responsive, the
+               request just can't win *)
+            | Some code -> error_class code <> Retryable)
+          | Error _ -> false
+        in
+        Limiter.Breaker.record (Replica.breaker rep) ~ok;
         push (hedge, Replica.epoch rep, res))
   in
   launch ~hedge:false ();
@@ -357,46 +302,42 @@ let shard_call t si ~key line ~deadline =
         f
       in
       let winner = ref None in
+      (* this attempt cannot win: try the next replica, if any is left *)
+      let fail_over counter =
+        decr pending;
+        Metrics.incr counter;
+        if !launched < r then begin
+          Metrics.incr t.c_failovers;
+          launch ~hedge:false ()
+        end
+      in
       List.iter
         (fun (was_hedge, rep_epoch, res) ->
           if !winner = None then
             match res with
             | Ok block -> (
-              match classify_block block with
-              | Good ->
+              match Protocol.reply_error block with
+              | None ->
                 if was_hedge then Metrics.incr t.c_hedge_wins;
                 winner := Some (block, rep_epoch)
-              | Terminal ->
-                if is_deadline block then Metrics.incr t.c_deadline;
-                winner := Some (block, rep_epoch)
-              | Stale ->
-                (* the replica is healthy but serves the wrong artifact
-                   version: fail over without a breaker penalty; if every
-                   replica is stale the client gets this stable coded
-                   error, never a mixed-version merge *)
-                decr pending;
-                Metrics.incr t.c_stale;
-                last_shed := Some block;
-                if !launched < r then begin
-                  Metrics.incr t.c_failovers;
-                  launch ~hedge:false ()
-                end
-              | Retryable ->
-                decr pending;
-                Metrics.incr t.c_replica_errors;
-                last_shed := Some block;
-                if !launched < r then begin
-                  Metrics.incr t.c_failovers;
-                  launch ~hedge:false ()
-                end)
+              | Some code -> (
+                match error_class code with
+                | Terminal ->
+                  if code = Protocol.Deadline then Metrics.incr t.c_deadline;
+                  winner := Some (block, rep_epoch)
+                | Stale ->
+                  (* the replica is healthy but serves the wrong artifact
+                     version: fail over without a breaker penalty; if every
+                     replica is stale the client gets this stable coded
+                     error, never a mixed-version merge *)
+                  last_shed := Some block;
+                  fail_over t.c_stale
+                | Retryable ->
+                  last_shed := Some block;
+                  fail_over t.c_replica_errors))
             | Error msg ->
-              decr pending;
-              Metrics.incr t.c_replica_errors;
               last_transport := msg;
-              if !launched < r then begin
-                Metrics.incr t.c_failovers;
-                launch ~hedge:false ()
-              end)
+              fail_over t.c_replica_errors)
         fresh;
       match !winner with
       | Some (block, rep_epoch) -> finish (block, rep_epoch)
@@ -485,7 +426,7 @@ let gate t ~epoch rep =
 
 (* "ok prepare epoch <e> patterns <n> checksum <hex>" *)
 let prepare_epoch block =
-  match String.split_on_char ' ' (first_line block) with
+  match String.split_on_char ' ' block with
   | "ok" :: "prepare" :: "epoch" :: e :: _ -> Epoch.of_string e
   | _ -> None
 
@@ -502,14 +443,14 @@ let two_phase_reload t =
     (fun rep ->
       if !failure = None then
         match Replica.call ~timeout_s:30.0 rep "prepare" with
-        | Ok block when has_prefix ~prefix:"ok prepare" block -> (
+        | Ok block when String.starts_with ~prefix:"ok prepare" block -> (
           prepared := rep :: !prepared;
           match prepare_epoch block with
           | None ->
             failure :=
               Some
                 (Printf.sprintf "replica %s: unparseable prepare ack %S"
-                   (Replica.name rep) (first_line block))
+                   (Replica.name rep) block)
           | Some e -> (
             match !epoch_seen with
             | None -> epoch_seen := Some e
@@ -524,9 +465,7 @@ let two_phase_reload t =
                      (Replica.name rep))))
         | Ok block ->
           failure :=
-            Some
-              (Printf.sprintf "replica %s: %s" (Replica.name rep)
-                 (first_line block))
+            Some (Printf.sprintf "replica %s: %s" (Replica.name rep) block)
         | Error msg -> failure := Some msg)
     (all_replicas t);
   let abort_prepared () =
@@ -557,14 +496,12 @@ let two_phase_reload t =
     in
     let commit_one rep =
       match Replica.call ~timeout_s:30.0 rep "commit" with
-      | Ok block when has_prefix ~prefix:"ok commit" block ->
+      | Ok block when String.starts_with ~prefix:"ok commit" block ->
         committed := rep :: !committed;
         Replica.set_epoch rep (Some epoch);
         Ok ()
       | Ok block ->
-        Error
-          (Printf.sprintf "replica %s: %s" (Replica.name rep)
-             (first_line block))
+        Error (Printf.sprintf "replica %s: %s" (Replica.name rep) block)
       | Error msg -> Error msg
     in
     let wave0_failure = ref None in
@@ -715,7 +652,8 @@ let scrub t =
                          let repaired =
                            match Replica.call ~timeout_s:30.0 rep "reload" with
                            | Ok block
-                             when has_prefix ~prefix:"ok reload" block ->
+                             when String.starts_with ~prefix:"ok reload" block
+                             ->
                              ignore (Replica.probe ~force:true rep);
                              (match Replica.epoch rep with
                              | Some e' when Epoch.equal e' tgt ->
@@ -765,198 +703,144 @@ let start_probes t ~stop =
       done)
     ()
 
+(* one data query: pinned, scattered to every shard, merged by its plan *)
+let scatter t query ~key body =
+  let verb =
+    match Merge.verb_of_query query with
+    | Some verb -> verb
+    | None -> invalid_arg "Router.scatter: not a data query"
+  in
+  Metrics.incr t.c_requests;
+  let t0 = Unix.gettimeofday () in
+  let deadline = t0 +. t.cfg.deadline_s in
+  let target = Atomic.get t.target in
+  (* the pin: every scattered request names the cluster target epoch,
+     so each shard block is either served at that epoch or answered
+     STALE_EPOCH (and failed over) — a mixed-version merge cannot be
+     assembled in the first place *)
+  let sent =
+    match target with
+    | Some e -> Printf.sprintf "at %s %s" (Epoch.to_string e) body
+    | None -> body
+  in
+  let n = Array.length t.shard_array in
+  let results =
+    if n = 1 then [| shard_call t 0 ~key sent ~deadline |]
+    else begin
+      (* scatter: the last shard runs in the dispatching thread — one
+         helper per extra shard, not per shard *)
+      let out = Array.make n (("", None) : string * Epoch.t option) in
+      let join_lock = Mutex.create () in
+      let join_cond = Condition.create () in
+      let left = ref (n - 1) in
+      for i = 0 to n - 2 do
+        Workers.submit (fun () ->
+            Fun.protect
+              ~finally:(fun () ->
+                Mutex.lock join_lock;
+                decr left;
+                if !left = 0 then Condition.signal join_cond;
+                Mutex.unlock join_lock)
+              (fun () -> out.(i) <- shard_call t i ~key sent ~deadline))
+      done;
+      out.(n - 1) <- shard_call t (n - 1) ~key sent ~deadline;
+      Mutex.lock join_lock;
+      while !left > 0 do
+        Condition.wait join_cond join_lock
+      done;
+      Mutex.unlock join_lock;
+      out
+    end
+  in
+  let blocks = Array.to_list results |> List.map fst in
+  (* under a pin the epochs are equal by construction; unpinned, the
+     winners' observed epochs feed the merge-layer refusal *)
+  let epochs =
+    Array.to_list results
+    |> List.map (fun (_, e) -> Option.map Epoch.to_string e)
+  in
+  let reply =
+    try Merge.merge ~epochs verb blocks
+    with Failure msg -> Protocol.error_line Protocol.Internal msg
+  in
+  Metrics.observe t.h_latency (Unix.gettimeofday () -. t0);
+  reply
+
+let target_string t =
+  match Atomic.get t.target with Some e -> Epoch.to_string e | None -> "none"
+
 let dispatch t line =
   let tag, body = Protocol.split_tag line in
-  match classify t body with
-  | Ignore -> `None
-  | Quit -> `Quit
-  | Bad cmd ->
-    `Reply
-      (Protocol.tag_reply tag
-         (Protocol.error_line Protocol.Badreq
-            (Printf.sprintf "unknown command %S" cmd)))
-  | Health ->
-    `Reply
-      (Protocol.tag_reply tag
-         (Printf.sprintf
-            "ok health shards %d replicas %d up %d degraded %d uptime %.3f \
-             epoch %s"
-            (Array.length t.shard_array)
-            (replica_count t) (up_count t) (degraded_count t)
-            (Unix.gettimeofday () -. t.started)
-            (match Atomic.get t.target with
-            | Some e -> Epoch.to_string e
-            | None -> "none")))
-  | Epoch_verb ->
-    `Reply
-      (Protocol.tag_reply tag
-         (Printf.sprintf "ok epoch %s"
-            (match Atomic.get t.target with
-            | Some e -> Epoch.to_string e
-            | None -> "none")))
-  | Stats ->
-    `Reply
-      (Protocol.tag_reply tag
-         ("begin stats\n" ^ Metrics.render_machine t.metrics ^ "end stats"))
-  | Reload_verb ->
-    `Reply
-      (Protocol.tag_reply tag
-         (match rolling_reload t with
-         | Ok msg -> "ok reload " ^ msg
-         | Error msg -> Protocol.error_line Protocol.Reload_failed msg))
-  | Data (verb, key) ->
-    Metrics.incr t.c_requests;
-    let t0 = Unix.gettimeofday () in
-    let deadline = t0 +. t.cfg.deadline_s in
-    let target = Atomic.get t.target in
-    (* the pin: every scattered request names the cluster target epoch,
-       so each shard block is either served at that epoch or answered
-       STALE_EPOCH (and failed over) — a mixed-version merge cannot be
-       assembled in the first place *)
-    let sent =
-      match target with
-      | Some e -> Printf.sprintf "at %s %s" (Epoch.to_string e) body
-      | None -> body
-    in
-    let n = Array.length t.shard_array in
-    let results =
-      if n = 1 then [| shard_call t 0 ~key sent ~deadline |]
-      else begin
-        (* scatter: the last shard runs in the dispatching thread — one
-           helper per extra shard, not per shard *)
-        let out = Array.make n (("", None) : string * Epoch.t option) in
-        let join_lock = Mutex.create () in
-        let join_cond = Condition.create () in
-        let left = ref (n - 1) in
-        for i = 0 to n - 2 do
-          Workers.submit (fun () ->
-              Fun.protect
-                ~finally:(fun () ->
-                  Mutex.lock join_lock;
-                  decr left;
-                  if !left = 0 then Condition.signal join_cond;
-                  Mutex.unlock join_lock)
-                (fun () -> out.(i) <- shard_call t i ~key sent ~deadline))
-        done;
-        out.(n - 1) <- shard_call t (n - 1) ~key sent ~deadline;
-        Mutex.lock join_lock;
-        while !left > 0 do
-          Condition.wait join_cond join_lock
-        done;
-        Mutex.unlock join_lock;
-        out
-      end
-    in
-    let blocks = Array.to_list results |> List.map fst in
-    (* under a pin the epochs are equal by construction; unpinned, the
-       winners' observed epochs feed the merge-layer refusal *)
-    let epochs =
-      Array.to_list results
-      |> List.map (fun (_, e) -> Option.map Epoch.to_string e)
-    in
-    let reply =
-      try Merge.merge ~epochs verb blocks
-      with Failure msg -> Protocol.error_line Protocol.Internal msg
-    in
-    Metrics.observe t.h_latency (Unix.gettimeofday () -. t0);
-    `Reply (Protocol.tag_reply tag reply)
+  let reply r = `Reply (Protocol.tag_reply tag r) in
+  match Protocol.split body with
+  | exception Protocol.Parse_error msg ->
+    (* what the shards would answer: the same split rejects it there *)
+    reply (Protocol.error_line Protocol.Badreq msg)
+  | None -> `None
+  | Some (Protocol.By_label name as q) ->
+    reply (scatter t q ~key:(by_label_key t name) body)
+  | Some (Protocol.(Contains _ | Top_k _) as q) ->
+    reply (scatter t q ~key:body body)
+  | Some Protocol.Quit -> `Quit
+  | Some Protocol.Health ->
+    reply
+      (Printf.sprintf
+         "ok health shards %d replicas %d up %d degraded %d uptime %.3f \
+          epoch %s"
+         (Array.length t.shard_array)
+         (replica_count t) (up_count t) (degraded_count t)
+         (Unix.gettimeofday () -. t.started)
+         (target_string t))
+  | Some Protocol.Epoch_info -> reply ("ok epoch " ^ target_string t)
+  | Some Protocol.Stats ->
+    reply ("begin stats\n" ^ Metrics.render_machine t.metrics ^ "end stats")
+  | Some Protocol.Reload ->
+    reply
+      (match rolling_reload t with
+      | Ok msg -> "ok reload " ^ msg
+      | Error msg -> Protocol.error_line Protocol.Reload_failed msg)
+  | Some Protocol.(Prepare | Commit | Abort) ->
+    (* staging is the router's to drive across replicas (see
+       [rolling_reload]), not a client's: these verbs answer as unknown *)
+    reply (Protocol.error_line Protocol.Badreq (Protocol.unknown_command body))
 
 (* --- front TCP listener ------------------------------------------------- *)
 
-type listen_outcome = { connections : int; overloaded : int }
+type listen_outcome = Serve.front = { connections : int; overloaded : int }
 
 let listen ?(max_conns = 256) ?(drain_s = 5.0)
     ?(bind_addr = Unix.inet_addr_loopback)
-    ?(max_line_bytes = Protocol.default_max_line_bytes) ?on_listen
+    ?(max_line_bytes = Protocol.default_max_line_bytes) ?(on_listen = ignore)
     ?(should_stop = fun () -> false) t ~port () =
-  (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
-   with Invalid_argument _ -> ());
-  let conns_c = Metrics.counter t.metrics "cluster.connections" in
-  let shed_c = Metrics.counter t.metrics "cluster.shed_connections" in
-  let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  let actual_port =
-    try
-      Unix.setsockopt sock Unix.SO_REUSEADDR true;
-      Unix.bind sock (Unix.ADDR_INET (bind_addr, port));
-      Unix.listen sock 64;
-      match Unix.getsockname sock with
-      | Unix.ADDR_INET (_, p) -> p
-      | Unix.ADDR_UNIX _ -> port
-    with e ->
-      (try Unix.close sock with Unix.Unix_error _ -> ());
-      raise e
+  let accepted = Metrics.counter t.metrics "cluster.connections" in
+  let shed = Metrics.counter t.metrics "cluster.shed_connections" in
+  let handle ic oc =
+    let rec loop () =
+      let answer r =
+        output_string oc r;
+        output_char oc '\n';
+        flush oc;
+        loop ()
+      in
+      match Serve.read_bounded_line ic ~max_bytes:max_line_bytes with
+      | `Too_long ->
+        answer
+          (Protocol.error_line Protocol.Oversized
+             (Printf.sprintf "request exceeds %d bytes" max_line_bytes))
+      | `Line line -> (
+        match dispatch t line with
+        | `None -> loop ()
+        | `Quit -> ()
+        | `Reply r -> answer r)
+    in
+    loop ()
   in
-  Option.iter (fun f -> f actual_port) on_listen;
   let stopping = Atomic.make false in
   let prober = start_probes t ~stop:(fun () -> Atomic.get stopping) in
-  let active = Atomic.make 0 in
-  let connections = ref 0 in
-  let overloaded = ref 0 in
-  let handle fd =
-    (* replies flush in small writes; without this, Nagle holds the final
-       short segment for the client's delayed ACK (tens of ms) *)
-    (try Unix.setsockopt fd Unix.TCP_NODELAY true
-     with Unix.Unix_error _ | Invalid_argument _ -> ());
-    let ic = Unix.in_channel_of_descr fd in
-    let oc = Unix.out_channel_of_descr fd in
-    (try
-       let quit = ref false in
-       while not !quit do
-         match Serve.read_bounded_line ic ~max_bytes:max_line_bytes with
-         | `Too_long ->
-           output_string oc
-             (Protocol.error_line Protocol.Oversized
-                (Printf.sprintf "request exceeds %d bytes" max_line_bytes));
-           output_char oc '\n';
-           flush oc
-         | `Line line -> (
-           match dispatch t line with
-           | `None -> ()
-           | `Quit -> quit := true
-           | `Reply r ->
-             output_string oc r;
-             output_char oc '\n';
-             flush oc)
-       done
-     with End_of_file | Sys_error _ -> ());
-    (try Unix.close fd with Unix.Unix_error _ -> ());
-    Atomic.decr active
-  in
-  let running = ref true in
-  while !running do
-    if should_stop () then running := false
-    else begin
-      match Unix.select [ sock ] [] [] 0.25 with
-      | [], _, _ -> ()
-      | _ :: _, _, _ -> (
-        match Unix.accept sock with
-        | fd, _ ->
-          incr connections;
-          Metrics.incr conns_c;
-          if Atomic.get active >= max_conns then begin
-            incr overloaded;
-            Metrics.incr shed_c;
-            ignore
-              (Thread.create
-                 (fun fd ->
-                   (try ignore (Unix.write_substring fd "OVERLOADED\n" 0 11)
-                    with Unix.Unix_error _ -> ());
-                   try Unix.close fd with Unix.Unix_error _ -> ())
-                 fd)
-          end
-          else begin
-            Atomic.incr active;
-            ignore (Thread.create handle fd)
-          end
-        | exception Unix.Unix_error _ -> ())
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-    end
-  done;
-  (try Unix.close sock with Unix.Unix_error _ -> ());
-  let t0 = Unix.gettimeofday () in
-  while Atomic.get active > 0 && Unix.gettimeofday () -. t0 < drain_s do
-    Thread.delay 0.02
-  done;
-  Atomic.set stopping true;
-  Thread.join prober;
-  { connections = !connections; overloaded = !overloaded }
+  Fun.protect
+    ~finally:(fun () ->
+      Atomic.set stopping true;
+      Thread.join prober)
+    (fun () ->
+      Serve.accept_loop ~max_conns ~drain_s ~bind_addr ~on_listen ~should_stop
+        ~accepted ~shed ~port handle)

@@ -29,11 +29,12 @@
     {b Hedging and failover.} The preferred replica is asked first; if
     no reply lands within that replica's observed p95 latency
     ({!Tsg_util.Limiter.Window}, floored at [hedge_min_s]) the next
-    replica is asked too and the first usable answer wins. Replies with
-    a retryable code ([OVERLOADED], [UNAVAILABLE], [FAULT], [INTERNAL])
-    and transport failures fail over to the next replica immediately;
-    [DEADLINE] (and the other terminal codes) is returned as-is — the
-    budget is gone, retrying would only double the load. Outcomes feed
+    replica is asked too and the first usable answer wins. A reply's
+    error code ({!Tsg_query.Protocol.reply_error}) decides what happens
+    next ({!error_class}): a retryable code and a transport failure fail
+    over to the next replica immediately; [DEADLINE] (and the other
+    terminal codes) is returned as-is — the budget is gone, retrying
+    would only double the load. Outcomes feed
     each replica's circuit breaker; open-breaker, probed-down, and
     scrubber-fenced replicas are deprioritized, never excluded (when
     everything is down, trying is the only probe there is). The whole
@@ -103,12 +104,30 @@ val target_epoch : t -> Tsg_query.Epoch.t option
 (** The epoch data requests are pinned to; [None] until the first
     successful two-phase reload or scrub. *)
 
+type error_class =
+  | Retryable
+      (** [OVERLOADED], [UNAVAILABLE], [FAULT], [INTERNAL]: fail over to
+          the next replica, counting against this one's breaker *)
+  | Stale
+      (** [STALE_EPOCH]: fail over with no breaker penalty — the replica
+          is healthy, it serves another artifact version *)
+  | Terminal
+      (** every other code: the shard's answer, as-is *)
+
+val error_class : Tsg_query.Protocol.error_code -> error_class
+(** How a replica's error reply is handled; exhaustive over the catalog,
+    so a new code cannot fall into a class unnoticed. *)
+
 val dispatch : t -> string -> [ `Reply of string | `Quit | `None ]
-(** Answer one request line (possibly [id]-tagged): data queries
-    scatter-gather under the epoch pin, [health] summarizes the cluster
-    (including [degraded] and [epoch]), [epoch] reports the target pin,
-    [stats] dumps the router registry, [reload] runs the two-phase
-    rolling reload, blank/[#] lines are [`None]. Thread-safe —
+(** Answer one request line (possibly [id]-tagged). The line is split by
+    {!Tsg_query.Protocol.split}, so a malformed one answers the same
+    [error BADREQ] text a server would. Data queries scatter-gather
+    under the epoch pin and merge by their {!Merge.verb_of_query} plan,
+    [health] summarizes the cluster (including [degraded] and [epoch]),
+    [epoch] reports the target pin, [stats] dumps the router registry,
+    [reload] runs the two-phase rolling reload, blank/[#] lines are
+    [`None]. [prepare], [commit] and [abort] are the router's to send,
+    not a client's: they answer as unknown commands. Thread-safe —
     connections dispatch concurrently. *)
 
 val rolling_reload : t -> (string, string) result
@@ -129,7 +148,10 @@ val start_probes : t -> stop:(unit -> bool) -> Thread.t
 (** Background probing every ~[probe_interval_s] (jittered ±25%) until
     [stop ()]; runs {!scrub} every [scrub_interval_s]. *)
 
-type listen_outcome = { connections : int; overloaded : int }
+type listen_outcome = Tsg_query.Serve.front = {
+  connections : int;
+  overloaded : int;
+}
 
 val listen :
   ?max_conns:int ->
@@ -142,9 +164,10 @@ val listen :
   port:int ->
   unit ->
   listen_outcome
-(** Serve {!dispatch} over TCP, mirroring {!Tsg_query.Serve.listen}:
-    thread per connection, [port = 0] picks a free port ([on_listen]
-    gets the bound one), beyond [max_conns] (default 256) clients are
-    shed with a bare [OVERLOADED] line, [should_stop] polls ~4x/s and
-    in-flight connections get [drain_s] (default 5s) to finish. Starts
-    the probe/scrub thread for its lifetime. *)
+(** Serve {!dispatch} over TCP through {!Tsg_query.Serve.accept_loop},
+    the accept loop [tsg-serve] runs too (defaults: [max_conns] 256,
+    [drain_s] 5s); each connection reads bounded lines
+    ([max_line_bytes]; longer ones answer [error OVERSIZED]). Accepts
+    and sheds count in [cluster.connections] and
+    [cluster.shed_connections]. Runs the probe/scrub thread
+    ({!start_probes}) for its lifetime. *)

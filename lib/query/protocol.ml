@@ -2,9 +2,9 @@ module Graph = Tsg_graph.Graph
 module Label = Tsg_graph.Label
 module Taxonomy = Tsg_taxonomy.Taxonomy
 
-type query =
-  | Contains of Graph.t
-  | By_label of Label.id
+type ('graph, 'label) request =
+  | Contains of 'graph
+  | By_label of 'label
   | Top_k of int * [ `Support | `Interest ]
   | Stats
   | Health
@@ -14,6 +14,10 @@ type query =
   | Commit
   | Abort
   | Quit
+
+type query = (Graph.t, Label.id) request
+
+type words = (string * string option, string) request
 
 type error_code =
   | Badreq
@@ -37,6 +41,18 @@ let code_string = function
   | Reload_failed -> "RELOAD"
   | Stale_epoch -> "STALE_EPOCH"
 
+let code_of_string = function
+  | "BADREQ" -> Some Badreq
+  | "OVERSIZED" -> Some Oversized
+  | "DEADLINE" -> Some Deadline
+  | "OVERLOADED" -> Some Overloaded
+  | "UNAVAILABLE" -> Some Unavailable
+  | "FAULT" -> Some Fault
+  | "INTERNAL" -> Some Internal
+  | "RELOAD" -> Some Reload_failed
+  | "STALE_EPOCH" -> Some Stale_epoch
+  | _ -> None
+
 let error_line code message =
   Printf.sprintf "error %s %s" (code_string code) message
 
@@ -44,36 +60,69 @@ exception Parse_error of string
 
 let default_max_line_bytes = 65536
 
-let split_tag line =
-  let line = String.trim line in
-  let is_prefixed = String.length line > 3 && String.sub line 0 3 = "id " in
-  if not is_prefixed then (None, line)
+(* [<prefix><token> <rest>] with a non-empty token: the index of the
+   space that ends the token *)
+let token_end prefix s =
+  let n = String.length prefix in
+  if not (String.starts_with ~prefix s) then None
   else
-    let rest = String.sub line 3 (String.length line - 3) in
-    match String.index_opt rest ' ' with
-    | Some i when i > 0 ->
-      ( Some (String.sub rest 0 i),
-        String.sub rest (i + 1) (String.length rest - i - 1) )
-    | _ -> (None, line)
+    match String.index_from_opt s n ' ' with
+    | Some i when i > n -> Some i
+    | _ -> None
+
+let split_prefixed prefix line =
+  match token_end prefix line with
+  | None -> (None, line)
+  | Some i ->
+    let n = String.length prefix in
+    ( Some (String.sub line n (i - n)),
+      String.sub line (i + 1) (String.length line - i - 1) )
+
+let split_tag line = split_prefixed "id " (String.trim line)
 
 let tag_reply tag reply =
   match tag with None -> reply | Some t -> "id " ^ t ^ " " ^ reply
+
+(* past any tag by index arithmetic, so reading a large listing's code
+   copies nothing *)
+let reply_error reply =
+  let body = match token_end "id " reply with Some i -> i + 1 | None -> 0 in
+  let start = body + 6 in
+  let n = String.length reply in
+  if n < start || String.sub reply body 6 <> "error " then None
+  else
+    let stop = ref start in
+    while !stop < n && reply.[!stop] <> ' ' && reply.[!stop] <> '\n' do
+      incr stop
+    done;
+    code_of_string (String.sub reply start (!stop - start))
+
+let read_reply ic =
+  let tag, head = split_tag (input_line ic) in
+  let lines = ref [ head ] in
+  let next () =
+    let l = input_line ic in
+    lines := l :: !lines;
+    l
+  in
+  (match String.split_on_char ' ' head with
+  | [ "ok"; n ] ->
+    for _ = 1 to Option.value ~default:0 (int_of_string_opt n) do
+      ignore (next ())
+    done
+  | "begin" :: "stats" :: _ ->
+    while next () <> "end stats" do
+      ()
+    done
+  | _ -> ());
+  (tag, String.concat "\n" (List.rev !lines))
 
 (* [at <epoch> <request>] pins a data query to an artifact epoch: the
    server answers [error STALE_EPOCH] instead of computing from any
    other epoch. Parsed after the [id] tag, before the verb, so the
    reply bytes of a pinned query are identical to an unpinned one —
    the cluster merge's byte-identity contract survives pinning. *)
-let split_at line =
-  let is_prefixed = String.length line > 3 && String.sub line 0 3 = "at " in
-  if not is_prefixed then (None, line)
-  else
-    let rest = String.sub line 3 (String.length line - 3) in
-    match String.index_opt rest ' ' with
-    | Some i when i > 0 ->
-      ( Some (String.sub rest 0 i),
-        String.sub rest (i + 1) (String.length rest - i - 1) )
-    | _ -> (None, line)
+let split_at line = split_prefixed "at " line
 
 let fail fmt = Printf.ksprintf (fun m -> raise (Parse_error m)) fmt
 
@@ -113,22 +162,19 @@ let parse_graph ~taxonomy ~edge_labels labels_spec edges_spec =
   try Graph.build ~labels ~edges
   with Invalid_argument msg -> fail "bad graph: %s" msg
 
-let parse ?(max_bytes = default_max_line_bytes) ~taxonomy ~edge_labels line =
-  if String.length line > max_bytes then
-    fail "request exceeds %d bytes" max_bytes;
+let unknown_command verb = Printf.sprintf "unknown command %S" verb
+
+(* the request grammar, parametrized by how a [contains] graph and a
+   [by-label] label are read: as words by [split], resolved by [parse] *)
+let read_request ~graph ~label line =
   let line = String.trim line in
   if line = "" || line.[0] = '#' then None
   else
     Some
       (match String.split_on_char ' ' line with
-      | [ "contains"; labels ] ->
-        Contains (parse_graph ~taxonomy ~edge_labels labels None)
-      | [ "contains"; labels; edges ] ->
-        Contains (parse_graph ~taxonomy ~edge_labels labels (Some edges))
-      | [ "by-label"; name ] -> (
-        match Taxonomy.id_of_name taxonomy name with
-        | id -> By_label id
-        | exception Not_found -> fail "unknown label %S" name)
+      | [ "contains"; labels ] -> Contains (graph labels None)
+      | [ "contains"; labels; edges ] -> Contains (graph labels (Some edges))
+      | [ "by-label"; name ] -> By_label (label name)
       | [ "top-k"; k; order ] -> (
         let k =
           match int_of_string_opt k with
@@ -147,8 +193,21 @@ let parse ?(max_bytes = default_max_line_bytes) ~taxonomy ~edge_labels line =
       | [ "commit" ] -> Commit
       | [ "abort" ] -> Abort
       | [ "quit" ] -> Quit
-      | cmd :: _ -> fail "unknown command %S" cmd
+      | cmd :: _ -> raise (Parse_error (unknown_command cmd))
       | [] -> fail "empty request")
+
+let split =
+  read_request ~graph:(fun labels edges -> (labels, edges)) ~label:Fun.id
+
+let parse ?(max_bytes = default_max_line_bytes) ~taxonomy ~edge_labels line =
+  if String.length line > max_bytes then
+    fail "request exceeds %d bytes" max_bytes;
+  read_request line
+    ~graph:(parse_graph ~taxonomy ~edge_labels)
+    ~label:(fun name ->
+      match Taxonomy.id_of_name taxonomy name with
+      | id -> id
+      | exception Not_found -> fail "unknown label %S" name)
 
 let format_graph ~names ~edge_labels g =
   let labels =

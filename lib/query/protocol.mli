@@ -37,9 +37,11 @@
     [,], [-] or [/] (true of every taxonomy file — see
     {!Tsg_taxonomy.Taxonomy_io}). *)
 
-type query =
-  | Contains of Tsg_graph.Graph.t
-  | By_label of Tsg_graph.Label.id
+(** One request's verb and arguments, parametrized by how far its labels
+    are resolved. *)
+type ('graph, 'label) request =
+  | Contains of 'graph
+  | By_label of 'label
   | Top_k of int * [ `Support | `Interest ]
   | Stats
   | Health
@@ -49,6 +51,15 @@ type query =
   | Commit
   | Abort
   | Quit
+
+type query = (Tsg_graph.Graph.t, Tsg_graph.Label.id) request
+(** A request with its labels resolved: what a server executes. *)
+
+type words = (string * string option, string) request
+(** A request split into its verb and argument words, labels unresolved:
+    [contains] carries its label list and optional edge list as written,
+    [by-label] its label name. What a client or a router needs to know
+    about a line without a taxonomy. *)
 
 (** {1 Error codes}
 
@@ -82,6 +93,10 @@ type error_code =
 
 val code_string : error_code -> string
 (** The wire spelling, e.g. [OVERLOADED]. *)
+
+val code_of_string : string -> error_code option
+(** The inverse of {!code_string}; [None] for a spelling outside the
+    catalog. *)
 
 val error_line : error_code -> string -> string
 (** [error_line code msg] is ["error <CODE> <msg>"]. *)
@@ -120,13 +135,50 @@ val split_at : string -> string option * string
     and [(None, body)] otherwise. The epoch token is returned unparsed;
     {!Epoch.of_string} decides validity. *)
 
+(** {1 Reading replies}
+
+    The client half of the protocol, shared by everything that reads a
+    server's answers — the cluster router's replicas, retry classes and
+    merge, and [tsg-blast] — and by the serve loop counting its own
+    errors. *)
+
+val read_reply : in_channel -> string option * string
+(** [read_reply ic] reads one reply block and returns its [id] tag (see
+    {!split_tag}) and the block with the tag stripped, its lines joined
+    by newlines without a trailing one: an [ok <n>] header together with
+    its [n] result lines, a [begin stats] line through its [end stats]
+    line, or any other single line.
+    @raise End_of_file when the stream ends first. *)
+
+val reply_error : string -> error_code option
+(** [reply_error reply] is [Some code] when the first line of [reply],
+    past any [id <token>] tag, is [error <CODE> ...] with a [CODE] in
+    the catalog; [None] for every other reply. The inverse of
+    {!error_line}, tagged or not. *)
+
+(** {1 Parsing requests} *)
+
+val split : string -> words option
+(** [split line] splits a request line into its verb and argument
+    words: [None] for blank lines and comments. Checks everything that
+    needs no taxonomy — the verb, the argument count, the [top-k] count
+    and order — so a router rejects a malformed line with the same
+    message a server would.
+    @raise Parse_error on unknown verbs and malformed arguments. *)
+
+val unknown_command : string -> string
+(** The {!Parse_error} message for an unknown verb,
+    [unknown command "<verb>"]. *)
+
 val parse :
   ?max_bytes:int ->
   taxonomy:Tsg_taxonomy.Taxonomy.t ->
   edge_labels:Tsg_graph.Label.t ->
   string ->
   query option
-(** [None] for blank lines and comments.
+(** {!split} followed by label resolution: node labels must be taxonomy
+    concepts, edge labels are interned in [edge_labels]. [None] for
+    blank lines and comments.
     @raise Parse_error on malformed requests, unknown commands, node
     labels that are not taxonomy concepts, or lines longer than
     [max_bytes] (default {!default_max_line_bytes}). *)

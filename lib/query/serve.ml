@@ -53,9 +53,7 @@ let result_line ?score store id =
       Store.reply_text store id;
     ]
 
-let is_error r =
-  let _, r = Protocol.split_tag r in
-  String.length r >= 5 && String.sub r 0 5 = "error"
+let is_error r = Protocol.reply_error r <> None
 
 let overloaded_line retry_after_s =
   Protocol.error_line Protocol.Overloaded
@@ -358,16 +356,11 @@ let reload s =
 
 (* --- the request loop --------------------------------------------------- *)
 
-(* one connection's view of a generation: the engine, a private parse
-   table (Label.t is not thread-safe), and the checksum [health] reports *)
-type view = { engine : Engine.t; labels : Label.t; checksum : int64 option }
-
-let run ~exec ?(limits = default_limits) ?admission ?client ?checksum ?slot
-    ~engine ~edge_labels ic oc =
+let run ~exec ?(limits = default_limits) ?admission ?client ?slot gen ic oc =
   (* the executor pins the domain count for the whole loop, never re-read
      behind a live loop's back by a concurrent reload *)
   let domains = Exec.domains exec in
-  let metrics = Engine.metrics engine in
+  let metrics = Engine.metrics gen.gen_engine in
   Metrics.set_gauge (Metrics.gauge metrics "serve.domains") domains;
   let oversized_c = Metrics.counter metrics "serve.oversized" in
   let deadline_c = Metrics.counter metrics "serve.deadline_expired" in
@@ -376,29 +369,24 @@ let run ~exec ?(limits = default_limits) ?admission ?client ?checksum ?slot
   let health_c = Metrics.counter metrics "serve.health" in
   let stale_c = Metrics.counter metrics "serve.stale_epoch" in
   (* re-read per request, so a long-lived pooled connection (the router
-     keeps them open for hours) serves a reload at its next request; the
-     parse table is rebuilt only when the generation changed *)
-  let current =
-    match slot with
-    | None ->
-      let static = { engine; labels = edge_labels; checksum } in
-      fun () -> static
-    | Some s -> (
-      let cached = ref None in
-      fun () ->
-        let g = live s in
-        match !cached with
-        | Some (g', view) when g' == g -> view
-        | _ ->
-          let view =
-            {
-              engine = g.gen_engine;
-              labels = Label.Snapshot.to_table g.gen_labels;
-              checksum = g.gen_checksum;
-            }
-          in
-          cached := Some (g, view);
-          view)
+     keeps them open for hours) serves a reload at its next request.
+     Protocol.parse interns edge labels and Label.t is not thread-safe,
+     so the connection parses against its own O(1) overlay table over the
+     generation's snapshot, rebuilt only when the generation changed: a
+     label first seen on another connection matches no stored pattern
+     here, exactly what an unseen label means *)
+  let live_gen =
+    match slot with None -> Fun.const gen | Some s -> fun () -> live s
+  in
+  let cached = ref None in
+  let current () =
+    let g = live_gen () in
+    match !cached with
+    | Some (g', labels) when g' == g -> (g, labels)
+    | _ ->
+      let labels = Label.Snapshot.to_table g.gen_labels in
+      cached := Some (g, labels);
+      (g, labels)
   in
   let client =
     match (admission, client) with
@@ -423,14 +411,14 @@ let run ~exec ?(limits = default_limits) ?admission ?client ?checksum ?slot
       (match item with
       | `Error (code, msg) -> Protocol.error_line code msg
       | `Query (gen, q) ->
-        execute_guarded ~use_cache:true gen.engine ~limits ~deadline_c
+        execute_guarded ~use_cache:true gen.gen_engine ~limits ~deadline_c
           ~fault_c ~arrival q
       | `Ticket (gen, adm, ticket, q) -> (
         match Admission.start adm ticket with
         | `Expired retry_after_s -> overloaded_line retry_after_s
         | `Run level ->
           let reply =
-            execute_guarded ~use_cache:(level = 0) gen.engine ~limits
+            execute_guarded ~use_cache:(level = 0) gen.gen_engine ~limits
               ~deadline_c ~fault_c ~arrival q
           in
           Admission.finish adm ticket ~ok:(not (is_error reply));
@@ -475,7 +463,7 @@ let run ~exec ?(limits = default_limits) ?admission ?client ?checksum ?slot
             ( Protocol.Badreq,
               Printf.sprintf "bad epoch %S in at-pin" token )
         | Some wanted ->
-          let serving = Engine.epoch gen.engine in
+          let serving = Engine.epoch gen.gen_engine in
           if Epoch.equal serving wanted then None
           else begin
             Metrics.incr stale_c;
@@ -552,13 +540,13 @@ let run ~exec ?(limits = default_limits) ?admission ?client ?checksum ?slot
                   Printf.sprintf "request exceeds %d bytes"
                     limits.max_line_bytes ))
           | `Line line -> (
-            let gen = current () in
-            let taxonomy = Store.taxonomy (Engine.store gen.engine) in
+            let gen, labels = current () in
+            let taxonomy = Store.taxonomy (Engine.store gen.gen_engine) in
             let tag, body = Protocol.split_tag line in
             let pin, body = Protocol.split_at body in
             match
               Protocol.parse ~max_bytes:limits.max_line_bytes ~taxonomy
-                ~edge_labels:gen.labels body
+                ~edge_labels:labels body
             with
             | None -> ()
             | Some Protocol.Stats ->
@@ -574,9 +562,9 @@ let run ~exec ?(limits = default_limits) ?admission ?client ?checksum ?slot
               incr requests;
               Metrics.incr health_c;
               flush ();
-              let gen = current () in
+              let gen = live_gen () in
               let csum =
-                match gen.checksum with
+                match gen.gen_checksum with
                 | Some c -> Printf.sprintf "%016Lx" c
                 | None -> "-"
               in
@@ -589,17 +577,16 @@ let run ~exec ?(limits = default_limits) ?admission ?client ?checksum ?slot
                 (Printf.sprintf
                    "ok health patterns %d uptime %.3f checksum %s degrade %d \
                     inflight %d domains %d epoch %s"
-                   (Store.size (Engine.store gen.engine))
+                   (Store.size (Engine.store gen.gen_engine))
                    (Unix.gettimeofday () -. started)
                    csum level inflight domains
-                   (Epoch.to_string (Engine.epoch gen.engine)))
+                   (Epoch.to_string (Engine.epoch gen.gen_engine)))
             | Some Protocol.Epoch_info ->
               incr requests;
               flush ();
-              let gen = current () in
               barrier_reply tag
                 (Printf.sprintf "ok epoch %s"
-                   (Epoch.to_string (Engine.epoch gen.engine)))
+                   (Epoch.to_string (Engine.epoch (live_gen ()).gen_engine)))
             | Some Protocol.Reload -> slot_reply tag "reload" reload
             | Some Protocol.Prepare -> slot_reply tag "prepare" prepare
             | Some Protocol.Commit -> slot_reply tag "commit" commit
@@ -629,6 +616,97 @@ let run ~exec ?(limits = default_limits) ?admission ?client ?checksum ?slot
 
 (* --- TCP mode ---------------------------------------------------------- *)
 
+type front = { connections : int; overloaded : int }
+
+let ignore_sigpipe () =
+  (* a write to a reset socket must surface as EPIPE, not kill the server *)
+  try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
+  with Invalid_argument _ -> ()
+
+(* load shedding: tell the client and hang up — with a bounded drain of
+   whatever the client already sent, so the close doesn't RST the reply
+   out of the client's receive queue *)
+let shed_connection fd =
+  (try ignore (Unix.write_substring fd "OVERLOADED\n" 0 11)
+   with Unix.Unix_error _ -> ());
+  (try Unix.shutdown fd Unix.SHUTDOWN_SEND with Unix.Unix_error _ -> ());
+  (try Unix.setsockopt_float fd Unix.SO_RCVTIMEO 0.5
+   with Unix.Unix_error _ | Invalid_argument _ -> ());
+  let buf = Bytes.create 1024 in
+  (try
+     while Unix.read fd buf 0 (Bytes.length buf) > 0 do
+       ()
+     done
+   with Unix.Unix_error _ -> ());
+  try Unix.close fd with Unix.Unix_error _ -> ()
+
+let accept_loop ~max_conns ~drain_s ~bind_addr ~on_listen ~should_stop
+    ~accepted ~shed ~port handle =
+  ignore_sigpipe ();
+  let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  let actual_port =
+    try
+      Unix.setsockopt sock Unix.SO_REUSEADDR true;
+      Unix.bind sock (Unix.ADDR_INET (bind_addr, port));
+      Unix.listen sock 64;
+      match Unix.getsockname sock with
+      | Unix.ADDR_INET (_, p) -> p
+      | Unix.ADDR_UNIX _ -> port
+    with e ->
+      (try Unix.close sock with Unix.Unix_error _ -> ());
+      raise e
+  in
+  on_listen actual_port;
+  let active = Atomic.make 0 in
+  let connections = ref 0 in
+  let overloaded = ref 0 in
+  let serve fd =
+    (* replies flush in small writes; without this, Nagle holds the final
+       short segment for the client's delayed ACK (tens of ms) *)
+    (try Unix.setsockopt fd Unix.TCP_NODELAY true
+     with Unix.Unix_error _ | Invalid_argument _ -> ());
+    let oc = Unix.out_channel_of_descr fd in
+    (* whatever the handler raises (a peer reset mid-read, say) ends this
+       connection only *)
+    (try handle (Unix.in_channel_of_descr fd) oc with _ -> ());
+    (try flush oc with Sys_error _ -> ());
+    (try Unix.close fd with Unix.Unix_error _ -> ());
+    Atomic.decr active
+  in
+  let running = ref true in
+  while !running do
+    if should_stop () then running := false
+    else begin
+      match Unix.select [ sock ] [] [] 0.25 with
+      | [], _, _ -> ()
+      | _ :: _, _, _ -> (
+        match Unix.accept sock with
+        | fd, _ ->
+          incr connections;
+          Metrics.incr accepted;
+          if Atomic.get active >= max_conns then begin
+            (* on a detached thread: the drain never stalls the accept
+               loop *)
+            incr overloaded;
+            Metrics.incr shed;
+            ignore (Thread.create shed_connection fd)
+          end
+          else begin
+            Atomic.incr active;
+            ignore (Thread.create serve fd)
+          end
+        | exception Unix.Unix_error _ -> ())
+      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
+    end
+  done;
+  (try Unix.close sock with Unix.Unix_error _ -> ());
+  (* graceful drain: in-flight connections get [drain_s] to finish *)
+  let t0 = Unix.gettimeofday () in
+  while Atomic.get active > 0 && Unix.gettimeofday () -. t0 < drain_s do
+    Thread.delay 0.02
+  done;
+  { connections = !connections; overloaded = !overloaded }
+
 type listen_outcome = {
   connections : int;
   overloaded : int;
@@ -643,18 +721,12 @@ let merge_outcome a b =
     disconnected = a.disconnected || b.disconnected;
   }
 
-let ignore_sigpipe () =
-  (* a write to a reset socket must surface as EPIPE, not kill the server *)
-  try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
-  with Invalid_argument _ -> ()
-
 let default_on_diagnostic d = prerr_endline (Diagnostic.to_string d)
 
 let listen ?exec ?(limits = default_limits) ?(max_conns = 64) ?(drain_s = 5.0)
     ?(bind_addr = Unix.inet_addr_loopback) ?admission ?reload
-    ?(on_diagnostic = default_on_diagnostic) ?on_listen
+    ?(on_diagnostic = default_on_diagnostic) ?(on_listen = ignore)
     ?(should_stop = fun () -> false) gen ~port () =
-  ignore_sigpipe ();
   (* one executor for the whole listener: the per-connection domain count
      is decided here, once, and every generation of hot-reloaded engine
      serves under it — a reload can no longer observe a changed
@@ -664,113 +736,31 @@ let listen ?exec ?(limits = default_limits) ?(max_conns = 64) ?(drain_s = 5.0)
   in
   let metrics = Engine.metrics gen.gen_engine in
   Metrics.set_gauge (Metrics.gauge metrics "serve.domains") (Exec.domains exec);
-  let conns_c = Metrics.counter metrics "serve.connections" in
-  let overloaded_c = Metrics.counter metrics "serve.overloaded" in
+  let accepted = Metrics.counter metrics "serve.connections" in
+  let shed = Metrics.counter metrics "serve.overloaded" in
   let disconnect_c = Metrics.counter metrics "serve.disconnects" in
   let slot = Option.map (fun load -> slot ~on_diagnostic ~load gen) reload in
-  let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  let actual_port =
-    try
-      Unix.setsockopt sock Unix.SO_REUSEADDR true;
-      Unix.bind sock (Unix.ADDR_INET (bind_addr, port));
-      Unix.listen sock 64;
-      match Unix.getsockname sock with
-      | Unix.ADDR_INET (_, p) -> p
-      | Unix.ADDR_UNIX _ -> port
-    with e ->
-      (try Unix.close sock with Unix.Unix_error _ -> ());
-      raise e
-  in
-  Option.iter (fun f -> f actual_port) on_listen;
-  let active = Atomic.make 0 in
   let agg_lock = Mutex.create () in
-  let connections = ref 0 in
-  let overloaded = ref 0 in
   let aggregate = ref no_outcome in
-  let handle fd =
-    (* replies flush in small writes; without this, Nagle holds the final
-       short segment for the client's delayed ACK (tens of ms) *)
-    (try Unix.setsockopt fd Unix.TCP_NODELAY true
-     with Unix.Unix_error _ | Invalid_argument _ -> ());
-    let finished o =
-      Mutex.lock agg_lock;
-      aggregate := merge_outcome !aggregate o;
-      Mutex.unlock agg_lock;
-      (try Unix.close fd with Unix.Unix_error _ -> ());
-      Atomic.decr active
-    in
-    let ic = Unix.in_channel_of_descr fd in
-    let oc = Unix.out_channel_of_descr fd in
+  let handle ic oc =
     let client = Option.map Admission.client admission in
-    (* Protocol.parse interns edge labels and Label.t is not thread-safe,
-       so each connection parses against its own O(1) overlay table over
-       the shared snapshot: a label first seen on another connection
-       matches no stored pattern here, exactly what an unseen label means *)
-    match
-      run ~exec ~limits ?admission ?client ?checksum:gen.gen_checksum ?slot
-        ~engine:gen.gen_engine
-        ~edge_labels:(Label.Snapshot.to_table gen.gen_labels)
-        ic oc
-    with
-    | o ->
-      (try flush oc with Sys_error _ -> ());
-      finished o
-    | exception _ ->
-      (* a connection torn down mid-read (ECONNRESET and friends) *)
-      Metrics.incr disconnect_c;
-      finished { no_outcome with disconnected = true }
+    let o =
+      match run ~exec ~limits ?admission ?client ?slot gen ic oc with
+      | o -> o
+      | exception _ ->
+        (* a connection torn down mid-read (ECONNRESET and friends) *)
+        Metrics.incr disconnect_c;
+        { no_outcome with disconnected = true }
+    in
+    Mutex.lock agg_lock;
+    aggregate := merge_outcome !aggregate o;
+    Mutex.unlock agg_lock
   in
-  let running = ref true in
-  while !running do
-    if should_stop () then running := false
-    else begin
-      match Unix.select [ sock ] [] [] 0.25 with
-      | [], _, _ -> ()
-      | _ :: _, _, _ -> (
-        match Unix.accept sock with
-        | fd, _ ->
-          incr connections;
-          Metrics.incr conns_c;
-          if Atomic.get active >= max_conns then begin
-            (* load shedding: tell the client and hang up — on a detached
-               thread, with a bounded drain of whatever the client already
-               sent, so the close doesn't RST the reply out of the
-               client's receive queue (and never stalls the accept loop) *)
-            incr overloaded;
-            Metrics.incr overloaded_c;
-            ignore
-              (Thread.create
-                 (fun fd ->
-                   (try ignore (Unix.write_substring fd "OVERLOADED\n" 0 11)
-                    with Unix.Unix_error _ -> ());
-                   (try Unix.shutdown fd Unix.SHUTDOWN_SEND
-                    with Unix.Unix_error _ -> ());
-                   (try Unix.setsockopt_float fd Unix.SO_RCVTIMEO 0.5
-                    with Unix.Unix_error _ | Invalid_argument _ -> ());
-                   let buf = Bytes.create 1024 in
-                   (try
-                      while Unix.read fd buf 0 (Bytes.length buf) > 0 do
-                        ()
-                      done
-                    with Unix.Unix_error _ -> ());
-                   try Unix.close fd with Unix.Unix_error _ -> ())
-                 fd)
-          end
-          else begin
-            Atomic.incr active;
-            ignore (Thread.create handle fd)
-          end
-        | exception Unix.Unix_error _ -> ())
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-    end
-  done;
-  (try Unix.close sock with Unix.Unix_error _ -> ());
-  (* graceful drain: in-flight connections get [drain_s] to finish *)
-  let t0 = Unix.gettimeofday () in
-  while Atomic.get active > 0 && Unix.gettimeofday () -. t0 < drain_s do
-    Thread.delay 0.02
-  done;
+  let (f : front) =
+    accept_loop ~max_conns ~drain_s ~bind_addr ~on_listen ~should_stop
+      ~accepted ~shed ~port handle
+  in
   Mutex.lock agg_lock;
   let aggregate = !aggregate in
   Mutex.unlock agg_lock;
-  { connections = !connections; overloaded = !overloaded; aggregate }
+  { connections = f.connections; overloaded = f.overloaded; aggregate }

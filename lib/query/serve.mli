@@ -180,33 +180,33 @@ val run :
   ?limits:limits ->
   ?admission:Admission.t ->
   ?client:Admission.client ->
-  ?checksum:int64 ->
   ?slot:slot ->
-  engine:Engine.t ->
-  edge_labels:Tsg_graph.Label.t ->
+  generation ->
   in_channel ->
   out_channel ->
   outcome
-(** [exec] pins the batch-fill domain count for the whole loop (reported
-    by the [health] verb and the [serve.domains] gauge). Parsing (which
-    interns edge labels) stays on the calling domain; only query
+(** [run ~exec gen ic oc] serves the requests read from [ic]. [exec]
+    pins the batch-fill domain count for the whole loop (reported by the
+    [health] verb and the [serve.domains] gauge). Parsing (which interns
+    edge labels) stays on the calling domain, against a private overlay
+    table over the served generation's label snapshot; only query
     execution fans out. A worker exception that is not handled
     per-request is re-raised on the caller with its original backtrace.
-    [engine]'s metrics registry receives the loop's counters.
+    [gen]'s engine's metrics registry receives the loop's counters.
 
     [admission] gates data queries (see above); [client] is the
     per-connection admission state (a fresh one is created when absent).
 
-    Without [slot], every request executes against [engine], parsing
-    against [edge_labels]; [health] reports [checksum] (["-"] when
-    absent), and the [reload], [prepare], [commit] and [abort] verbs
-    answer [error UNAVAILABLE <verb> is not enabled]. With [slot], those
-    verbs drive it, and {e every} request re-captures its live
-    generation — so a long-lived pooled connection (the cluster router
-    keeps them open indefinitely) serves a reloaded artifact at its next
-    request, and health, epoch and data answers on one connection never
-    disagree about which artifact is live. Requests started before a
-    swap finish on the generation they captured.
+    Without [slot], every request executes against [gen], [health]
+    reports its checksum (["-"] when absent), and the [reload],
+    [prepare], [commit] and [abort] verbs answer [error UNAVAILABLE
+    <verb> is not enabled]. With [slot], those verbs drive it, and
+    {e every} request re-captures the slot's live generation — so a
+    long-lived pooled connection (the cluster router keeps them open
+    indefinitely) serves a reloaded artifact at its next request, and
+    health, epoch and data answers on one connection never disagree
+    about which artifact is live. Requests started before a swap finish
+    on the generation they captured.
 
     {b Epoch pins.} A data query prefixed [at <epoch>] is answered only
     when the generation that would execute it serves exactly that epoch
@@ -217,6 +217,40 @@ val run :
     hot swap. *)
 
 (** {1 TCP mode} *)
+
+type front = {
+  connections : int;  (** accepted connections, shed ones included *)
+  overloaded : int;  (** connections shed with [OVERLOADED] *)
+}
+
+val accept_loop :
+  max_conns:int ->
+  drain_s:float ->
+  bind_addr:Unix.inet_addr ->
+  on_listen:(int -> unit) ->
+  should_stop:(unit -> bool) ->
+  accepted:Tsg_util.Metrics.counter ->
+  shed:Tsg_util.Metrics.counter ->
+  port:int ->
+  (in_channel -> out_channel -> unit) ->
+  front
+(** The TCP front shared by {!listen} and the cluster router: binds
+    [bind_addr:port] ([port = 0] picks a free port; [on_listen] receives
+    the bound one), then accepts until [should_stop] (polled about four
+    times a second) returns [true]. Each connection gets [TCP_NODELAY]
+    and its own system thread running the handler over the socket's
+    channels; whatever the handler raises ends that connection only, and
+    the loop flushes and closes the socket after it. Beyond [max_conns]
+    concurrent connections a new client is shed instead: a detached
+    thread writes a bare [OVERLOADED] line (code-less for compatibility
+    — request-level sheds use [error OVERLOADED ...]), half-closes, and
+    drains what the client already sent for up to 0.5s before closing,
+    so the close cannot reset the line out of the client's receive
+    queue. Every accept counts in [accepted], every shed in [shed]. Once
+    stopped, the listening socket closes and in-flight connections get
+    [drain_s] seconds to finish. [SIGPIPE] is ignored for the whole
+    process, so a reset peer surfaces as a clean disconnect.
+    @raise Unix.Unix_error when the socket cannot be bound. *)
 
 type listen_outcome = {
   connections : int;  (** accepted connections, shed ones included *)
@@ -239,20 +273,14 @@ val listen :
   port:int ->
   unit ->
   listen_outcome
-(** Serve the protocol over TCP on [bind_addr:port] (default
-    [127.0.0.1]; [port = 0] picks a free port; [on_listen] receives the
-    bound port either way). [exec] (default a one-domain executor —
-    concurrency comes from connection threads) fixes the per-connection
-    batch-fill domain count once for the listener's lifetime; every
-    hot-reload generation serves under it. Each connection is handled by
-    its own system thread running {!run} with a private O(1) overlay
-    table over the current edge-label snapshot
-    ({!Tsg_graph.Label.Snapshot.to_table} — {!Tsg_graph.Label.t} is not
-    thread-safe; a label first seen on another connection matches no
-    stored pattern, which is exactly what an unseen label means). Beyond
-    [max_conns] (default 64) concurrent connections, new clients are
-    shed with a single [OVERLOADED] line (kept code-less for
-    compatibility — request-level sheds use [error OVERLOADED ...]).
+(** Serve the protocol over TCP: {!accept_loop} (default [bind_addr]
+    [127.0.0.1], [max_conns] 64, [drain_s] 5, [should_stop] never) with
+    {!run} as the per-connection handler. [exec] (default a one-domain
+    executor — concurrency comes from connection threads) fixes the
+    per-connection batch-fill domain count once for the listener's
+    lifetime; every hot-reload generation serves under it. Sheds and
+    accepts are counted in the engine metrics ([serve.connections],
+    [serve.overloaded]).
 
     When [admission] is given it is shared across connections, each of
     which gets its own per-client token bucket.
@@ -265,12 +293,4 @@ val listen :
     diagnostics go to [on_diagnostic] (default: stderr). The cluster
     router drives the two-phase verbs across replicas so a shard fleet
     changes epochs all-or-nothing. Without [reload] those verbs answer
-    [error UNAVAILABLE].
-
-    The accept loop polls [should_stop] (default never) about four times
-    a second; once it returns [true] — typically flipped by a
-    [SIGTERM]/[SIGINT] handler — the listening socket closes and
-    in-flight connections get [drain_s] seconds (default 5) to finish.
-    [SIGPIPE] is ignored for the whole process, so a reset peer surfaces
-    as a clean disconnect. Sheds and accepts are counted in the engine
-    metrics ([serve.connections], [serve.overloaded]). *)
+    [error UNAVAILABLE]. *)

@@ -210,14 +210,10 @@ module Window = struct
     if q < 0.0 || q > 100.0 then
       invalid_arg "Window.percentile: q outside [0,100]";
     let xs = snapshot t in
-    let n = Array.length xs in
-    if n = 0 then 0.0
+    if Array.length xs = 0 then 0.0
     else begin
       Array.sort compare xs;
-      (* nearest-rank: the smallest value with at least q% of the window
-         at or below it *)
-      let rank = int_of_float (ceil (q /. 100.0 *. float_of_int n)) in
-      xs.(max 0 (min (n - 1) (rank - 1)))
+      Stats.percentile_sorted q xs
     end
 
   let max_value t =

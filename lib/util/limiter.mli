@@ -110,7 +110,8 @@ module Window : sig
 
   val percentile : t -> float -> float
   (** [percentile t q] for [q] in \[0,100\]: the [q]-th percentile of the
-      windowed observations (nearest-rank); [0.] when empty.
+      windowed observations ({!Stats.percentile}, nearest-rank); [0.]
+      when empty.
       @raise Invalid_argument when [q] is outside \[0,100\]. *)
 
   val max_value : t -> float

@@ -30,15 +30,19 @@ let minimum = function [] -> nan | x :: xs -> List.fold_left Float.min x xs
 
 let maximum = function [] -> nan | x :: xs -> List.fold_left Float.max x xs
 
+let percentile_sorted p a =
+  let n = Array.length a in
+  if n = 0 then nan
+  else
+    (* nearest rank: the smallest value with at least p% of the samples
+       at or below it *)
+    let rank = int_of_float (ceil (p /. 100.0 *. float_of_int n)) in
+    a.(max 0 (min (n - 1) (rank - 1)))
+
 let percentile p xs =
-  match sorted xs with
-  | [] -> nan
-  | s ->
-    let n = List.length s in
-    let rank =
-      int_of_float (Float.round (p /. 100.0 *. float_of_int (n - 1)))
-    in
-    List.nth s (max 0 (min (n - 1) rank))
+  let a = Array.of_list xs in
+  Array.sort compare a;
+  percentile_sorted p a
 
 let round_to d x =
   let f = 10.0 ** float_of_int d in

@@ -16,7 +16,16 @@ val minimum : float list -> float
 val maximum : float list -> float
 
 val percentile : float -> float list -> float
-(** [percentile p xs] for [p] in [0,100], nearest-rank on the sorted list. *)
+(** [percentile p xs] for [p] in [0,100], nearest-rank: the smallest
+    element with at least [p]% of [xs] at or below it ([p = 0] gives the
+    minimum); [nan] on the empty list. The one percentile over samples —
+    {!Limiter.Window} and the load and benchmark drivers use it too;
+    {!Metrics.percentile} bounds a histogram instead, which keeps no
+    samples. *)
+
+val percentile_sorted : float -> float array -> float
+(** {!percentile} over an array already in ascending order, without
+    copying it. *)
 
 val round_to : int -> float -> float
 (** [round_to d x] rounds [x] to [d] decimal places. *)

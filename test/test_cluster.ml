@@ -367,7 +367,13 @@ let locked lock f =
   Fun.protect ~finally:(fun () -> Mutex.unlock lock) f
 
 let serve_backend ?slot store =
-  let e = engine store in
+  let gen =
+    {
+      Serve.gen_engine = engine store;
+      gen_labels = Label.Snapshot.of_table (Label.of_names [ "e0" ]);
+      gen_checksum = None;
+    }
+  in
   let lsock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   Unix.setsockopt lsock Unix.SO_REUSEADDR true;
   Unix.bind lsock (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
@@ -398,13 +404,10 @@ let serve_backend ?slot store =
                      (fun fd ->
                        let ic = Unix.in_channel_of_descr fd in
                        let oc = Unix.out_channel_of_descr fd in
-                       (* private label table per connection, as
-                          Serve.listen gives each of its threads *)
-                       let edge_labels = Label.of_names [ "e0" ] in
                        try
                          ignore
                            (Serve.run ~exec:(Tsg_util.Pool.Exec.create ~domains:1 ()) ?slot
-                              ~engine:e ~edge_labels ic oc)
+                              gen ic oc)
                        with
                        | Sys_error _ | End_of_file | Unix.Unix_error _ -> ())
                      fd)
@@ -663,6 +666,152 @@ let test_router_verbs_and_tags () =
   | `Quit -> ()
   | `Reply _ | `None -> Alcotest.fail "quit ends the connection");
   b0.b_kill ()
+
+(* the replies the router writes itself, pinned byte for byte (the
+   malformed data lines are the unsharded server's own BADREQ texts) *)
+let test_router_self_answers_pinned () =
+  let _, _, store = fixture_store () in
+  let b0 = serve_backend store in
+  Fun.protect ~finally:b0.b_kill (fun () ->
+      let router =
+        router_over (Metrics.create ()) [ [ replica b0.b_port "0/0" ] ]
+      in
+      List.iter
+        (fun (line, expect) ->
+          check string ("reply to " ^ line) expect (reply_exn router line))
+        [
+          ("frobnicate now", {|error BADREQ unknown command "frobnicate"|});
+          ("prepare", {|error BADREQ unknown command "prepare"|});
+          ("commit", {|error BADREQ unknown command "commit"|});
+          ("abort", {|error BADREQ unknown command "abort"|});
+          ("id t1 prepare", {|id t1 error BADREQ unknown command "prepare"|});
+          ( "at 1.00000000000000aa contains a,b 0-1",
+            {|error BADREQ unknown command "at"|} );
+          ("health extra", {|error BADREQ unknown command "health"|});
+          ("epoch", "ok epoch none");
+          ("id e epoch", "id e ok epoch none");
+          ("contains", {|error BADREQ unknown command "contains"|});
+          ("top-k x support", {|error BADREQ bad top-k count "x"|});
+          ( "top-k 5 folly",
+            {|error BADREQ bad top-k order "folly" (expected support or interest)|}
+          );
+          ("by-label nosuch", {|error BADREQ unknown label "nosuch"|});
+        ];
+      List.iter
+        (fun line ->
+          match Router.dispatch router line with
+          | `None -> ()
+          | `Reply r -> Alcotest.fail (Printf.sprintf "%S answered %S" line r)
+          | `Quit -> Alcotest.fail (Printf.sprintf "%S quit" line))
+        [ ""; "   "; "# comment"; "id c # comment" ];
+      let stats = String.split_on_char '\n' (reply_exn router "stats") in
+      check string "stats opens" "begin stats" (List.hd stats);
+      check string "stats closes" "end stats"
+        (List.nth stats (List.length stats - 1)))
+
+(* how a replica's coded error moves the fan-out: the retry table *)
+let test_router_error_classes () =
+  List.iter
+    (fun (code, expect) ->
+      check bool
+        ("class of " ^ Protocol.code_string code)
+        true
+        (Router.error_class code = expect))
+    Protocol.
+      [
+        (Overloaded, Router.Retryable);
+        (Unavailable, Router.Retryable);
+        (Fault, Router.Retryable);
+        (Internal, Router.Retryable);
+        (Stale_epoch, Router.Stale);
+        (Badreq, Router.Terminal);
+        (Oversized, Router.Terminal);
+        (Deadline, Router.Terminal);
+        (Reload_failed, Router.Terminal);
+      ]
+
+(* Router.listen in a thread until [f port] returns *)
+let with_router_listener ?max_conns router f =
+  let stop = Atomic.make false in
+  let port = Atomic.make 0 in
+  let server =
+    Thread.create
+      (fun () ->
+        ignore
+          (Router.listen ?max_conns ~drain_s:2.0
+             ~on_listen:(fun p -> Atomic.set port p)
+             ~should_stop:(fun () -> Atomic.get stop)
+             router ~port:0 ()))
+      ()
+  in
+  let deadline = Unix.gettimeofday () +. 5.0 in
+  while Atomic.get port = 0 && Unix.gettimeofday () < deadline do
+    Thread.delay 0.01
+  done;
+  check bool "router listener came up" true (Atomic.get port <> 0);
+  let result =
+    Fun.protect
+      ~finally:(fun () -> Atomic.set stop true)
+      (fun () -> f (Atomic.get port))
+  in
+  Thread.join server;
+  result
+
+(* send [lines], half-close, read to EOF (a reset ends the read too) *)
+let tcp_exchange port lines =
+  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+    (fun () ->
+      Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+      let ic = Unix.in_channel_of_descr fd in
+      let oc = Unix.out_channel_of_descr fd in
+      output_string oc lines;
+      flush oc;
+      (try Unix.shutdown fd Unix.SHUTDOWN_SEND with Unix.Unix_error _ -> ());
+      let buf = Buffer.create 256 in
+      (try
+         while true do
+           Buffer.add_channel buf ic 1
+         done
+       with End_of_file | Sys_error _ -> ());
+      Buffer.contents buf)
+
+let test_router_listen_tcp () =
+  let t, _, store = fixture_store () in
+  let b0 = serve_backend store in
+  Fun.protect ~finally:b0.b_kill (fun () ->
+      let router =
+        router_over ~taxonomy:t (Metrics.create ()) [ [ replica b0.b_port "0/0" ] ]
+      in
+      let expected = reply_exn router "top-k 3 support" in
+      let text =
+        with_router_listener router (fun port ->
+            tcp_exchange port "id q1 top-k 3 support\nhealth\nquit\n")
+      in
+      let lines = String.split_on_char '\n' text in
+      let n = List.length (String.split_on_char '\n' expected) in
+      check string "the tagged query's reply, whole and tagged"
+        ("id q1 " ^ expected)
+        (String.concat "\n" (List.filteri (fun i _ -> i < n) lines));
+      check bool "then the cluster health" true
+        (has_prefix "ok health shards 1 replicas 1" (List.nth lines n));
+      check string "nothing after quit" "" (List.nth lines (n + 1));
+      check int "and no more lines" (n + 2) (List.length lines))
+
+let test_router_listen_sheds () =
+  let _, _, store = fixture_store () in
+  let b0 = serve_backend store in
+  Fun.protect ~finally:b0.b_kill (fun () ->
+      let router =
+        router_over (Metrics.create ()) [ [ replica b0.b_port "0/0" ] ]
+      in
+      (* max_conns = 0: every connection is shed with the bare line *)
+      let text =
+        with_router_listener ~max_conns:0 router (fun port ->
+            tcp_exchange port "health\n")
+      in
+      check string "shed reply" "OVERLOADED\n" text)
 
 (* --- epoch-consistent deployment ---------------------------------------------- *)
 
@@ -1139,6 +1288,14 @@ let () =
       ( "router",
         [
           Alcotest.test_case "verbs and tags" `Quick test_router_verbs_and_tags;
+          Alcotest.test_case "self-answered replies pinned" `Quick
+            test_router_self_answers_pinned;
+          Alcotest.test_case "error code classes" `Quick
+            test_router_error_classes;
+          Alcotest.test_case "listen: tagged query and health over tcp"
+            `Quick test_router_listen_tcp;
+          Alcotest.test_case "listen: shed client reads OVERLOADED" `Quick
+            test_router_listen_sheds;
           Alcotest.test_case "failover: kill one replica, zero errors" `Quick
             test_router_failover_zero_errors;
           Alcotest.test_case "whole shard dead answers UNAVAILABLE" `Quick

@@ -526,6 +526,14 @@ let serve_store () =
   let r = Taxogram.run (Taxogram.Spec.collect ~config:(config 0.5) ~domains:1 ()) tax db in
   Store.build ~taxonomy:tax ~db_size:2 r.Taxogram.patterns
 
+(* what [Serve.run] serves: [engine] over a snapshot of [edge_labels] *)
+let generation engine edge_labels =
+  {
+    Serve.gen_engine = engine;
+    gen_labels = Label.Snapshot.of_table edge_labels;
+    gen_checksum = None;
+  }
+
 let run_serve ?limits requests =
   let store = serve_store () in
   let edge_labels = Label.of_names [ "e0" ] in
@@ -548,7 +556,7 @@ let run_serve ?limits requests =
             close_in ic;
             close_out oc)
           (fun () ->
-            Serve.run ~exec:(Tsg_util.Pool.Exec.create ~domains:1 ()) ?limits ~engine ~edge_labels ic oc)
+            Serve.run ~exec:(Tsg_util.Pool.Exec.create ~domains:1 ()) ?limits (generation engine edge_labels) ic oc)
       in
       let ic = open_in out_path in
       let text =
@@ -635,7 +643,7 @@ let test_serve_disconnect () =
       let outcome =
         Fun.protect
           ~finally:(fun () -> close_in ic)
-          (fun () -> Serve.run ~exec:(Tsg_util.Pool.Exec.create ~domains:1 ()) ~engine ~edge_labels ic oc)
+          (fun () -> Serve.run ~exec:(Tsg_util.Pool.Exec.create ~domains:1 ()) (generation engine edge_labels) ic oc)
       in
       check bool "disconnect detected" true outcome.Serve.disconnected;
       check int "metric" 1

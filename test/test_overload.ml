@@ -425,6 +425,14 @@ let fixture_store () =
 
 (* --- serve equivalence under degradation ------------------------------------ *)
 
+(* what [Serve.run] serves: [engine] over a snapshot of [edge_labels] *)
+let generation engine edge_labels =
+  {
+    Serve.gen_engine = engine;
+    gen_labels = Label.Snapshot.of_table edge_labels;
+    gen_checksum = None;
+  }
+
 let run_serve ?admission ?client store requests =
   let edge_labels = Label.of_names [ "e0" ] in
   let metrics = Metrics.create () in
@@ -446,7 +454,7 @@ let run_serve ?admission ?client store requests =
             close_in ic;
             close_out oc)
           (fun () ->
-            Serve.run ~exec:(Tsg_util.Pool.Exec.create ~domains:1 ()) ?admission ?client ~engine ~edge_labels ic oc)
+            Serve.run ~exec:(Tsg_util.Pool.Exec.create ~domains:1 ()) ?admission ?client (generation engine edge_labels) ic oc)
       in
       let ic = open_in out_path in
       let text =

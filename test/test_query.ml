@@ -421,6 +421,108 @@ let test_protocol_errors () =
     check bool "interned" true (Label.mem edge_labels "novel")
   | _ -> Alcotest.fail "expected contains"
 
+(* a router rejects what it can without a taxonomy: [split] must fail on
+   exactly the lines [parse] fails on for the same reason, with the same
+   message, and pass the rest on for label resolution *)
+let test_protocol_split_agrees_with_parse () =
+  let t = small_taxonomy () in
+  let message f =
+    match f () with
+    | (_ : _ option) -> None
+    | exception Protocol.Parse_error m -> Some m
+  in
+  List.iter
+    (fun line ->
+      let split = message (fun () -> Protocol.split line) in
+      let parse =
+        message (fun () ->
+            Protocol.parse ~taxonomy:t ~edge_labels:(Label.create ()) line)
+      in
+      check bool ("split rejects " ^ line) true (split <> None);
+      check (Alcotest.option Alcotest.string) ("same message for " ^ line)
+        parse split)
+    [ "frobnicate"; "contains"; "contains d 0-1 extra"; "by-label";
+      "top-k x support"; "top-k -1 support"; "top-k 5 folly"; "top-k 5";
+      "stats now"; "at 1.00000000000000aa top-k 1 support"; "id" ];
+  List.iter
+    (fun line ->
+      check bool ("split defers " ^ line) true
+        (message (fun () -> Protocol.split line) = None))
+    [ "contains z 0-1"; "contains d,f 0_1"; "by-label nosuch" ];
+  check bool "contains words" true
+    (Protocol.split " contains d,f 0-1/e1 " = Some (Protocol.Contains ("d,f", Some "0-1/e1")));
+  check bool "edgeless contains words" true
+    (Protocol.split "contains d" = Some (Protocol.Contains ("d", None)));
+  check bool "by-label words" true
+    (Protocol.split "by-label b" = Some (Protocol.By_label "b"));
+  check bool "blank" true (Protocol.split "" = None);
+  check bool "comment" true (Protocol.split "# x" = None)
+
+let all_codes =
+  Protocol.
+    [
+      Badreq; Oversized; Deadline; Overloaded; Unavailable; Fault; Internal;
+      Reload_failed; Stale_epoch;
+    ]
+
+(* the reader half inverts the writer half: every coded error line reads
+   back as its code, tagged or not, whatever the message *)
+let error_code_roundtrip_prop =
+  let token =
+    QCheck.Gen.(
+      string_size ~gen:(char_range '!' '~') (int_range 1 8))
+  in
+  QCheck.Test.make ~name:"error_line reads back as its code" ~count:500
+    QCheck.(
+      triple (oneofl all_codes) string (QCheck.make token))
+    (fun (code, msg, tag) ->
+      let line = Protocol.error_line code msg in
+      Protocol.code_of_string (Protocol.code_string code) = Some code
+      && Protocol.reply_error line = Some code
+      && Protocol.reply_error (Protocol.tag_reply (Some tag) line) = Some code)
+
+let test_protocol_read_reply () =
+  let path = Filename.temp_file "tsg_reply" ".txt" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      let oc = open_out_bin path in
+      output_string oc
+        "id r1 ok 2\np 0 support 1/2 a\np 1 support 2/2 b\nbegin stats\n\
+         counter x 1\nend stats\nid r2 error BADREQ nope\nok health \
+         patterns 1\nOVERLOADED\nok 1\n";
+      close_out oc;
+      let ic = open_in_bin path in
+      Fun.protect
+        ~finally:(fun () -> close_in ic)
+        (fun () ->
+          let next expect_tag expect_block =
+            let tag, block = Protocol.read_reply ic in
+            check (Alcotest.option Alcotest.string) "tag" expect_tag tag;
+            check Alcotest.string "block" expect_block block;
+            block
+          in
+          let listing =
+            next (Some "r1") "ok 2\np 0 support 1/2 a\np 1 support 2/2 b"
+          in
+          check bool "a listing is no error" true
+            (Protocol.reply_error listing = None);
+          ignore (next None "begin stats\ncounter x 1\nend stats");
+          let err = next (Some "r2") "error BADREQ nope" in
+          check bool "coded error" true
+            (Protocol.reply_error err = Some Protocol.Badreq);
+          ignore (next None "ok health patterns 1");
+          check bool "a bare shed line has no code" true
+            (Protocol.reply_error (next None "OVERLOADED") = None);
+          check bool "a truncated listing ends the stream" true
+            (match Protocol.read_reply ic with
+            | _ -> false
+            | exception End_of_file -> true)));
+  List.iter
+    (fun reply ->
+      check bool ("no code in " ^ reply) true (Protocol.reply_error reply = None))
+    [ ""; "error"; "error "; "error NOPE x"; "errors BADREQ x"; "id t"; "id  error BADREQ x" ]
+
 let test_protocol_format_roundtrip () =
   let t = small_taxonomy () in
   let edge_labels = Label.of_names [ "e0"; "e1"; "e2" ] in
@@ -497,6 +599,14 @@ let test_epoch_stamp_verify_payload () =
 
 (* --- Serve end-to-end ------------------------------------------------------ *)
 
+(* what [Serve.run] serves: [engine] over a snapshot of [edge_labels] *)
+let generation engine edge_labels =
+  {
+    Serve.gen_engine = engine;
+    gen_labels = Label.Snapshot.of_table edge_labels;
+    gen_checksum = None;
+  }
+
 let run_serve ?domains ?epoch store requests =
   let edge_labels = Label.of_names [ "e0" ] in
   let metrics = Metrics.create () in
@@ -519,7 +629,7 @@ let run_serve ?domains ?epoch store requests =
             close_out oc)
           (fun () ->
             let exec = Tsg_util.Pool.Exec.create ?domains () in
-            Serve.run ~exec ~engine ~edge_labels ic oc)
+            Serve.run ~exec (generation engine edge_labels) ic oc)
       in
       let ic = open_in out_path in
       let text =
@@ -820,7 +930,11 @@ let () =
           Alcotest.test_case "errors" `Quick test_protocol_errors;
           Alcotest.test_case "format round-trip" `Quick
             test_protocol_format_roundtrip;
-        ] );
+          Alcotest.test_case "split agrees with parse" `Quick
+            test_protocol_split_agrees_with_parse;
+          Alcotest.test_case "reply reader" `Quick test_protocol_read_reply;
+        ]
+        @ qsuite [ error_code_roundtrip_prop ] );
       ( "epoch",
         [
           Alcotest.test_case "wire format round-trip and order" `Quick

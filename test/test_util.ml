@@ -341,7 +341,16 @@ let test_stats_min_max_percentile () =
   check flt "max" 9.0 (Stats.maximum xs);
   check flt "p0" 1.0 (Stats.percentile 0.0 xs);
   check flt "p100" 9.0 (Stats.percentile 100.0 xs);
-  check flt "p50 = median elt" 3.0 (Stats.percentile 50.0 xs)
+  check flt "p50 = median elt" 3.0 (Stats.percentile 50.0 xs);
+  (* nearest rank over 1..10: the p-th percentile is the ceil(p/10)-th
+     smallest value *)
+  let ten = List.init 10 (fun i -> float_of_int (10 - i)) in
+  List.iter
+    (fun (p, expect) ->
+      check flt (Printf.sprintf "p%.0f of 1..10" p) expect
+        (Stats.percentile p ten))
+    [ (10.0, 1.0); (11.0, 2.0); (50.0, 5.0); (90.0, 9.0); (99.0, 10.0) ];
+  check bool "empty is nan" true (Float.is_nan (Stats.percentile 50.0 []))
 
 let test_stats_round_to () =
   check flt "2 places" 3.14 (Stats.round_to 2 3.14159);
