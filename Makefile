@@ -81,7 +81,11 @@ pipeline-smoke: build
 # byte; serve fails unless every tsg-serve reply equals Serve.answer on
 # an in-process engine; pipe-churn boots a linted tsg-serve and fails
 # unless every push is acknowledged and the served artifact at the end
-# equals a from-scratch mine of the corpus
+# equals a from-scratch mine of the corpus. Then a 2 s traced run of each
+# mining workload must report Step 2's and Step 3's exact work counts on
+# its instance — classes mined, occurrence-index entries and set
+# members, Step-3 intersections — so a hot-path change that alters what
+# is mined or indexed fails here even when the patterns still agree
 perf-smoke:
 	@for w in mine-td13 mine-nc40 serve pipe-churn; do \
 	  line=$$(bash perfbench/run.sh --workload $$w --seed 1 --seconds 2 \
@@ -91,6 +95,29 @@ perf-smoke:
 	    *) echo "$$w: output check failed: $$line" >&2; \
 	       exit 1 ;; \
 	  esac; \
+	done
+	@for w in mine-nc40 mine-td13; do \
+	  case $$w in \
+	    mine-nc40) set -- gspan.classes 296 occ_index.entries 95293 \
+	      occ_index.set_members 438032 specialize.intersections 39784 ;; \
+	    mine-td13) set -- gspan.classes 59 occ_index.entries 28284 \
+	      occ_index.set_members 701310 specialize.intersections 172494 ;; \
+	  esac; \
+	  line=$$(bash perfbench/run.sh --workload $$w --seed 1 --seconds 2 \
+	    --trace 1 | tail -n 1); \
+	  case "$$line" in \
+	    *'"correct": true'*) ;; \
+	    *) echo "$$w (traced): output check failed: $$line" >&2; \
+	       exit 1 ;; \
+	  esac; \
+	  while [ $$# -gt 0 ]; do \
+	    case "$$line" in \
+	      *"\"$$1\": {\"value\": $$2,"*) ;; \
+	      *) echo "$$w: $$1 is not $$2: $$line" >&2; exit 1 ;; \
+	    esac; \
+	    shift 2; \
+	  done; \
+	  echo "$$w: Step-2/3 work counts exact"; \
 	done
 
 clean:

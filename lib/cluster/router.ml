@@ -713,55 +713,68 @@ let scatter t query ~key body =
   Metrics.incr t.c_requests;
   let t0 = Unix.gettimeofday () in
   let deadline = t0 +. t.cfg.deadline_s in
-  let target = Atomic.get t.target in
   (* the pin: every scattered request names the cluster target epoch,
      so each shard block is either served at that epoch or answered
      STALE_EPOCH (and failed over) — a mixed-version merge cannot be
      assembled in the first place *)
-  let sent =
-    match target with
-    | Some e -> Printf.sprintf "at %s %s" (Epoch.to_string e) body
-    | None -> body
-  in
-  let n = Array.length t.shard_array in
-  let results =
-    if n = 1 then [| shard_call t 0 ~key sent ~deadline |]
-    else begin
-      (* scatter: the last shard runs in the dispatching thread — one
-         helper per extra shard, not per shard *)
-      let out = Array.make n (("", None) : string * Epoch.t option) in
-      let join_lock = Mutex.create () in
-      let join_cond = Condition.create () in
-      let left = ref (n - 1) in
-      for i = 0 to n - 2 do
-        Workers.submit (fun () ->
-            Fun.protect
-              ~finally:(fun () ->
-                Mutex.lock join_lock;
-                decr left;
-                if !left = 0 then Condition.signal join_cond;
-                Mutex.unlock join_lock)
-              (fun () -> out.(i) <- shard_call t i ~key sent ~deadline))
-      done;
-      out.(n - 1) <- shard_call t (n - 1) ~key sent ~deadline;
-      Mutex.lock join_lock;
-      while !left > 0 do
-        Condition.wait join_cond join_lock
-      done;
-      Mutex.unlock join_lock;
-      out
-    end
-  in
-  let blocks = Array.to_list results |> List.map fst in
-  (* under a pin the epochs are equal by construction; unpinned, the
-     winners' observed epochs feed the merge-layer refusal *)
-  let epochs =
-    Array.to_list results
-    |> List.map (fun (_, e) -> Option.map Epoch.to_string e)
-  in
-  let reply =
+  let scatter_at target =
+    let sent =
+      match target with
+      | Some e -> Printf.sprintf "at %s %s" (Epoch.to_string e) body
+      | None -> body
+    in
+    let n = Array.length t.shard_array in
+    let results =
+      if n = 1 then [| shard_call t 0 ~key sent ~deadline |]
+      else begin
+        (* scatter: the last shard runs in the dispatching thread — one
+           helper per extra shard, not per shard *)
+        let out = Array.make n (("", None) : string * Epoch.t option) in
+        let join_lock = Mutex.create () in
+        let join_cond = Condition.create () in
+        let left = ref (n - 1) in
+        for i = 0 to n - 2 do
+          Workers.submit (fun () ->
+              Fun.protect
+                ~finally:(fun () ->
+                  Mutex.lock join_lock;
+                  decr left;
+                  if !left = 0 then Condition.signal join_cond;
+                  Mutex.unlock join_lock)
+                (fun () -> out.(i) <- shard_call t i ~key sent ~deadline))
+        done;
+        out.(n - 1) <- shard_call t (n - 1) ~key sent ~deadline;
+        Mutex.lock join_lock;
+        while !left > 0 do
+          Condition.wait join_cond join_lock
+        done;
+        Mutex.unlock join_lock;
+        out
+      end
+    in
+    let blocks = Array.to_list results |> List.map fst in
+    (* under a pin the epochs are equal by construction; unpinned, the
+       winners' observed epochs feed the merge-layer refusal *)
+    let epochs =
+      Array.to_list results
+      |> List.map (fun (_, e) -> Option.map Epoch.to_string e)
+    in
     try Merge.merge ~epochs verb blocks
     with Failure msg -> Protocol.error_line Protocol.Internal msg
+  in
+  let target = Atomic.get t.target in
+  let reply = scatter_at target in
+  (* a two-phase reload flips the pin and then commits the remaining
+     replicas: a request that read the old pin can find a whole shard
+     already serving the new epoch. The cluster moved, not the request —
+     re-send it once at the new pin, within the same deadline. *)
+  let reply =
+    let moved = Atomic.get t.target in
+    if
+      Protocol.reply_error reply = Some Protocol.Stale_epoch
+      && not (Option.equal Epoch.equal moved target)
+    then scatter_at moved
+    else reply
   in
   Metrics.observe t.h_latency (Unix.gettimeofday () -. t0);
   reply

@@ -5,6 +5,8 @@ module Taxonomy = Tsg_taxonomy.Taxonomy
 module Bitset = Tsg_util.Bitset
 module Gspan = Tsg_gspan.Gspan
 
+type size = { positions : int; entries : int; set_members : int }
+
 type t = {
   class_graph : Graph.t;
   class_support_set : Bitset.t;
@@ -15,7 +17,22 @@ type t = {
   db_size : int;
   mutable stamp : int;
   seen : int array; (* per graph id: last stamp that touched it *)
+  counted : size; (* what [size] returns, counted by [build] *)
 }
+
+let recount (t : t) =
+  let entries = ref 0 and set_members = ref 0 in
+  Array.iter
+    (fun table ->
+      entries := !entries + Hashtbl.length table;
+      Hashtbl.iter (fun _ s -> set_members := !set_members + Bitset.cardinal s)
+        table)
+    t.entries;
+  {
+    positions = Array.length t.entries;
+    entries = !entries;
+    set_members = !set_members;
+  }
 
 let self_check_impl ~taxonomy ~original ~keep_label t =
   let issues = ref [] in
@@ -100,6 +117,8 @@ let self_check_impl ~taxonomy ~original ~keep_label t =
           table)
       table
   done;
+  if recount t <> t.counted then
+    add "stored size differs from a recount of the entries";
   List.rev !issues
 
 let self_check ~taxonomy ~original ?(keep_label = fun _ -> true) t =
@@ -110,6 +129,68 @@ let debug_check_max_occs = 2_000
 
 let debug_check_max_db = 500
 
+(* Per-domain scratch for [build]: a label-indexed slot table, [unseen]
+   everywhere between positions. While one position is walked, a label's
+   slot holds the index of its occurrence set, or [dropped] once
+   [keep_label] has refused it; [touched] lists the labels given a slot,
+   in first-touch order, for the reset. *)
+type slots = { mutable slot : int array; mutable touched : int array }
+
+let unseen = -1
+
+let dropped = -2
+
+let slots_key : slots Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> { slot = [||]; touched = [||] })
+
+(* one position's entry: occurrences in order, each original label's
+   ancestors in increasing order, so the sets are created — and the
+   table filled — in the order a per-visit lookup would first meet them *)
+let build_entry sc ~keep_label ~class_label ~members ancestors occ_count =
+  let slot = sc.slot and touched = sc.touched in
+  let sets = ref (Array.make 16 (Bitset.create 0)) in
+  let n_sets = ref 0 and n_touched = ref 0 in
+  let occ = ref 0 in
+  let visit anc =
+    let k = slot.(anc) in
+    if k >= 0 then begin
+      Bitset.set !sets.(k) !occ;
+      incr members
+    end
+    else if k = unseen then begin
+      touched.(!n_touched) <- anc;
+      incr n_touched;
+      if anc = class_label || keep_label anc then begin
+        if !n_sets = Array.length !sets then
+          sets := Array.append !sets (Array.make !n_sets (Bitset.create 0));
+        let set = Bitset.create occ_count in
+        Bitset.set set !occ;
+        incr members;
+        !sets.(!n_sets) <- set;
+        slot.(anc) <- !n_sets;
+        incr n_sets
+      end
+      else slot.(anc) <- dropped
+    end
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      for j = 0 to !n_touched - 1 do
+        slot.(touched.(j)) <- unseen
+      done)
+    (fun () ->
+      while !occ < occ_count do
+        Bitset.iter visit (ancestors !occ);
+        incr occ
+      done;
+      let table = Hashtbl.create 16 in
+      for j = 0 to !n_touched - 1 do
+        let anc = touched.(j) in
+        let k = slot.(anc) in
+        if k >= 0 then Hashtbl.add table anc !sets.(k)
+      done;
+      table)
+
 let build ~taxonomy ~original ?(keep_label = fun _ -> true)
     (p : Gspan.pattern) =
   Tsg_util.Fault.inject "occ_index.build";
@@ -117,30 +198,24 @@ let build ~taxonomy ~original ?(keep_label = fun _ -> true)
   let embeddings = Array.of_list p.embeddings in
   let occ_count = Array.length embeddings in
   let occ_gid = Array.map (fun e -> e.Gspan.graph_id) embeddings in
-  let entries = Array.init positions (fun _ -> Hashtbl.create 16) in
-  Array.iteri
-    (fun occ (e : Gspan.embedding) ->
-      let g = Db.get original e.graph_id in
-      for pos = 0 to positions - 1 do
-        let original_label = Graph.node_label g e.map.(pos) in
-        let class_label = Graph.node_label p.graph pos in
-        let table = entries.(pos) in
-        Bitset.iter
-          (fun anc ->
-            if anc = class_label || keep_label anc then begin
-              let set =
-                match Hashtbl.find_opt table anc with
-                | Some s -> s
-                | None ->
-                  let s = Bitset.create occ_count in
-                  Hashtbl.add table anc s;
-                  s
-              in
-              Bitset.set set occ
-            end)
-          (Taxonomy.ancestor_set taxonomy original_label)
-      done)
-    embeddings;
+  let graphs = Array.map (fun gid -> Db.get original gid) occ_gid in
+  let sc = Domain.DLS.get slots_key in
+  let labels = Taxonomy.label_count taxonomy in
+  if Array.length sc.slot < labels then begin
+    sc.slot <- Array.make labels unseen;
+    sc.touched <- Array.make labels 0
+  end;
+  let members = ref 0 in
+  let entries =
+    Array.init positions (fun pos ->
+        build_entry sc ~keep_label
+          ~class_label:(Graph.node_label p.graph pos)
+          ~members
+          (fun occ ->
+            Taxonomy.ancestor_set taxonomy
+              (Graph.node_label graphs.(occ) embeddings.(occ).Gspan.map.(pos)))
+          occ_count)
+  in
   let all_occs = Bitset.full occ_count in
   let t =
     {
@@ -153,6 +228,13 @@ let build ~taxonomy ~original ?(keep_label = fun _ -> true)
       db_size = Db.size original;
       stamp = 0;
       seen = Array.make (Db.size original) (-1);
+      counted =
+        {
+          positions;
+          entries =
+            Array.fold_left (fun n tb -> n + Hashtbl.length tb) 0 entries;
+          set_members = !members;
+        };
     }
   in
   if
@@ -193,18 +275,4 @@ let graph_set t occs =
   Bitset.iter (fun occ -> Bitset.set set t.occ_gid.(occ)) occs;
   set
 
-type size = { positions : int; entries : int; set_members : int }
-
-let size (t : t) =
-  let entries = ref 0 and set_members = ref 0 in
-  Array.iter
-    (fun table ->
-      entries := !entries + Hashtbl.length table;
-      Hashtbl.iter (fun _ s -> set_members := !set_members + Bitset.cardinal s)
-        table)
-    t.entries;
-  {
-    positions = Array.length t.entries;
-    entries = !entries;
-    set_members = !set_members;
-  }
+let size (t : t) = t.counted

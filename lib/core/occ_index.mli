@@ -11,6 +11,13 @@
     of any specialized pattern is an intersection of per-position label sets
     (Lemma 7), with no further isomorphism tests or database scans. *)
 
+(** Size accounting — the quantities the paper's Lemmas 4 and 5 bound. *)
+type size = {
+  positions : int;
+  entries : int;  (** OIE labels across all positions *)
+  set_members : int;  (** total occurrence-set members (set bits) *)
+}
+
 type t = {
   class_graph : Tsg_graph.Graph.t;
       (** most general member of the class; node ids are positions *)
@@ -23,6 +30,7 @@ type t = {
   db_size : int;
   mutable stamp : int;  (** internal, for {!distinct_graph_count} *)
   seen : int array;  (** internal scratch, stamped per graph id *)
+  counted : size;  (** internal: what {!size} returns, counted by {!build} *)
 }
 
 val build :
@@ -35,7 +43,15 @@ val build :
     {e original} database (for original labels). [keep_label] implements
     enhancement (b): ancestor labels failing it are left out of the entries
     (default: keep everything). The position's own class label is always
-    kept. *)
+    kept.
+
+    Cost: one visit per (occurrence, position, ancestor of the original
+    label), each one array read in a label-indexed slot table plus one
+    {!Tsg_util.Bitset.set}; no hashing per visit. The table (one int per
+    taxonomy label, per domain) is reset through the labels each position
+    touched, [keep_label] runs once per (position, label) met, and each
+    position's hash table is filled once per entry at the end, in
+    first-met order: occurrence order, then increasing ancestor id. *)
 
 val occurrence_set : t -> position:int -> Tsg_graph.Label.id -> Tsg_util.Bitset.t option
 (** [OcS] of a label within a position's entry. *)
@@ -70,11 +86,6 @@ val self_check :
     ({!Tsg_util.Debug.checks_enabled}) and the instance is small, {!build}
     runs this automatically and raises [Failure] on any discrepancy. *)
 
-(** Size accounting — the quantities the paper's Lemmas 4 and 5 bound. *)
-type size = {
-  positions : int;
-  entries : int;  (** OIE labels across all positions *)
-  set_members : int;  (** total occurrence-set members (set bits) *)
-}
-
 val size : t -> size
+(** O(1): {!build} counts entries and set members as it creates them
+    (every visit sets a new bit, so the members are the visits kept). *)

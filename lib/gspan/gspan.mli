@@ -5,7 +5,18 @@
     Depth-first pattern growth: each frequent pattern is visited exactly once
     (duplicates are cut by the minimum-DFS-code test), and only one pattern's
     embedding list is alive per recursion branch, which is the memory profile
-    the paper contrasts with the level-wise TAcGM. *)
+    the paper contrasts with the level-wise TAcGM.
+
+    Cost model of one extension step: a first walk over the parent's
+    embeddings visits every rightmost-path candidate once and tallies its
+    edge's distinct-graph support in a per-domain int-keyed table (no
+    embedding built, no edge record compared); the minimality test runs
+    on the frequent candidates only; a second pass, over the first walk's
+    recorded candidates rather than the graphs, builds embeddings for the
+    frequent, minimal extensions only. Embedding lists are in graph-id
+    order — seeds are collected in database order and each child list in
+    its parent's — which is what lets one last-graph-id stamp per
+    candidate count distinct graphs. *)
 
 type embedding = {
   graph_id : int;
@@ -18,8 +29,8 @@ type pattern = {
   support_set : Tsg_util.Bitset.t;  (** database graph ids *)
   support : int;  (** [Bitset.cardinal support_set] *)
   embeddings : embedding list;
-      (** all occurrences; persistent (maps are never mutated after being
-          reported) *)
+      (** all occurrences, in nondecreasing [graph_id] order; persistent
+          (maps are never mutated after being reported) *)
 }
 
 val mine :

@@ -5,6 +5,7 @@ module Fault = Tsg_util.Fault
 module Safe_io = Tsg_util.Safe_io
 module Serve = Tsg_query.Serve
 module Epoch = Tsg_query.Epoch
+module Protocol = Tsg_query.Protocol
 
 let render ?epoch_seq ~taxonomy ~edge_labels ~db_size patterns =
   let node_labels = Taxonomy.labels taxonomy in
@@ -36,7 +37,8 @@ let fail fmt =
       Error (Diagnostic.make ~rule:"PIPE002" Diagnostic.Error msg))
     fmt
 
-(* one request over a fresh connection; the server replies a single line *)
+(* one [reload] over a fresh connection; the reply is read as a protocol
+   block, untagged *)
 let reload_once ~host ~port =
   let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   match Unix.connect fd (Unix.ADDR_INET (host, port)) with
@@ -52,11 +54,11 @@ let reload_once ~host ~port =
         match
           output_string oc "reload\n";
           flush oc;
-          input_line ic
+          Protocol.read_reply ic
         with
         | exception (End_of_file | Sys_error _) ->
           Result.Error "connection closed before the reload reply"
-        | line -> Result.Ok line)
+        | _, block -> Result.Ok block)
 
 (* tolerate trailing fields: the ack grew an [epoch <e>] suffix and may
    grow again — the checksum token is the contract *)
@@ -90,10 +92,14 @@ let push ~host ~port ~artifact ~previous =
     in
     match reload_once ~host ~port with
     | Error msg -> fail "cannot reach server: %s" msg
-    | Ok line -> (
-      match parse_ack line with
-      | None -> rollback (Printf.sprintf "server said %S" line)
-      | Some acked ->
+    | Ok block -> (
+      match (Protocol.reply_error block, parse_ack block) with
+      | Some code, _ ->
+        rollback
+          (Printf.sprintf "server answered %s: %S" (Protocol.code_string code)
+             block)
+      | None, None -> rollback (Printf.sprintf "server said %S" block)
+      | None, Some acked ->
         if Int64.equal acked expected then Ok acked
         else
           rollback

@@ -41,8 +41,11 @@ val push :
   (int64, Tsg_util.Diagnostic.t) result
 (** Ask the server at [host:port] to hot-reload [artifact] (the [reload]
     protocol verb) and verify the acknowledged checksum against the
-    bytes on disk. [Ok checksum] on success. On mismatch or refusal,
-    rolls back: restores [previous] (the prior artifact bytes) when
-    given, pushes again, and returns a [PIPE002] diagnostic either
-    way. Connection-level failures return [PIPE002] without touching
-    the artifact. *)
+    bytes on disk. [Ok checksum] on success. The reply is read with
+    {!Tsg_query.Protocol.read_reply}; an error reply is classified by
+    {!Tsg_query.Protocol.reply_error} and its code (e.g. [RELOAD]) is
+    named in the diagnostic. On mismatch or refusal, rolls back:
+    restores [previous] (the prior artifact bytes) when given, pushes
+    again, and returns a [PIPE002] diagnostic either way.
+    Connection-level failures return [PIPE002] without touching the
+    artifact. *)

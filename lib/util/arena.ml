@@ -1,11 +1,11 @@
 (* Per-domain scratch arenas for bitset temporaries.
 
    OCaml 5's minor collector is stop-the-world across domains, so the
-   allocation rate of the *busiest* domain taxes every other one. The hot
-   mining loops (occurrence-set intersections in Step 3, support sets in
-   Step 2) used to allocate a fresh bitset per candidate; the arena lets
-   them borrow a cleared scratch bitset instead and give it back, turning
-   the steady-state allocation rate of those loops into (almost) zero.
+   allocation rate of the *busiest* domain taxes every other one. The
+   Step-3 loop (occurrence-set intersections) used to allocate a fresh
+   bitset per candidate; the arena lets it borrow a cleared scratch bitset
+   instead and give it back, turning the steady-state allocation rate of
+   that loop into (almost) zero.
 
    The arena lives in [Domain.DLS], so acquire/release never synchronize:
    each domain owns its own free lists, and a bitset borrowed on one

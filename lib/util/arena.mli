@@ -1,9 +1,9 @@
 (** Per-domain scratch arenas for {!Bitset} temporaries.
 
-    The mining hot paths (occurrence-set intersections during
-    specialization, support sets during gSpan extension) need short-lived
-    bitsets at a very high rate. Allocating them fresh taxes every domain
-    at once — OCaml 5's minor collections are stop-the-world — so the
+    The Step-3 hot path (occurrence-set intersections during
+    specialization) needs short-lived bitsets at a very high rate.
+    Allocating them fresh taxes every domain at once — OCaml 5's minor
+    collections are stop-the-world — so the
     arena recycles them instead: {!acquire} hands out a {e cleared}
     bitset from this domain's free list (or allocates on a miss),
     {!release} returns it for reuse.

@@ -638,6 +638,52 @@ let test_hedge_win_is_counted () =
   slow.b_kill ();
   fast.b_kill ()
 
+(* A reload lands while a query is in flight: the query left pinned at
+   e1, then the one replica moved to e2 and the router's pin followed
+   (here a scrub run by the backend itself; in a two-phase reload, the
+   flip before the second commit wave). The replica answers the old pin
+   STALE_EPOCH; the router must re-send at the new pin instead of handing
+   the client an error during a clean reload. *)
+let test_flipped_pin_is_resent () =
+  let e1 = Epoch.make ~seq:1L ~sum:0x11L in
+  let e2 = Epoch.make ~seq:2L ~sum:0x22L in
+  let serving = Atomic.make e1 in
+  let flipped = Atomic.make false in
+  let router = ref None in
+  let lock = Mutex.create () in
+  let pins = ref [] in
+  let b =
+    fake_backend (fun body ->
+        match Protocol.split_at body with
+        | None, "health" ->
+          "ok health patterns 1 uptime 0.0 epoch "
+          ^ Epoch.to_string (Atomic.get serving)
+        | Some pin, _ ->
+          locked lock (fun () -> pins := pin :: !pins);
+          if Atomic.compare_and_set flipped false true then begin
+            Atomic.set serving e2;
+            ignore (Router.scrub (Option.get !router))
+          end;
+          let now = Epoch.to_string (Atomic.get serving) in
+          if pin = now then "ok 1\np 0 support 1/1 x"
+          else Protocol.error_line Protocol.Stale_epoch ("serving " ^ now)
+        | None, _ -> Protocol.error_line Protocol.Badreq "unpinned")
+  in
+  let metrics = Metrics.create () in
+  let r = router_over metrics [ [ replica b.b_port "0/0" ] ] in
+  router := Some r;
+  ignore (Router.scrub r);
+  check bool "pinned at e1" true
+    (Option.equal Epoch.equal (Router.target_epoch r) (Some e1));
+  check string "answered at the new pin" "ok 1\np 0 support 1/1 x"
+    (reply_exn r "top-k 1 support");
+  check (Alcotest.list string) "sent at e1, then once at e2"
+    [ Epoch.to_string e1; Epoch.to_string e2 ]
+    (List.rev (locked lock (fun () -> !pins)));
+  check bool "pin moved to e2" true
+    (Option.equal Epoch.equal (Router.target_epoch r) (Some e2));
+  b.b_kill ()
+
 let test_router_verbs_and_tags () =
   let _, _, store = fixture_store () in
   let b0 = serve_backend store in
@@ -1321,6 +1367,8 @@ let () =
             test_scrub_no_resync_only_fences;
           Alcotest.test_case "faulted scrub round is skipped" `Quick
             test_scrub_fault_skips_round;
+          Alcotest.test_case "pin flipped mid-request is re-sent" `Quick
+            test_flipped_pin_is_resent;
         ]
         @ qsuite [ epoch_interleaving_prop ] );
     ]

@@ -168,6 +168,113 @@ let test_occ_index_keep_label () =
   check bool "b kept" true
     (Occ_index.occurrence_set oi ~position:0 (id t "b") <> None)
 
+(* Reference build: the index as built before the slot table, one hash
+   lookup per (occurrence, position, ancestor) visit. *)
+let reference_entries ~taxonomy ~original ~keep_label (p : Gspan.pattern) =
+  let embeddings = Array.of_list p.Gspan.embeddings in
+  let occ_count = Array.length embeddings in
+  let entries =
+    Array.init (Graph.node_count p.Gspan.graph) (fun _ -> Hashtbl.create 16)
+  in
+  Array.iteri
+    (fun occ (e : Gspan.embedding) ->
+      let gr = Db.get original e.graph_id in
+      Array.iteri
+        (fun pos table ->
+          let class_label = Graph.node_label p.Gspan.graph pos in
+          Bitset.iter
+            (fun anc ->
+              if anc = class_label || keep_label anc then begin
+                let set =
+                  match Hashtbl.find_opt table anc with
+                  | Some s -> s
+                  | None ->
+                    let s = Bitset.create occ_count in
+                    Hashtbl.add table anc s;
+                    s
+                in
+                Bitset.set set occ
+              end)
+            (Taxonomy.ancestor_set taxonomy (Graph.node_label gr e.map.(pos))))
+        entries)
+    embeddings;
+  entries
+
+(* a position's entry in hash-table iteration order, with capacities *)
+let entry_list table =
+  Hashtbl.fold
+    (fun l s acc -> (l, Bitset.capacity s, Bitset.to_list s) :: acc)
+    table []
+
+let occ_index_matches_reference_prop =
+  QCheck.Test.make
+    ~name:"occ_index build = per-visit hash-table reference, size = recount"
+    ~count:100
+    (QCheck.make QCheck.Gen.(int_bound 1_000_000))
+    (fun seed ->
+      let rng = Prng.of_int seed in
+      let concepts = 3 + Prng.int rng 12 in
+      let taxonomy =
+        Tsg_taxonomy.Synth_taxonomy.generate rng
+          {
+            concepts;
+            relationships = concepts + Prng.int rng concepts;
+            depth = 2 + Prng.int rng 4;
+          }
+      in
+      let nlabels = Taxonomy.label_count taxonomy in
+      let original =
+        Db.of_list
+          (List.init (2 + Prng.int rng 4) (fun _ ->
+               let n = 2 + Prng.int rng 4 in
+               let labels = Array.init n (fun _ -> Prng.int rng nlabels) in
+               let edges = ref [] in
+               for v = 1 to n - 1 do
+                 edges := (v, Prng.int rng v, Prng.int rng 2) :: !edges
+               done;
+               g ~labels ~edges:!edges))
+      in
+      let salt = Prng.int rng 5 in
+      let keep l = (l + salt) mod 3 <> 0 in
+      let filters = [ (None, fun _ -> true); (Some keep, keep) ] in
+      let classes =
+        Gspan.mine_list ~max_edges:3 ~min_support:1
+          (Relabel.db taxonomy original)
+      in
+      List.for_all
+        (fun (cls : Gspan.pattern) ->
+          List.for_all
+            (fun (keep_label, keep) ->
+              let oi = Occ_index.build ~taxonomy ~original ?keep_label cls in
+              let expected =
+                reference_entries ~taxonomy ~original ~keep_label:keep cls
+              in
+              let recount =
+                {
+                  Occ_index.positions = Array.length expected;
+                  entries =
+                    Array.fold_left
+                      (fun n t -> n + Hashtbl.length t)
+                      0 expected;
+                  set_members =
+                    Array.fold_left
+                      (fun n t ->
+                        Hashtbl.fold (fun _ s n -> n + Bitset.cardinal s) t n)
+                      0 expected;
+                }
+              in
+              let gids =
+                List.map
+                  (fun (e : Gspan.embedding) -> e.graph_id)
+                  cls.Gspan.embeddings
+              in
+              Array.map entry_list oi.Occ_index.entries
+              = Array.map entry_list expected
+              && Occ_index.size oi = recount
+              && oi.Occ_index.occ_gid = Array.of_list gids)
+            filters)
+        classes)
+
 (* --- Specialize & Taxogram: hand-computed examples ------------------------- *)
 
 (* D = { d-f, e-f }, theta = 1: the only non-over-generalized pattern with
@@ -1067,7 +1174,8 @@ let () =
           Alcotest.test_case "build" `Quick test_occ_index_build;
           Alcotest.test_case "graph sets" `Quick test_occ_index_graph_set;
           Alcotest.test_case "keep_label" `Quick test_occ_index_keep_label;
-        ] );
+        ]
+        @ qsuite [ occ_index_matches_reference_prop ] );
       ( "taxogram",
         [
           Alcotest.test_case "hand example" `Quick test_taxogram_hand_example;

@@ -326,6 +326,182 @@ let gspan_matches_brute_force_prop =
       let reference = brute_force_frequent ~max_edges ~min_support db in
       mined = reference)
 
+(* Reference miner: gSpan as it stood before extensions were counted
+   first. Every candidate of every embedding is built and filed under its
+   DFS edge in an [Edge_map]; support is read off each edge's list
+   afterwards. [Gspan.mine] must report the same patterns in the same
+   order with the same embedding lists. *)
+module Reference_gspan = struct
+  module Edge_map = Map.Make (struct
+    type t = Dfs_code.edge
+
+    let compare = Dfs_code.compare_edge
+  end)
+
+  let mapped (emb : Gspan.embedding) node =
+    Array.exists (fun v -> v = node) emb.map
+
+  let support_of db (embs : Gspan.embedding list) =
+    let set = Bitset.create (Db.size db) in
+    List.iter (fun (e : Gspan.embedding) -> Bitset.set set e.graph_id) embs;
+    set
+
+  let seeds db =
+    let table = Hashtbl.create 64 in
+    Db.iteri
+      (fun gid gr ->
+        Array.iter
+          (fun (u, v, le) ->
+            let lu = Graph.node_label gr u and lv = Graph.node_label gr v in
+            let orientations =
+              if lu < lv then [ (u, v, lu, lv) ]
+              else if lv < lu then [ (v, u, lv, lu) ]
+              else [ (u, v, lu, lv); (v, u, lv, lu) ]
+            in
+            List.iter
+              (fun (a, b, la, lb) ->
+                let key = (la, le, lb) in
+                let emb = { Gspan.graph_id = gid; map = [| a; b |] } in
+                let known = Hashtbl.find_opt table key in
+                Hashtbl.replace table key
+                  (emb :: Option.value ~default:[] known))
+              orientations)
+          (Graph.edges gr))
+      db;
+    Hashtbl.fold (fun key embs acc -> (key, List.rev embs) :: acc) table []
+    |> List.sort (fun (a, _) (b, _) -> compare a b)
+
+  let extensions code (embeddings : Gspan.embedding list) db =
+    let rpath = Dfs_code.rightmost_path code in
+    let r = List.hd rpath in
+    let nodes_so_far = Dfs_code.node_count code in
+    let back_targets =
+      List.filter
+        (fun i -> i <> r && not (Dfs_code.has_edge code r i))
+        (List.sort compare (List.tl rpath))
+    in
+    let table = ref Edge_map.empty in
+    let add edge emb =
+      table :=
+        Edge_map.update edge
+          (function None -> Some [ emb ] | Some l -> Some (emb :: l))
+          !table
+    in
+    List.iter
+      (fun (emb : Gspan.embedding) ->
+        let gr = Db.get db emb.graph_id in
+        List.iter
+          (fun i ->
+            match Graph.edge_label gr emb.map.(r) emb.map.(i) with
+            | Some le ->
+              add
+                (e r i (Dfs_code.label_of code r) le (Dfs_code.label_of code i))
+                emb
+            | None -> ())
+          back_targets;
+        List.iter
+          (fun i ->
+            Array.iter
+              (fun (w, le) ->
+                if not (mapped emb w) then
+                  add
+                    (e i nodes_so_far (Dfs_code.label_of code i) le
+                       (Graph.node_label gr w))
+                    { emb with map = Array.append emb.map [| w |] })
+              (Graph.neighbors gr emb.map.(i)))
+          rpath)
+      embeddings;
+    Edge_map.bindings !table
+    |> List.map (fun (edge, embs) -> (edge, List.rev embs))
+
+  let mine ?(max_edges = max_int) ~min_support db report =
+    let rec grow code embeddings support_set =
+      report
+        {
+          Gspan.code;
+          graph = Dfs_code.to_graph code;
+          support_set;
+          support = Bitset.cardinal support_set;
+          embeddings;
+        };
+      if Array.length code < max_edges then
+        List.iter
+          (fun (edge, embs) ->
+            let set = support_of db embs in
+            if Bitset.cardinal set >= min_support then begin
+              let code' = Array.append code [| edge |] in
+              if Min_code.is_min code' then grow code' embs set
+            end)
+          (extensions code embeddings db)
+    in
+    if max_edges >= 1 then
+      List.iter
+        (fun ((la, le, lb), embs) ->
+          let set = support_of db embs in
+          if Bitset.cardinal set >= min_support then
+            grow [| e 0 1 la le lb |] embs set)
+        (seeds db)
+end
+
+(* everything a reported pattern carries, embeddings in order *)
+let pattern_trace (p : Gspan.pattern) =
+  ( Array.to_list p.code,
+    Bitset.to_list p.support_set,
+    p.support,
+    List.map (fun (m : Gspan.embedding) -> (m.graph_id, Array.to_list m.map))
+      p.embeddings,
+    Graph.edges p.graph,
+    Graph.node_labels p.graph )
+
+(* 2-6 graphs of 2-6 nodes, often with cycles, sometimes disconnected;
+   1-3 node and 1-3 edge labels, ids sometimes offset from 0 *)
+let random_small_db rng =
+  let node_labels = 1 + Prng.int rng 3 and edge_labels = 1 + Prng.int rng 3 in
+  let node_base = if Prng.bool rng then 0 else 7 in
+  let edge_base = if Prng.bool rng then 0 else 3 in
+  Db.of_list
+    (List.init (2 + Prng.int rng 5) (fun _ ->
+         let n = 2 + Prng.int rng 5 in
+         let labels =
+           Array.init n (fun _ -> node_base + Prng.int rng node_labels)
+         in
+         let edges = ref [] in
+         let add u v =
+           if u <> v
+              && not
+                   (List.exists
+                      (fun (a, b, _) -> (a = u && b = v) || (a = v && b = u))
+                      !edges)
+           then edges := (u, v, edge_base + Prng.int rng edge_labels) :: !edges
+         in
+         let tree = Prng.int rng 5 > 0 in
+         for v = 1 to n - 1 do
+           if tree then add v (Prng.int rng v)
+         done;
+         for _ = 1 to Prng.int rng 4 do
+           add (Prng.int rng n) (Prng.int rng n)
+         done;
+         g ~labels ~edges:!edges))
+
+let gspan_matches_reference_prop =
+  QCheck.Test.make ~name:"gspan = per-embedding Edge_map reference, in order"
+    ~count:200
+    (QCheck.make QCheck.Gen.(int_bound 1_000_000))
+    (fun seed ->
+      let rng = Prng.of_int seed in
+      let db = random_small_db rng in
+      let min_support = 1 + Prng.int rng 3 in
+      let max_edges =
+        match Prng.int rng 6 with 0 -> None | k -> Some k
+      in
+      let trace mine =
+        let acc = ref [] in
+        mine ?max_edges ~min_support db (fun p ->
+            acc := pattern_trace p :: !acc);
+        List.rev !acc
+      in
+      trace Gspan.mine = trace Reference_gspan.mine)
+
 (* --- Level_miner -------------------------------------------------------------- *)
 
 module Level_miner = Tsg_gspan.Level_miner
@@ -465,7 +641,8 @@ let () =
             test_gspan_embeddings_valid;
           Alcotest.test_case "frequent labels" `Quick test_frequent_labels;
         ]
-        @ qsuite [ gspan_matches_brute_force_prop ] );
+        @ qsuite
+            [ gspan_matches_brute_force_prop; gspan_matches_reference_prop ] );
       ( "level_miner",
         [
           Alcotest.test_case "triangle" `Quick test_level_miner_triangle;

@@ -23,6 +23,7 @@ module Corpus = Tsg_pipeline.Corpus
 module Incremental = Tsg_pipeline.Incremental
 module Publish = Tsg_pipeline.Publish
 module Epoch = Tsg_query.Epoch
+module Serve = Tsg_query.Serve
 
 let check = Alcotest.check
 let bool = Alcotest.bool
@@ -733,6 +734,92 @@ let test_checkpoint_rejects_moved_corpus () =
 
 (* --- Suite ------------------------------------------------------------------ *)
 
+(* --- Publish.push ---------------------------------------------------------- *)
+
+(* a stub server: one connection at a time, every request line answered
+   with [reply]; returns its port and a stop function *)
+let reply_stub reply =
+  let lsock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.setsockopt lsock Unix.SO_REUSEADDR true;
+  Unix.bind lsock (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+  Unix.listen lsock 4;
+  let port =
+    match Unix.getsockname lsock with
+    | Unix.ADDR_INET (_, p) -> p
+    | Unix.ADDR_UNIX _ -> Alcotest.fail "inet socket expected"
+  in
+  let stop = Atomic.make false in
+  let server =
+    Thread.create
+      (fun () ->
+        while not (Atomic.get stop) do
+          match Unix.select [ lsock ] [] [] 0.05 with
+          | [], _, _ -> ()
+          | _ :: _, _, _ ->
+            let fd, _ = Unix.accept lsock in
+            let ic = Unix.in_channel_of_descr fd in
+            let oc = Unix.out_channel_of_descr fd in
+            (try
+               ignore (input_line ic);
+               output_string oc (reply ^ "\n");
+               flush oc
+             with End_of_file | Sys_error _ -> ());
+            Unix.close fd
+          | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
+        done)
+      ()
+  in
+  ( port,
+    fun () ->
+      Atomic.set stop true;
+      Thread.join server;
+      Unix.close lsock )
+
+(* the artifact lives in a directory of its own: atomic writes leave
+   transient temp files beside their target *)
+let push_to reply ~previous =
+  let dir = Filename.temp_dir "tsg_push" "" in
+  let artifact = Filename.concat dir "served.pat" in
+  Safe_io.write_atomic artifact "new artifact\n";
+  let port, stop = reply_stub (reply artifact) in
+  Fun.protect
+    ~finally:(fun () ->
+      stop ();
+      rm_f artifact;
+      Sys.rmdir dir)
+    (fun () ->
+      let r =
+        Publish.push ~host:Unix.inet_addr_loopback ~port ~artifact ~previous
+      in
+      (r, read_file artifact))
+
+let test_push_reports_error_code () =
+  let r, left =
+    push_to (fun _ -> "error RELOAD artifact rejected") ~previous:(Some "old\n")
+  in
+  (match r with
+  | Ok _ -> Alcotest.fail "a refused reload was reported as pushed"
+  | Error d ->
+    check string "rule" "PIPE002" d.Diagnostic.rule;
+    let prefix = "push of " in
+    check bool "starts as a push failure" true
+      (String.starts_with ~prefix d.Diagnostic.message);
+    check bool
+      ("the refusal's code is named: " ^ d.Diagnostic.message)
+      true
+      (List.mem "RELOAD:"
+         (String.split_on_char ' ' d.Diagnostic.message)));
+  check string "previous artifact restored" "old\n" left;
+  let r, _ =
+    push_to
+      (fun artifact ->
+        Printf.sprintf "ok reload patterns 1 checksum %016Lx epoch 0.0"
+          (Serve.checksum_files [ artifact ]))
+      ~previous:None
+  in
+  check bool "an ack of the artifact's checksum is a push" true
+    (Result.is_ok r)
+
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
 let () =
@@ -780,5 +867,10 @@ let () =
         [
           Alcotest.test_case "CKPT003 on a moved corpus" `Quick
             test_checkpoint_rejects_moved_corpus;
+        ] );
+      ( "publish",
+        [
+          Alcotest.test_case "push names the server's error code" `Quick
+            test_push_reports_error_code;
         ] );
     ]
