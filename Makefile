@@ -84,8 +84,10 @@ pipeline-smoke: build
 # equals a from-scratch mine of the corpus. Then a 2 s traced run of each
 # mining workload must report Step 2's and Step 3's exact work counts on
 # its instance — classes mined, occurrence-index entries and set
-# members, Step-3 intersections — so a hot-path change that alters what
-# is mined or indexed fails here even when the patterns still agree
+# members, and the whole Step-3 walk: candidate tests (intersections),
+# visits, emissions and over-generalized visits — so a hot-path change
+# that alters what is mined, indexed or walked fails here even when the
+# patterns still agree. It only reads the benchmark's output
 perf-smoke:
 	@for w in mine-td13 mine-nc40 serve pipe-churn; do \
 	  line=$$(bash perfbench/run.sh --workload $$w --seed 1 --seconds 2 \
@@ -99,9 +101,13 @@ perf-smoke:
 	@for w in mine-nc40 mine-td13; do \
 	  case $$w in \
 	    mine-nc40) set -- gspan.classes 296 occ_index.entries 95293 \
-	      occ_index.set_members 438032 specialize.intersections 39784 ;; \
+	      occ_index.set_members 438032 specialize.intersections 39784 \
+	      specialize.visited 1531 specialize.emitted 1062 \
+	      specialize.over_generalized 86 ;; \
 	    mine-td13) set -- gspan.classes 59 occ_index.entries 28284 \
-	      occ_index.set_members 701310 specialize.intersections 172494 ;; \
+	      occ_index.set_members 701310 specialize.intersections 172494 \
+	      specialize.visited 2994 specialize.emitted 1601 \
+	      specialize.over_generalized 24 ;; \
 	  esac; \
 	  line=$$(bash perfbench/run.sh --workload $$w --seed 1 --seconds 2 \
 	    --trace 1 | tail -n 1); \

@@ -41,89 +41,115 @@ exception Out_of_time
 let enumerate ~taxonomy ~min_support ~enhancements ?stats
     ?(budget = Tsg_util.Timer.Budget.unlimited) (oi : Occ_index.t) emit =
   let stats = Option.value ~default:(fresh_stats ()) stats in
-  let positions = Graph.node_count oi.class_graph in
-  let occ_set pos l = Occ_index.occurrence_set oi ~position:pos l in
-  let raw_children pos l =
-    List.filter (fun c -> occ_set pos c <> None) (Taxonomy.children taxonomy l)
+  let entries = oi.entries in
+  let positions = Array.length entries in
+  let iter_children (e : Occ_index.entry) k f =
+    for j = e.first_child.(k) to e.first_child.(k + 1) - 1 do
+      f e.children.(j)
+    done
   in
-  (* [memoize f] answers [f pos l] from per-position tables keyed by label,
-     computing each entry once; the tables live for this call only *)
-  let memoize f =
-    let memo = Array.init positions (fun _ -> Hashtbl.create 16) in
-    fun pos l ->
-      match Hashtbl.find memo.(pos) l with
-      | v -> v
-      | exception Not_found ->
-        let v = f pos l in
-        Hashtbl.add memo.(pos) l v;
-        v
+  (* the first child of slot [k] satisfying [p], in taxonomy order *)
+  let find_child (e : Occ_index.entry) k p =
+    let rec from j =
+      if j = e.first_child.(k + 1) then None
+      else if p e.children.(j) then Some e.children.(j)
+      else from (j + 1)
+    in
+    from e.first_child.(k)
   in
-  (* (d): a label is collapsed when a child shares its occurrence set — any
+  (* A child's set is within its parent's, so equal member counts mean
+     equal sets. *)
+  let same_set (e : Occ_index.entry) k c = e.members.(c) = e.members.(k) in
+  (* (d): a slot is collapsed when a child shares its occurrence set — any
      pattern through it is over-generalized, so enumeration skips it and
      exposes its children directly. *)
-  let collapsed =
-    memoize (fun pos l ->
-        enhancements.collapse_equal_children
-        &&
-        let own = Option.get (occ_set pos l) in
-        List.exists
-          (fun c -> Bitset.equal own (Option.get (occ_set pos c)))
-          (raw_children pos l))
+  let collapsed e k =
+    enhancements.collapse_equal_children
+    && Option.is_some (find_child e k (same_set e k))
   in
-  let effective_children pos l =
-    let seen = Hashtbl.create 8 in
+  (* one mark per slot, stamped per [effective_children] call *)
+  let mark =
+    Array.make
+      (Array.fold_left (fun n e -> max n (Array.length e.Occ_index.labels)) 0
+         entries)
+      0
+  in
+  let generation = ref 0 in
+  let effective_children e k =
+    incr generation;
+    let stamp = !generation in
     let out = ref [] in
     let rec go c =
-      if not (Hashtbl.mem seen c) then begin
-        Hashtbl.add seen c ();
-        if collapsed pos c then List.iter go (raw_children pos c)
-        else out := c :: !out
+      if mark.(c) <> stamp then begin
+        mark.(c) <- stamp;
+        if collapsed e c then iter_children e c go else out := c :: !out
       end
     in
-    List.iter go (raw_children pos l);
-    List.rev !out
+    iter_children e k go;
+    Array.of_list (List.rev !out)
   in
-  (* The candidate table: a (position, label)'s effective children, each
-     with its occurrence set, built on the first visit that needs them and
-     shared by every later visit of the class. *)
-  let candidates =
-    memoize (fun pos l ->
-        Array.of_list
-          (List.map
-             (fun c -> (c, Option.get (occ_set pos c)))
-             (effective_children pos l)))
+  (* The candidate table: a (position, slot)'s effective children, built
+     on the first visit that needs them and shared by every later visit
+     of the class; each candidate's rank set is built with the first
+     table that holds it. *)
+  let unbuilt = [| -1 |] and no_ranks = Bitset.create 0 in
+  let tables =
+    Array.map (fun e -> Array.make (Array.length e.Occ_index.labels) unbuilt)
+      entries
   in
-  (* (c): advance a start label along equal-occurrence-set children, but
-     only when the child still dominates every covered label of the
-     position (always true on tree taxonomies; the guard keeps DAGs
-     complete). *)
-  let advance_start pos l =
-    if not enhancements.start_preprocess then l
+  let rank_sets =
+    Array.map (fun e -> Array.make (Array.length e.Occ_index.labels) no_ranks)
+      entries
+  in
+  let candidates pos k =
+    let t = tables.(pos).(k) in
+    if t != unbuilt then t
     else begin
-      let covered = Occ_index.covered_labels oi ~position:pos in
-      let dominates c =
-        let dset = Taxonomy.descendant_set taxonomy c in
-        List.for_all (fun x -> Bitset.mem dset x) covered
-      in
-      let rec go l =
-        let own = Option.get (occ_set pos l) in
-        let next =
-          List.find_opt
-            (fun c ->
-              Bitset.equal own (Option.get (occ_set pos c)) && dominates c)
-            (raw_children pos l)
-        in
-        match next with Some c -> go c | None -> l
-      in
-      go l
+      let e = entries.(pos) in
+      let t = effective_children e k in
+      Array.iter
+        (fun c ->
+          if rank_sets.(pos).(c) == no_ranks then begin
+            let r = Bitset.create oi.graph_count in
+            ignore (Occ_index.ranks_into oi ~dst:r e.sets.(c));
+            rank_sets.(pos).(c) <- r
+          end)
+        t;
+      tables.(pos).(k) <- t;
+      t
     end
+  in
+  (* (c): advance a start slot along equal-occurrence-set children, but
+     only when every covered label strictly below the current one also
+     lies below the child (always true on tree taxonomies; the guard keeps
+     DAGs complete: the walk from the child never meets the others). *)
+  let advance_start pos k =
+    let e = entries.(pos) in
+    let dominates l c =
+      let below_l = Taxonomy.descendant_set taxonomy l
+      and below_c = Taxonomy.descendant_set taxonomy c in
+      Array.for_all
+        (fun x -> x = l || (not (Bitset.mem below_l x)) || Bitset.mem below_c x)
+        e.labels
+    in
+    let rec go k =
+      match
+        find_child e k (fun c ->
+            same_set e k c && dominates e.labels.(k) e.labels.(c))
+      with
+      | Some c -> go c
+      | None -> k
+    in
+    if enhancements.start_preprocess then go k else k
   in
   let visited : (int array, unit) Hashtbl.t = Hashtbl.create 256 in
   (* automorphic classes (e.g. an a-a edge) reach the same pattern through
      several label vectors; emit one representative per isomorphism class *)
   let emitted_keys : (string, unit) Hashtbl.t = Hashtbl.create 256 in
-  let emit_pattern labels ocs =
-    let graph = Graph.relabel oi.class_graph (fun v -> labels.(v)) in
+  let emit_pattern slots ocs =
+    let graph =
+      Graph.relabel oi.class_graph (fun v -> entries.(v).labels.(slots.(v)))
+    in
     let key = Tsg_gspan.Min_code.canonical_key graph in
     if not (Hashtbl.mem emitted_keys key) then begin
       Hashtbl.add emitted_keys key ();
@@ -132,69 +158,75 @@ let enumerate ~taxonomy ~min_support ~enhancements ?stats
       emit (Pattern.make ~db_size:oi.db_size graph support_set)
     end
   in
-  (* visit: labels/ocs/support describe the current pattern; positions
-     before [start] are frozen (the PNS), but the over-generalization check
-     still spans all positions. *)
-  let rec visit labels ocs support start =
+  (* a candidate is descended into only with this support *)
+  let threshold =
+    if enhancements.child_pruning then max 1 min_support else 1
+  in
+  (* visit: slots/ocs/ranks/support describe the current pattern (a slot
+     per position, its occurrence set, that set's rank set and support);
+     positions before [start] are frozen (the PNS), but the
+     over-generalization check still spans all positions. *)
+  let rec visit slots ocs ranks support start =
     stats.visited <- stats.visited + 1;
     if
       stats.visited land 1023 = 0
       && Tsg_util.Timer.Budget.exceeded budget
     then raise Out_of_time;
     let over_generalized = ref false in
-    (* One arena scratch per recursion level: every candidate's occurrence
-       set is intersected into it in place and, on descent, handed to the
-       recursive call directly — the child level borrows its own scratch,
-       so ours is only overwritten once that call has returned. No bitset
-       is allocated per candidate in this loop, the dominant one in
-       Step 3. *)
+    (* One arena scratch pair per recursion level: a candidate's
+       occurrence set and rank set are computed into them in place and,
+       on descent, handed to the recursive call directly — the child
+       level borrows its own pair, so ours is only overwritten once that
+       call has returned. No bitset is allocated per candidate in this
+       loop, the dominant one in Step 3.
+
+       |ranks ∧ R(child)| bounds the candidate's support from above, so
+       the intersection and its exact count run only when the bound
+       reaches [support] (the over-generalization test, still open) or
+       the descent threshold at a position not frozen. *)
     let scratch = Arena.acquire (Bitset.capacity ocs) in
+    let scratch_ranks = Arena.acquire oi.graph_count in
     for pos = 0 to positions - 1 do
-      let cands = candidates pos labels.(pos) in
+      let cands = candidates pos slots.(pos) in
+      let sets = entries.(pos).sets and child_ranks = rank_sets.(pos) in
       for i = 0 to Array.length cands - 1 do
-        let c, child_set = cands.(i) in
-        Bitset.inter_into ~dst:scratch ocs child_set;
+        let c = cands.(i) in
         stats.intersections <- stats.intersections + 1;
-        let support' = Occ_index.distinct_graph_count oi scratch in
-        if support' = support then over_generalized := true;
-        let descend =
-          pos >= start && support' > 0
-          && ((not enhancements.child_pruning) || support' >= min_support)
-        in
-        if descend then begin
-          let labels' = Array.copy labels in
-          labels'.(pos) <- c;
-          if not (Hashtbl.mem visited labels') then begin
-            Hashtbl.add visited labels' ();
-            visit labels' scratch support' pos
+        let bound = Bitset.inter_cardinal ranks child_ranks.(c) in
+        let may_descend = pos >= start && bound >= threshold in
+        if may_descend || (bound = support && not !over_generalized) then begin
+          Bitset.inter_into ~dst:scratch ocs sets.(c);
+          let support' =
+            Occ_index.ranks_into oi ~dst:scratch_ranks scratch
+          in
+          if support' = support then over_generalized := true;
+          if may_descend && support' >= threshold then begin
+            let slots' = Array.copy slots in
+            slots'.(pos) <- c;
+            if not (Hashtbl.mem visited slots') then begin
+              Hashtbl.add visited slots' ();
+              visit slots' scratch scratch_ranks support' pos
+            end
           end
         end
       done
     done;
+    Arena.release scratch_ranks;
     Arena.release scratch;
     if !over_generalized then
       stats.over_generalized <- stats.over_generalized + 1
-    else if support >= min_support then emit_pattern labels ocs
+    else if support >= min_support then emit_pattern slots ocs
   in
-  let start_labels =
-    Array.init positions (fun pos ->
-        advance_start pos (Graph.node_label oi.class_graph pos))
-  in
-  let start_ocs =
-    Array.to_seq start_labels
-    |> Seq.mapi (fun pos l -> Option.get (occ_set pos l))
-    |> Seq.fold_left
-         (fun acc set ->
-           match acc with
-           | None -> Some (Bitset.copy set)
-           | Some a ->
-             Bitset.inter_into ~dst:a a set;
-             Some a)
-         None
-  in
-  match start_ocs with
-  | None -> () (* no positions: cannot happen, classes have >= 1 edge *)
-  | Some ocs ->
-    let support = Occ_index.distinct_graph_count oi ocs in
-    Hashtbl.add visited (Array.copy start_labels) ();
-    if support > 0 then visit start_labels ocs support 0
+  if positions > 0 (* always: classes have >= 1 edge *) then begin
+    let start_slots =
+      Array.init positions (fun pos -> advance_start pos entries.(pos).class_slot)
+    in
+    let ocs = Bitset.copy entries.(0).sets.(start_slots.(0)) in
+    for pos = 1 to positions - 1 do
+      Bitset.inter_into ~dst:ocs ocs entries.(pos).sets.(start_slots.(pos))
+    done;
+    let ranks = Bitset.create oi.graph_count in
+    let support = Occ_index.ranks_into oi ~dst:ranks ocs in
+    Hashtbl.add visited (Array.copy start_slots) ();
+    if support > 0 then visit start_slots ocs ranks support 0
+  end

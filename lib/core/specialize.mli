@@ -11,7 +11,28 @@
     replacement at {e any} position — frozen ones included, which is the
     paper's PNS follow-up check — preserves its support. Labels reachable
     through several DAG paths are deduplicated with a visited set (the
-    paper's "visited vertex labels ... are marked"). *)
+    paper's "visited vertex labels ... are marked").
+
+    {b Walk.} The walk runs on the entries' slots ({!Occ_index.entry}), not
+    on labels: a pattern is a vector of slots, one per position (which
+    maps one-to-one onto its label vector within the class), a slot's
+    children are read off the entry's child arrays, and labels are looked
+    up only to emit a pattern. Per class, each (position, slot)'s
+    effective children (after collapse (d)) form a candidate table built
+    on the first visit that needs it, in arrays indexed by slot.
+
+    {b Cost model and bound.} A visit carries its occurrence set, that
+    set's rank set over the class's graphs ({!Occ_index.ranks_into}) and
+    its support. Each candidate first costs one
+    {!Tsg_util.Bitset.inter_cardinal} of the two rank sets
+    ([graph_count] bits, never more words than the occurrence sets):
+    since a graph holding a common occurrence holds an occurrence of
+    each, [|R(ocs) ∧ R(child)|] bounds the candidate's support. Only when
+    the bound reaches the visit's support (and no over-generalizing child
+    has been found yet) or, at a position not frozen, the descent
+    threshold ([min_support] under child pruning, else 1), does the
+    candidate pay the occurrence-set intersection and the exact
+    distinct-graph count. No bitset is allocated per candidate. *)
 
 type enhancements = {
   child_pruning : bool;
@@ -20,13 +41,15 @@ type enhancements = {
       (** (b): drop globally-infrequent taxonomy labels from occurrence
           indices (consumed by {!Taxogram} when building indices) *)
   start_preprocess : bool;
-      (** (c): advance a position's start label to a descendant with an
-          identical occurrence set before enumerating (only when that
-          descendant dominates every covered label of the position, which
-          keeps the step complete on DAG taxonomies) *)
+      (** (c): advance a position's start label to a child with an
+          identical occurrence set before enumerating, repeatedly (only
+          when every covered label strictly below the current start label
+          also descends from that child, which keeps the step complete on
+          DAG taxonomies) *)
   collapse_equal_children : bool;
       (** (d): skip a label whose occurrence set equals one of its
-          children's, exposing its children directly *)
+          children's (equal member counts: the child's set is a subset),
+          exposing its children directly *)
 }
 
 val all_on : enhancements
@@ -35,7 +58,10 @@ val all_off : enhancements
 (** The paper's baseline: Taxogram without the efficiency enhancements. *)
 
 type stats = {
-  mutable intersections : int;  (** occurrence-set intersections performed *)
+  mutable intersections : int;
+      (** candidate replacements tested, one per (visit, candidate child);
+          a test the rank bound settles counts too, so this is the walk's
+          size, not the number of {!Tsg_util.Bitset.inter_into} calls *)
   mutable visited : int;  (** patterns whose support was computed *)
   mutable emitted : int;
   mutable over_generalized : int;  (** visited patterns found over-general *)

@@ -82,6 +82,14 @@ let inter a b =
   inter_into ~dst a b;
   dst
 
+let inter_cardinal a b =
+  same_capacity a b "inter_cardinal";
+  let n = ref 0 in
+  for i = 0 to Array.length a.words - 1 do
+    n := !n + popcount (a.words.(i) land b.words.(i))
+  done;
+  !n
+
 let intersects a b =
   same_capacity a b "intersects";
   let n = Array.length a.words in

@@ -36,6 +36,10 @@ val inter : t -> t -> t
 val inter_into : dst:t -> t -> t -> unit
 (** [inter_into ~dst a b] stores [a ∩ b] in [dst] (which may alias [a]). *)
 
+val inter_cardinal : t -> t -> int
+(** [inter_cardinal a b] is [cardinal (inter a b)], without allocating:
+    one population count per word pair. *)
+
 val intersects : t -> t -> bool
 (** [intersects a b] is [not (is_empty (inter a b))], without allocating;
     it stops at the first word the two share. *)

@@ -140,7 +140,8 @@ let test_occ_index_build () =
   (* d appears at position 0 only via graph 0's orientations *)
   (match Occ_index.occurrence_set oi ~position:0 (id t "d") with
   | Some s ->
-    check int "d occurrences" 1 (Occ_index.distinct_graph_count oi s)
+    let ranks = Bitset.create oi.Occ_index.graph_count in
+    check int "d occurrences" 1 (Occ_index.ranks_into oi ~dst:ranks s)
   | None -> Alcotest.fail "d missing");
   check bool "c covered via f's ancestors" true
     (Occ_index.occurrence_set oi ~position:0 (id t "c") <> None);
@@ -153,7 +154,9 @@ let test_occ_index_graph_set () =
   let db = two_graph_db t in
   let oi = build_oi t db in
   let all = oi.Occ_index.all_occs in
-  check int "distinct graphs" 2 (Occ_index.distinct_graph_count oi all);
+  let ranks = Bitset.create oi.Occ_index.graph_count in
+  check int "distinct graphs" 2 (Occ_index.ranks_into oi ~dst:ranks all);
+  check (Alcotest.list int) "rank set" [ 0; 1 ] (Bitset.to_list ranks);
   check (Alcotest.list int) "graph set" [ 0; 1 ]
     (Bitset.to_list (Occ_index.graph_set oi all))
 
@@ -168,19 +171,32 @@ let test_occ_index_keep_label () =
   check bool "b kept" true
     (Occ_index.occurrence_set oi ~position:0 (id t "b") <> None)
 
+(* graph ranks rely on embedding lists in graph-id order: a list out of
+   that order is refused, not indexed with wrong supports *)
+let test_occ_index_rejects_unordered () =
+  let t = small_taxonomy () in
+  let db = two_graph_db t in
+  let cls = List.hd (Gspan.mine_list ~min_support:2 (Relabel.db t db)) in
+  let reversed = { cls with Gspan.embeddings = List.rev cls.Gspan.embeddings } in
+  Alcotest.check_raises "out of graph-id order"
+    (Invalid_argument "Occ_index.build: embeddings out of graph-id order")
+    (fun () -> ignore (Occ_index.build ~taxonomy:t ~original:db reversed))
+
 (* Reference build: the index as built before the slot table, one hash
-   lookup per (occurrence, position, ancestor) visit. *)
+   lookup per (occurrence, position, ancestor) visit; each position also
+   lists its labels in the order first met *)
 let reference_entries ~taxonomy ~original ~keep_label (p : Gspan.pattern) =
   let embeddings = Array.of_list p.Gspan.embeddings in
   let occ_count = Array.length embeddings in
   let entries =
-    Array.init (Graph.node_count p.Gspan.graph) (fun _ -> Hashtbl.create 16)
+    Array.init (Graph.node_count p.Gspan.graph) (fun _ ->
+        (Hashtbl.create 16, ref []))
   in
   Array.iteri
     (fun occ (e : Gspan.embedding) ->
       let gr = Db.get original e.graph_id in
       Array.iteri
-        (fun pos table ->
+        (fun pos (table, met) ->
           let class_label = Graph.node_label p.Gspan.graph pos in
           Bitset.iter
             (fun anc ->
@@ -191,6 +207,7 @@ let reference_entries ~taxonomy ~original ~keep_label (p : Gspan.pattern) =
                   | None ->
                     let s = Bitset.create occ_count in
                     Hashtbl.add table anc s;
+                    met := anc :: !met;
                     s
                 in
                 Bitset.set set occ
@@ -198,13 +215,45 @@ let reference_entries ~taxonomy ~original ~keep_label (p : Gspan.pattern) =
             (Taxonomy.ancestor_set taxonomy (Graph.node_label gr e.map.(pos))))
         entries)
     embeddings;
-  entries
+  Array.map (fun (table, met) -> (table, List.rev !met)) entries
 
-(* a position's entry in hash-table iteration order, with capacities *)
-let entry_list table =
-  Hashtbl.fold
-    (fun l s acc -> (l, Bitset.capacity s, Bitset.to_list s) :: acc)
-    table []
+(* a position's entry as plain data: per slot its label, set capacity,
+   members and member count, its children (as labels), then the class
+   slot's label *)
+let dense_entry (e : Occ_index.entry) =
+  ( List.init (Array.length e.labels) (fun k ->
+        ( e.labels.(k),
+          Bitset.capacity e.sets.(k),
+          Bitset.to_list e.sets.(k),
+          e.members.(k),
+          List.init
+            (e.first_child.(k + 1) - e.first_child.(k))
+            (fun j -> e.labels.(e.children.(e.first_child.(k) + j))) )),
+    e.labels.(e.class_slot) )
+
+(* the same from the reference: slots in first-met order, children in
+   taxonomy order filtered to the entry *)
+let reference_dense ~taxonomy ~class_label (table, met) =
+  ( List.map
+      (fun l ->
+        let s = Hashtbl.find table l in
+        ( l,
+          Bitset.capacity s,
+          Bitset.to_list s,
+          Bitset.cardinal s,
+          List.filter (Hashtbl.mem table) (Taxonomy.children taxonomy l) ))
+      met,
+    class_label )
+
+(* rank of each occurrence's graph among the class's distinct graphs *)
+let reference_ranks gids =
+  let rec go prev rank = function
+    | [] -> []
+    | gid :: rest ->
+      let rank = if Some gid = prev then rank else rank + 1 in
+      rank :: go (Some gid) rank rest
+  in
+  go None (-1) gids
 
 let occ_index_matches_reference_prop =
   QCheck.Test.make
@@ -254,11 +303,11 @@ let occ_index_matches_reference_prop =
                   Occ_index.positions = Array.length expected;
                   entries =
                     Array.fold_left
-                      (fun n t -> n + Hashtbl.length t)
+                      (fun n (t, _) -> n + Hashtbl.length t)
                       0 expected;
                   set_members =
                     Array.fold_left
-                      (fun n t ->
+                      (fun n (t, _) ->
                         Hashtbl.fold (fun _ s n -> n + Bitset.cardinal s) t n)
                       0 expected;
                 }
@@ -268,10 +317,19 @@ let occ_index_matches_reference_prop =
                   (fun (e : Gspan.embedding) -> e.graph_id)
                   cls.Gspan.embeddings
               in
-              Array.map entry_list oi.Occ_index.entries
-              = Array.map entry_list expected
+              let ranks = reference_ranks gids in
+              Array.map dense_entry oi.Occ_index.entries
+              = Array.mapi
+                  (fun pos entry ->
+                    reference_dense ~taxonomy
+                      ~class_label:(Graph.node_label cls.Gspan.graph pos)
+                      entry)
+                  expected
               && Occ_index.size oi = recount
-              && oi.Occ_index.occ_gid = Array.of_list gids)
+              && oi.Occ_index.occ_gid = Array.of_list gids
+              && oi.Occ_index.occ_rank = Array.of_list ranks
+              && oi.Occ_index.graph_count
+                 = List.length (List.sort_uniq compare gids))
             filters)
         classes)
 
@@ -602,6 +660,41 @@ let test_enhancements_equivalent () =
       check bool (name ^ " equals all-on") true
         (Pattern.equal_sets reference r.Taxogram.patterns))
     enhancement_configs
+
+(* enhancement (c) on a DAG: a -> b, b -> {c1, c2}, and d under both c1
+   and c2. Every node label descends from b, so OcS(b) = OcS(a) and each
+   start label advances from a to b: every covered label below a is
+   below b. It stops there: OcS(c1) = OcS(b) too, but c2 (covered through
+   d) is not below c1. *)
+let test_start_preprocess_advances_on_dag () =
+  let t =
+    Taxonomy.build
+      ~names:[ "a"; "b"; "c1"; "c2"; "d" ]
+      ~is_a:[ ("b", "a"); ("c1", "b"); ("c2", "b"); ("d", "c1"); ("d", "c2") ]
+  in
+  let db =
+    Db.of_list
+      [
+        g ~labels:[| id t "d"; id t "d" |] ~edges:[ (0, 1, 0) ];
+        g ~labels:[| id t "c1"; id t "d" |] ~edges:[ (0, 1, 0) ];
+        g ~labels:[| id t "d"; id t "c1" |] ~edges:[ (0, 1, 0) ];
+      ]
+  in
+  let run enh =
+    Taxogram.run
+      (Taxogram.Spec.collect
+         ~config:{ (config 0.5) with enhancements = enh } ())
+      t db
+  in
+  let off = run Specialize.all_off in
+  let on = run { Specialize.all_off with start_preprocess = true } in
+  let naive = Naive.mine ~max_edges:3 ~min_support:0.5 t db in
+  check bool "(c) on = naive" true (Pattern.equal_sets naive on.Taxogram.patterns);
+  check bool "(c) off = naive" true
+    (Pattern.equal_sets naive off.Taxogram.patterns);
+  check bool "(c) saves visits" true
+    (on.Taxogram.spec_stats.Specialize.visited
+    < off.Taxogram.spec_stats.Specialize.visited)
 
 (* one fixed seeded instance: a 60-concept depth-5 DAG under 30 graphs *)
 let enhancements_instance () =
@@ -1032,6 +1125,201 @@ let tacgm_equals_naive_prop =
       r.Tacgm.outcome = Tacgm.Completed
       && Pattern.equal_sets naive r.Tacgm.patterns)
 
+(* Reference walk: [Specialize.enumerate] as it was before the dense
+   occurrence-index layout and the rank bound — label vectors, hash
+   lookups, an exact distinct-graph count on every candidate — with only
+   the enhancement-(c) guard corrected. The fast walk must make the same
+   visits, tests and emissions, in the same order. *)
+let reference_enumerate ~taxonomy ~min_support
+    ~(enhancements : Specialize.enhancements) (oi : Occ_index.t) emit =
+  let stats = Specialize.fresh_stats () in
+  let positions = Graph.node_count oi.Occ_index.class_graph in
+  let tables =
+    Array.map
+      (fun (e : Occ_index.entry) ->
+        let t = Hashtbl.create 16 in
+        Array.iteri (fun k l -> Hashtbl.add t l e.sets.(k)) e.labels;
+        t)
+      oi.Occ_index.entries
+  in
+  let occ_set pos l = Hashtbl.find_opt tables.(pos) l in
+  let support_of s = Bitset.cardinal (Occ_index.graph_set oi s) in
+  let raw_children pos l =
+    List.filter (fun c -> occ_set pos c <> None) (Taxonomy.children taxonomy l)
+  in
+  let collapsed pos l =
+    enhancements.collapse_equal_children
+    &&
+    let own = Option.get (occ_set pos l) in
+    List.exists
+      (fun c -> Bitset.equal own (Option.get (occ_set pos c)))
+      (raw_children pos l)
+  in
+  let effective_children pos l =
+    let seen = Hashtbl.create 8 in
+    let out = ref [] in
+    let rec go c =
+      if not (Hashtbl.mem seen c) then begin
+        Hashtbl.add seen c ();
+        if collapsed pos c then List.iter go (raw_children pos c)
+        else out := c :: !out
+      end
+    in
+    List.iter go (raw_children pos l);
+    List.rev !out
+  in
+  let advance_start pos l =
+    if not enhancements.start_preprocess then l
+    else begin
+      let covered = Occ_index.covered_labels oi ~position:pos in
+      let rec go l =
+        let own = Option.get (occ_set pos l) in
+        let below_l = Taxonomy.descendant_set taxonomy l in
+        let dominates c =
+          let below_c = Taxonomy.descendant_set taxonomy c in
+          List.for_all
+            (fun x ->
+              x = l || (not (Bitset.mem below_l x)) || Bitset.mem below_c x)
+            covered
+        in
+        match
+          List.find_opt
+            (fun c ->
+              Bitset.equal own (Option.get (occ_set pos c)) && dominates c)
+            (raw_children pos l)
+        with
+        | Some c -> go c
+        | None -> l
+      in
+      go l
+    end
+  in
+  let visited = Hashtbl.create 256 and emitted_keys = Hashtbl.create 256 in
+  let rec visit labels ocs support start =
+    stats.visited <- stats.visited + 1;
+    let over_generalized = ref false in
+    for pos = 0 to positions - 1 do
+      List.iter
+        (fun c ->
+          let child_set = Option.get (occ_set pos c) in
+          let scratch = Bitset.inter ocs child_set in
+          stats.intersections <- stats.intersections + 1;
+          let support' = support_of scratch in
+          if support' = support then over_generalized := true;
+          if
+            pos >= start && support' > 0
+            && ((not enhancements.child_pruning) || support' >= min_support)
+          then begin
+            let labels' = Array.copy labels in
+            labels'.(pos) <- c;
+            if not (Hashtbl.mem visited labels') then begin
+              Hashtbl.add visited labels' ();
+              visit labels' scratch support' pos
+            end
+          end)
+        (effective_children pos labels.(pos))
+    done;
+    if !over_generalized then
+      stats.over_generalized <- stats.over_generalized + 1
+    else if support >= min_support then begin
+      let graph = Graph.relabel oi.Occ_index.class_graph (fun v -> labels.(v)) in
+      let key = Tsg_gspan.Min_code.canonical_key graph in
+      if not (Hashtbl.mem emitted_keys key) then begin
+        Hashtbl.add emitted_keys key ();
+        stats.emitted <- stats.emitted + 1;
+        emit
+          (Pattern.make ~db_size:oi.Occ_index.db_size graph
+             (Occ_index.graph_set oi ocs))
+      end
+    end
+  in
+  let start_labels =
+    Array.init positions (fun pos ->
+        advance_start pos (Graph.node_label oi.Occ_index.class_graph pos))
+  in
+  let ocs = Bitset.copy oi.Occ_index.all_occs in
+  Array.iteri
+    (fun pos l -> Bitset.inter_into ~dst:ocs ocs (Option.get (occ_set pos l)))
+    start_labels;
+  let support = support_of ocs in
+  Hashtbl.add visited (Array.copy start_labels) ();
+  if support > 0 then visit start_labels ocs support 0;
+  stats
+
+(* a DAG taxonomy of up to 15 concepts under up to 6 small graphs *)
+let walk_instance rng =
+  let concepts = 4 + Prng.int rng 12 in
+  let tax =
+    Tsg_taxonomy.Synth_taxonomy.generate rng
+      {
+        concepts;
+        relationships = concepts + Prng.int rng concepts;
+        depth = 2 + Prng.int rng 4;
+      }
+  in
+  let nlabels = Taxonomy.label_count tax in
+  let graphs =
+    List.init (2 + Prng.int rng 5) (fun _ ->
+        let n = 2 + Prng.int rng 4 in
+        let labels = Array.init n (fun _ -> Prng.int rng nlabels) in
+        let edges = ref [] in
+        for v = 1 to n - 1 do
+          edges := (v, Prng.int rng v, Prng.int rng 2) :: !edges
+        done;
+        g ~labels ~edges:!edges)
+  in
+  (tax, Db.of_list graphs)
+
+let walk_configs =
+  let on = Specialize.all_on in
+  [
+    ("all on", on);
+    ("all off", Specialize.all_off);
+    ("(a) off", { on with child_pruning = false });
+    ("(b) off", { on with label_prefilter = false });
+    ("(c) off", { on with start_preprocess = false });
+    ("(d) off", { on with collapse_equal_children = false });
+  ]
+
+let enumerate_equals_reference_prop =
+  QCheck.Test.make ~name:"enumerate = reference walk" ~count:100 arb_instance
+    (fun (seed, k) ->
+      let rng = Prng.of_int seed in
+      let taxonomy, db = walk_instance rng in
+      let min_support = Db.support_count_to_threshold db (theta_of k) in
+      let classes =
+        Gspan.mine_list ~max_edges:3 ~min_support (Relabel.db taxonomy db)
+      in
+      let names = Taxonomy.labels taxonomy in
+      let shown p =
+        (Pattern.to_string ~names p, Bitset.to_list p.Pattern.support_set)
+      in
+      let counts (s : Specialize.stats) =
+        (s.intersections, s.visited, s.emitted, s.over_generalized)
+      in
+      List.for_all
+        (fun (name, (enhancements : Specialize.enhancements)) ->
+          let keep_label =
+            if enhancements.label_prefilter then
+              Some (Taxogram.frequent_label_filter taxonomy db ~min_support)
+            else None
+          in
+          List.for_all
+            (fun cls ->
+              let oi = Occ_index.build ~taxonomy ~original:db ?keep_label cls in
+              let fast = ref [] and slow = ref [] in
+              let stats = Specialize.fresh_stats () in
+              Specialize.enumerate ~taxonomy ~min_support ~enhancements ~stats
+                oi (fun p -> fast := shown p :: !fast);
+              let expected =
+                reference_enumerate ~taxonomy ~min_support ~enhancements oi
+                  (fun p -> slow := shown p :: !slow)
+              in
+              (!fast = !slow && counts stats = counts expected)
+              || QCheck.Test.fail_reportf "%s: walks differ" name)
+            classes)
+        walk_configs)
+
 (* every reported support must agree with a from-scratch recount *)
 let supports_verified_prop =
   QCheck.Test.make ~name:"taxogram supports verified by gen-subiso" ~count:60
@@ -1174,6 +1462,8 @@ let () =
           Alcotest.test_case "build" `Quick test_occ_index_build;
           Alcotest.test_case "graph sets" `Quick test_occ_index_graph_set;
           Alcotest.test_case "keep_label" `Quick test_occ_index_keep_label;
+          Alcotest.test_case "embeddings out of graph-id order" `Quick
+            test_occ_index_rejects_unordered;
         ]
         @ qsuite [ occ_index_matches_reference_prop ] );
       ( "taxogram",
@@ -1216,6 +1506,8 @@ let () =
           Alcotest.test_case "reduce work" `Quick test_enhancements_reduce_work;
           Alcotest.test_case "step-3 work counts pinned" `Quick
             test_work_counts_pinned;
+          Alcotest.test_case "(c) advances on a DAG" `Quick
+            test_start_preprocess_advances_on_dag;
         ] );
       ( "tacgm",
         [
@@ -1266,5 +1558,6 @@ let () =
             interest_nonnegative_prop;
             pattern_io_roundtrip_prop;
             parallel_equals_sequential_prop;
+            enumerate_equals_reference_prop;
           ] );
     ]

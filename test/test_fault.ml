@@ -169,11 +169,21 @@ let test_fnv1a64 () =
 
 (* --- Safe_io --------------------------------------------------------------- *)
 
-let test_write_atomic_survives_fault () =
-  let path = Filename.temp_file "tsg_fault" ".txt" in
+(* each torn-write test writes into a fresh directory of its own: other
+   suites run in parallel and write atomically into the shared temp
+   directory, so only a private one shows what this write left behind *)
+let in_fresh_dir f =
+  let dir = Filename.temp_dir "tsg_fault" "" in
+  let path = Filename.concat dir "artifact.txt" in
+  let litter () = List.sort compare (Array.to_list (Sys.readdir dir)) in
   Fun.protect
-    ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
-    (fun () ->
+    ~finally:(fun () ->
+      List.iter (fun f -> Sys.remove (Filename.concat dir f)) (litter ());
+      Sys.rmdir dir)
+    (fun () -> f path litter)
+
+let test_write_atomic_survives_fault () =
+  in_fresh_dir (fun path litter ->
       Safe_io.write_atomic path "first\n";
       with_faults [ ("safe_io.write", Fault.Once) ] (fun () ->
           match Safe_io.write_atomic path "second\n" with
@@ -182,16 +192,11 @@ let test_write_atomic_survives_fault () =
       (* the torn write must not have damaged the previous content *)
       check Alcotest.string "old content intact" "first\n"
         (Safe_io.read_file path);
-      check bool "no temp litter" true
-        (Array.for_all
-           (fun f -> not (String.length f > 4 && String.sub f 0 4 = ".tsg"))
-           (Sys.readdir (Filename.dirname path))))
+      check (Alcotest.list Alcotest.string) "no temp litter"
+        [ Filename.basename path ] (litter ()))
 
 let test_write_atomic_survives_dirsync_fault () =
-  let path = Filename.temp_file "tsg_fault" ".txt" in
-  Fun.protect
-    ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
-    (fun () ->
+  in_fresh_dir (fun path litter ->
       Safe_io.write_atomic path "first\n";
       with_faults [ ("safe_io.dirsync", Fault.Once) ] (fun () ->
           match Safe_io.write_atomic path "second\n" with
@@ -203,10 +208,8 @@ let test_write_atomic_survives_dirsync_fault () =
          crash-durability was at risk, never its content *)
       check Alcotest.string "new content already in place" "second\n"
         (Safe_io.read_file path);
-      check bool "no temp litter" true
-        (Array.for_all
-           (fun f -> not (String.length f > 4 && String.sub f 0 4 = ".tsg"))
-           (Sys.readdir (Filename.dirname path)));
+      check (Alcotest.list Alcotest.string) "no temp litter"
+        [ Filename.basename path ] (litter ());
       (* and the writer stays usable once the fault clears *)
       Safe_io.write_atomic path "third\n";
       check Alcotest.string "subsequent write lands" "third\n"

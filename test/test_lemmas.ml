@@ -325,10 +325,11 @@ let oi_size_bound_prop =
           let positions = Graph.node_count oi.Occ_index.class_graph in
           let entries =
             Array.fold_left
-              (fun acc table -> acc + Hashtbl.length table)
+              (fun acc (e : Occ_index.entry) -> acc + Array.length e.labels)
               0 oi.Occ_index.entries
           in
-          entries <= positions * Taxonomy.label_count tax)
+          entries <= positions * Taxonomy.label_count tax
+          && entries = (Occ_index.size oi).Occ_index.entries)
         classes)
 
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests

@@ -107,7 +107,10 @@ let test_bitset_capacity_mismatch () =
   let a = Bitset.create 10 and b = Bitset.create 11 in
   Alcotest.check_raises "inter mismatch"
     (Invalid_argument "Bitset.inter: capacity mismatch") (fun () ->
-      ignore (Bitset.inter a b))
+      ignore (Bitset.inter a b));
+  Alcotest.check_raises "inter_cardinal mismatch"
+    (Invalid_argument "Bitset.inter_cardinal: capacity mismatch") (fun () ->
+      ignore (Bitset.inter_cardinal a b))
 
 (* model-based property: bitset ops agree with a set-of-ints model *)
 module Int_set = Set.Make (Int)
@@ -201,6 +204,17 @@ let bitset_popcount_ops_prop =
       && Bitset.cardinal (Bitset.union a b)
          = Bitset.cardinal a + Bitset.cardinal b - inter
       && Bitset.cardinal (Bitset.diff a b) = Bitset.cardinal a - inter)
+
+(* the Step-3 support bound: a pop-count of the AND, dense words
+   included, equal to counting the fresh intersection *)
+let bitset_inter_cardinal_prop =
+  QCheck.Test.make ~name:"inter_cardinal = cardinal of inter" ~count:300
+    bitset_pair_arb
+    (fun (cap, xs, ys) ->
+      let a = Bitset.of_list cap xs and b = Bitset.of_list cap ys in
+      Bitset.inter_cardinal a b = Bitset.cardinal (Bitset.inter a b)
+      && Bitset.inter_cardinal a b = Bitset.inter_cardinal b a
+      && Bitset.inter_cardinal a a = Bitset.cardinal a)
 
 (* --- Metrics -------------------------------------------------------------- *)
 
@@ -441,6 +455,7 @@ let () =
               bitset_model_prop;
               bitset_iteration_consistency_prop;
               bitset_popcount_ops_prop;
+              bitset_inter_cardinal_prop;
             ] );
       ( "metrics",
         [
