@@ -28,8 +28,9 @@ lint:
 	  --patterns examples/data/demo.pat
 
 # static analysis over our own typed trees: domain-safety, determinism,
-# IO and registry rules (DOM/DET/IO1/REG, catalog in DESIGN.md). Must be
-# finding-free; the allowlist is committed and deliberately empty.
+# IO, registry and kernel-typing rules (DOM/DET/IO1/REG/HOT, catalog in
+# DESIGN.md). Must be finding-free; the allowlist is committed and
+# deliberately empty.
 analyze:
 	dune build @check
 	dune exec -- tsg-analyze --strict --allowlist analyze.allow

@@ -119,6 +119,26 @@ let open_out_fns = [ "open_out"; "open_out_bin"; "open_out_gen" ]
 
 let string_comparisons = [ "="; "<>"; "String.equal" ]
 
+(* the polymorphic primitives HOT001 looks for *)
+let polymorphic_ops =
+  [ "="; "<>"; "<"; ">"; "<="; ">="; "compare"; "min"; "max"; "Hashtbl.hash" ]
+
+(* Step 2/3's kernel modules: gSpan and the minimum DFS code, the
+   occurrence index, the specialization walk and the structures they
+   walk per visit *)
+let kernel_source source =
+  List.mem (Filename.basename source)
+    [ "occ_index.ml"; "specialize.ml"; "taxonomy.ml"; "bitset.ml" ]
+  || Filename.basename (Filename.dirname source) = "gspan"
+
+(* [ty] is the type a polymorphic primitive was instantiated at, e.g.
+   ['a -> 'a -> bool] for [=]: is its first argument a type variable? *)
+let at_type_variable ty =
+  match Types.get_desc ty with
+  | Tarrow (_, arg, _, _) -> (
+    match Types.get_desc arg with Tvar _ | Tunivar _ -> true | _ -> false)
+  | _ -> false
+
 let is_upper c = c >= 'A' && c <= 'Z'
 
 let is_digit c = c >= '0' && c <= '9'
@@ -555,6 +575,7 @@ let dom001_findings facts =
 let walk_findings ~tainted facts =
   let unit_info = facts.f_unit in
   let source_base = Filename.basename unit_info.Cmt_load.source in
+  let kernel = kernel_source unit_info.Cmt_load.source in
   let norm path = normalize facts.f_aliases path in
   let findings = ref [] in
   let context = ref [ "-" ] in
@@ -621,6 +642,13 @@ let walk_findings ~tainted facts =
           "%s bypasses Tsg_util.Safe_io.write_atomic: artifact writes \
            must be atomic (suppress with a justification if this is not \
            an artifact)"
+          n;
+      if kernel && List.mem n polymorphic_ops && at_type_variable e.exp_type
+      then
+        add "HOT001" e.exp_loc
+          "%s at a type variable in a Step-2/3 kernel: every call goes \
+           through the generic runtime comparison or hash (annotate the \
+           operands' type, e.g. int)"
           n)
     | Texp_lazy _ ->
       if tainted then

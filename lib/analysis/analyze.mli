@@ -29,6 +29,13 @@
       {!Tsg_util.Safe_io}: artifact writes must be atomic
       (temp+fsync+rename); non-artifact writers carry a justified
       suppression.
+    - [HOT001] — [=], [<>], [<], [>], [<=], [>=], [compare], [min],
+      [max] or [Hashtbl.hash] instantiated at a type variable in a
+      Step-2/3 kernel module (any unit under a [gspan/] directory, and
+      [occ_index.ml], [specialize.ml], [taxonomy.ml], [bitset.ml]): an
+      unannotated helper generalizes, and each call then goes through
+      the runtime's generic compare or hash instead of an int
+      instruction.
     - [REG001] — a rule-shaped string literal (["TAX005"], ["DOM001"],
       …) absent from {!Tsg_util.Diagnostic.Registry.rules}, or an
       all-caps literal matched or compared as a protocol error code but

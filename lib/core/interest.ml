@@ -1,28 +1,31 @@
 module Graph = Tsg_graph.Graph
 module Db = Tsg_graph.Db
 module Taxonomy = Tsg_taxonomy.Taxonomy
-module Bitset = Tsg_util.Bitset
 module Gen_iso = Tsg_iso.Gen_iso
 module Min_code = Tsg_gspan.Min_code
 
 type ranked = { pattern : Pattern.t; ratio : float }
 
 let label_frequencies taxonomy db =
+  let { Taxonomy.anc_first; anc; _ } = Taxonomy.flat taxonomy in
   let n = Taxonomy.label_count taxonomy in
   let counts = Array.make n 0 in
   let stamp = Array.make n (-1) in
   Db.iteri
     (fun gid g ->
-      List.iter
-        (fun l ->
-          Bitset.iter
-            (fun anc ->
-              if stamp.(anc) <> gid then begin
-                stamp.(anc) <- gid;
-                counts.(anc) <- counts.(anc) + 1
-              end)
-            (Taxonomy.ancestor_set taxonomy l))
-        (Graph.distinct_node_labels g))
+      for v = 0 to Graph.node_count g - 1 do
+        let l = Graph.node_label g v in
+        (* ancestors are reflexive: a label stamped already was walked, or
+           is an ancestor of one that was, so its ancestors are stamped *)
+        if stamp.(l) <> gid then
+          for j = anc_first.(l) to anc_first.(l + 1) - 1 do
+            let a = anc.(j) in
+            if stamp.(a) <> gid then begin
+              stamp.(a) <- gid;
+              counts.(a) <- counts.(a) + 1
+            end
+          done
+      done)
     db;
   counts
 

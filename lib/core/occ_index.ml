@@ -211,7 +211,8 @@ let debug_check_max_db = 500
    slot holds the index of its occurrence set, or [dropped] once
    [keep_label] has refused it; [touched] lists the labels given a slot,
    in first-touch order, for the reset. [sets] and [counts] are indexed
-   by slot, [kids] collects a position's child slots; all three are
+   by slot, [kids] collects a position's child slots (at most one per
+   is-a edge, as a position's slot labels are distinct); all three are
    copied out to exact size before the reset. *)
 type slots = {
   mutable slot : int array;
@@ -231,57 +232,16 @@ let slots_key : slots Domain.DLS.key =
   Domain.DLS.new_key (fun () ->
       { slot = [||]; touched = [||]; sets = [||]; counts = [||]; kids = [||] })
 
-(* one position's entry: labels get their slots in the order a per-visit
-   lookup would first meet them — occurrences in order, each original
-   label's ancestors in increasing order *)
-let build_entry sc ~taxonomy ~keep_label ~class_label ancestors occ_count =
+(* one position's entry from its occurrences' original labels: labels get
+   their slots in the order a per-visit lookup would first meet them —
+   occurrences in order, each original label's ancestors in increasing
+   order *)
+let build_entry sc (tf : Taxonomy.flat) ~keep_label ~class_label originals =
   let slot = sc.slot and touched = sc.touched in
-  let sets = sc.sets and counts = sc.counts in
+  let sets = sc.sets and counts = sc.counts and kids = sc.kids in
+  let anc_first = tf.anc_first and anc = tf.anc in
+  let occ_count = Array.length originals in
   let n_sets = ref 0 and n_touched = ref 0 in
-  let occ = ref 0 in
-  let visit anc =
-    let k = slot.(anc) in
-    if k >= 0 then begin
-      Bitset.set sets.(k) !occ;
-      counts.(k) <- counts.(k) + 1
-    end
-    else if k = unseen then begin
-      touched.(!n_touched) <- anc;
-      incr n_touched;
-      if anc = class_label || keep_label anc then begin
-        let set = Bitset.create occ_count in
-        Bitset.set set !occ;
-        sets.(!n_sets) <- set;
-        counts.(!n_sets) <- 1;
-        slot.(anc) <- !n_sets;
-        incr n_sets
-      end
-      else slot.(anc) <- dropped
-    end
-  in
-  (* each slot's in-entry children, in [Taxonomy.children] order, read
-     off the slot table while it still holds this position *)
-  let rec add_kids n_kids = function
-    | [] -> n_kids
-    | c :: rest ->
-      let s = slot.(c) in
-      if s < 0 then add_kids n_kids rest
-      else begin
-        if n_kids = Array.length sc.kids then
-          sc.kids <- Array.append sc.kids (Array.make (n_kids + 16) 0);
-        sc.kids.(n_kids) <- s;
-        add_kids (n_kids + 1) rest
-      end
-  in
-  let link labels =
-    let n = Array.length labels in
-    let first_child = Array.make (n + 1) 0 in
-    for k = 0 to n - 1 do
-      first_child.(k + 1) <-
-        add_kids first_child.(k) (Taxonomy.children taxonomy labels.(k))
-    done;
-    (first_child, Array.sub sc.kids 0 first_child.(n))
-  in
   Fun.protect
     ~finally:(fun () ->
       for j = 0 to !n_touched - 1 do
@@ -289,25 +249,60 @@ let build_entry sc ~taxonomy ~keep_label ~class_label ancestors occ_count =
       done;
       Array.fill sets 0 !n_sets no_set)
     (fun () ->
-      while !occ < occ_count do
-        Bitset.iter visit (ancestors !occ);
-        incr occ
+      for occ = 0 to occ_count - 1 do
+        let l = originals.(occ) in
+        for j = anc_first.(l) to anc_first.(l + 1) - 1 do
+          let a = anc.(j) in
+          let k = slot.(a) in
+          if k >= 0 then begin
+            Bitset.set sets.(k) occ;
+            counts.(k) <- counts.(k) + 1
+          end
+          else if k = unseen then begin
+            touched.(!n_touched) <- a;
+            incr n_touched;
+            if a = class_label || keep_label a then begin
+              let set = Bitset.create occ_count in
+              Bitset.set set occ;
+              sets.(!n_sets) <- set;
+              counts.(!n_sets) <- 1;
+              slot.(a) <- !n_sets;
+              incr n_sets
+            end
+            else slot.(a) <- dropped
+          end
+        done
       done;
       let n = !n_sets in
       let labels = Array.make n 0 in
       for j = 0 to !n_touched - 1 do
-        let anc = touched.(j) in
-        let k = slot.(anc) in
-        if k >= 0 then labels.(k) <- anc
+        let a = touched.(j) in
+        let k = slot.(a) in
+        if k >= 0 then labels.(k) <- a
       done;
-      let first_child, children = link labels in
+      (* each slot's in-entry children, in [Taxonomy.children] order, read
+         off the slot table while it still holds this position *)
+      let child_first = tf.child_first and child = tf.child in
+      let first_child = Array.make (n + 1) 0 in
+      let n_kids = ref 0 in
+      for k = 0 to n - 1 do
+        let l = labels.(k) in
+        for j = child_first.(l) to child_first.(l + 1) - 1 do
+          let s = slot.(child.(j)) in
+          if s >= 0 then begin
+            kids.(!n_kids) <- s;
+            incr n_kids
+          end
+        done;
+        first_child.(k + 1) <- !n_kids
+      done;
       {
         labels;
         sets = Array.sub sets 0 n;
         members = Array.sub counts 0 n;
         class_slot = slot.(class_label);
         first_child;
-        children;
+        children = Array.sub kids 0 !n_kids;
       })
 
 (* occurrence id -> rank of its graph among the class's graphs; embedding
@@ -336,23 +331,26 @@ let build ~taxonomy ~original ?(keep_label = fun _ -> true)
   let occ_gid = Array.map (fun e -> e.Gspan.graph_id) embeddings in
   let occ_rank, graph_count = graph_ranks occ_gid in
   let graphs = Array.map (fun gid -> Db.get original gid) occ_gid in
+  let tf = Taxonomy.flat taxonomy in
   let sc = Domain.DLS.get slots_key in
   let labels = Taxonomy.label_count taxonomy in
   if Array.length sc.slot < labels then begin
     sc.slot <- Array.make labels unseen;
     sc.touched <- Array.make labels 0;
     sc.sets <- Array.make labels no_set;
-    sc.counts <- Array.make labels 0;
-    sc.kids <- Array.make labels 0
+    sc.counts <- Array.make labels 0
   end;
+  if Array.length sc.kids < Array.length tf.child then
+    sc.kids <- Array.make (Array.length tf.child) 0;
+  let originals = Array.make occ_count 0 in
   let entries =
     Array.init positions (fun pos ->
-        build_entry sc ~taxonomy ~keep_label
-          ~class_label:(Graph.node_label p.graph pos)
-          (fun occ ->
-            Taxonomy.ancestor_set taxonomy
-              (Graph.node_label graphs.(occ) embeddings.(occ).Gspan.map.(pos)))
-          occ_count)
+        for occ = 0 to occ_count - 1 do
+          originals.(occ) <-
+            Graph.node_label graphs.(occ) embeddings.(occ).Gspan.map.(pos)
+        done;
+        build_entry sc tf ~keep_label
+          ~class_label:(Graph.node_label p.graph pos) originals)
   in
   let sum f = Array.fold_left (fun n e -> n + f e) 0 entries in
   let t =
@@ -398,25 +396,13 @@ let occurrence_set t ~position label =
 let covered_labels t ~position =
   List.sort compare (Array.to_list t.entries.(position).labels)
 
-(* ranks never decrease along an occurrence set's members, so each new
-   rank met is a graph not met before *)
-let ranks_into t ~dst occs =
-  Bitset.clear dst;
-  let last = ref (-1) and count = ref 0 in
-  Bitset.iter
-    (fun occ ->
-      let r = t.occ_rank.(occ) in
-      if r <> !last then begin
-        last := r;
-        incr count;
-        Bitset.set dst r
-      end)
-    occs;
-  !count
+(* ranks (and graph ids) never decrease along an occurrence set's
+   members, as [Bitset.project_into] requires *)
+let ranks_into t ~dst occs = Bitset.project_into ~dst t.occ_rank occs
 
 let graph_set t occs =
   let set = Bitset.create t.db_size in
-  Bitset.iter (fun occ -> Bitset.set set t.occ_gid.(occ)) occs;
+  ignore (Bitset.project_into ~dst:set t.occ_gid occs);
   set
 
 let size (t : t) = t.counted

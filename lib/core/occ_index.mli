@@ -74,13 +74,17 @@ val build :
     (default: keep everything). The position's own class label is always
     kept.
 
-    Cost: one visit per (occurrence, position, ancestor of the original
-    label), each one array read in a label-indexed slot table, one
-    {!Tsg_util.Bitset.set} and one member-count increment; no hashing per
-    visit. The table (one int per taxonomy label, per domain) is reset
-    through the labels each position touched, and [keep_label] runs once
-    per (position, label) met. Before the reset, each slot's taxonomy
-    children are looked up in the table once to record the in-entry
+    Cost: per position, the occurrences' original labels are gathered
+    into one int array; then one visit per (occurrence, position,
+    ancestor of the original label), walked as a slice of the taxonomy's
+    flat ancestor array ({!Tsg_taxonomy.Taxonomy.flat}) in a plain loop,
+    each one array read in a label-indexed slot table, one
+    {!Tsg_util.Bitset.set} and one member-count increment; no hashing
+    and no closure call per visit. The table (one int per taxonomy
+    label, per domain) is reset through the labels each position
+    touched, and [keep_label] runs once per (position, label) met.
+    Before the reset, each slot's children are read off the flat child
+    array and looked up in the table once to record the in-entry
     children. Per position the entry allocates its five arrays and one
     bitset per slot.
 
@@ -98,12 +102,14 @@ val ranks_into : t -> dst:Tsg_util.Bitset.t -> Tsg_util.Bitset.t -> int
 (** [ranks_into t ~dst occs] overwrites [dst] (capacity [t.graph_count])
     with the rank set of [occs] and returns its size: the number of
     distinct database graphs among the occurrences, the support
-    numerator. One step per member (the rank changes met walking the
-    members in order); writes only [dst]. *)
+    numerator. {!Tsg_util.Bitset.project_into} through [occ_rank]: one
+    array read and one comparison per member, no closure call; writes
+    only [dst]. *)
 
 val graph_set : t -> Tsg_util.Bitset.t -> Tsg_util.Bitset.t
-(** Distinct database graph ids of an occurrence set, as a bitset over the
-    database. *)
+(** Distinct database graph ids of an occurrence set, as a fresh bitset
+    over the database: {!Tsg_util.Bitset.project_into} through
+    [occ_gid]. *)
 
 val self_check :
   taxonomy:Tsg_taxonomy.Taxonomy.t ->

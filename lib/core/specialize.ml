@@ -38,6 +38,25 @@ let fresh_stats () =
 
 exception Out_of_time
 
+(* PNS visited set over slot vectors: int-array equality and an int-fold
+   hash, where a polymorphic table pays [caml_hash] and [caml_equal] per
+   probe. *)
+module Visited = Hashtbl.Make (struct
+  type t = int array
+
+  let equal (a : int array) (b : int array) =
+    let n = Array.length a in
+    let rec from i = i = n || (a.(i) = b.(i) && from (i + 1)) in
+    n = Array.length b && from 0
+
+  let hash (a : int array) =
+    let h = ref (Array.length a) in
+    for i = 0 to Array.length a - 1 do
+      h := (!h * 0x9e3779b1) + a.(i)
+    done;
+    !h lxor (!h lsr 31)
+end)
+
 let enumerate ~taxonomy ~min_support ~enhancements ?stats
     ?(budget = Tsg_util.Timer.Budget.unlimited) (oi : Occ_index.t) emit =
   let stats = Option.value ~default:(fresh_stats ()) stats in
@@ -142,7 +161,7 @@ let enumerate ~taxonomy ~min_support ~enhancements ?stats
     in
     if enhancements.start_preprocess then go k else k
   in
-  let visited : (int array, unit) Hashtbl.t = Hashtbl.create 256 in
+  let visited = Visited.create 256 in
   (* automorphic classes (e.g. an a-a edge) reach the same pattern through
      several label vectors; emit one representative per isomorphism class *)
   let emitted_keys : (string, unit) Hashtbl.t = Hashtbl.create 256 in
@@ -203,8 +222,8 @@ let enumerate ~taxonomy ~min_support ~enhancements ?stats
           if may_descend && support' >= threshold then begin
             let slots' = Array.copy slots in
             slots'.(pos) <- c;
-            if not (Hashtbl.mem visited slots') then begin
-              Hashtbl.add visited slots' ();
+            if not (Visited.mem visited slots') then begin
+              Visited.add visited slots' ();
               visit slots' scratch scratch_ranks support' pos
             end
           end
@@ -227,6 +246,6 @@ let enumerate ~taxonomy ~min_support ~enhancements ?stats
     done;
     let ranks = Bitset.create oi.graph_count in
     let support = Occ_index.ranks_into oi ~dst:ranks ocs in
-    Hashtbl.add visited (Array.copy start_slots) ();
+    Visited.add visited (Array.copy start_slots) ();
     if support > 0 then visit start_slots ocs ranks support 0
   end

@@ -1,4 +1,3 @@
-module Graph = Tsg_graph.Graph
 module Db = Tsg_graph.Db
 module Label = Tsg_graph.Label
 module Taxonomy = Tsg_taxonomy.Taxonomy
@@ -52,22 +51,8 @@ exception Out_of_time_in_mining
 exception Supervised_stop
 
 let frequent_label_filter taxonomy db ~min_support =
-  let n = Taxonomy.label_count taxonomy in
-  let counts = Array.make n 0 in
-  let stamp = Array.make n (-1) in
-  Db.iteri
-    (fun gid g ->
-      List.iter
-        (fun l ->
-          Bitset.iter
-            (fun anc ->
-              if stamp.(anc) <> gid then begin
-                stamp.(anc) <- gid;
-                counts.(anc) <- counts.(anc) + 1
-              end)
-            (Taxonomy.ancestor_set taxonomy l))
-        (Graph.distinct_node_labels g))
-    db;
+  let counts = Interest.label_frequencies taxonomy db in
+  let n = Array.length counts in
   fun l -> l >= 0 && l < n && counts.(l) >= min_support
 
 let add_stats (dst : Specialize.stats) (s : Specialize.stats) =
@@ -615,6 +600,9 @@ let run_pool ~config ~budget ~class_miner ~exec ~sink ~ckpt ~supervised
      freeze, lookups touch only immutable structures, so the hot paths
      never contend on (or race with) the label table *)
   Label.freeze (Taxonomy.labels taxonomy);
+  (* and the taxonomy's flat arrays, built here once rather than by
+     whichever domains first reach an occurrence-index build *)
+  ignore (Taxonomy.flat taxonomy);
   let min_support_count = Db.support_count_to_threshold db config.min_support in
   let keep_label =
     keep_label_of config taxonomy db ~min_support:min_support_count

@@ -11,7 +11,7 @@ let column g chosen v =
        chosen
 
 (* lexicographic comparison of int lists *)
-let rec compare_prefix a b =
+let rec compare_prefix (a : int list) (b : int list) =
   match (a, b) with
   | [], [] -> 0
   | [], _ -> -1
@@ -45,7 +45,7 @@ let code g =
               | Some b ->
                 (* compare the prefix against the best code's prefix of the
                    same length *)
-                let rec cmp p b =
+                let rec cmp (p : int list) (b : int list) =
                   match (p, b) with
                   | [], _ -> true (* equal so far *)
                   | _, [] -> false

@@ -153,7 +153,7 @@ let hash key =
   let h = key * 0x2545F4914F6CDD1D in
   h lxor (h lsr 29)
 
-let rec probe table slot_key key mask p =
+let rec probe table (slot_key : int array) (key : int) mask p =
   let k = table.(p) in
   if k < 0 || slot_key.(k) = key then p
   else probe table slot_key key mask ((p + 1) land mask)
@@ -210,11 +210,14 @@ let tally s gid key node =
   s.cand_node.(c) <- node;
   s.cands <- c + 1
 
-let mapped map w =
+(* Typed at [int] on purpose: unannotated, these two generalize to ['a],
+   and every candidate then pays a [caml_equal] call per comparison and
+   generic (float-array-checking) reads per element. *)
+let mapped (map : int array) (w : int) =
   let rec go j = j < Array.length map && (map.(j) = w || go (j + 1)) in
   go 0
 
-let neighbor_index adj v =
+let neighbor_index (adj : (int * int) array) (v : int) =
   let rec go j =
     if j = Array.length adj then -1
     else if fst adj.(j) = v then j

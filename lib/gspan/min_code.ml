@@ -3,7 +3,14 @@ module Graph = Tsg_graph.Graph
 type embedding = int array
 (* dfs index -> graph node *)
 
-let mapped emb node = Array.exists (fun v -> v = node) emb
+(* Typed at [int], as the comparisons below: generalized, they would pay
+   [caml_equal]/[caml_compare] per call. *)
+let mapped (emb : embedding) (node : int) =
+  let rec go j = j < Array.length emb && (emb.(j) = node || go (j + 1)) in
+  go 0
+
+(* lexicographic [(a, b) < (a', b')] on ints *)
+let lt2 (a : int) (b : int) a' b' = a < a' || (a = a' && b < b')
 
 (* Incrementally build the minimum code of [g], calling [on_edge k e] after
    choosing the k-th edge; stop early when it returns [false]. *)
@@ -14,20 +21,23 @@ let fold_min g ~on_edge =
     invalid_arg "Min_code: graph must be connected";
   if ecount = 0 then ()
   else begin
-    (* first edge: smallest (l_from, l_e, l_to) over both orientations *)
-    let best = ref None in
+    (* first edge: smallest (l_from, l_e, l_to) over both orientations,
+       from a start no triple exceeds *)
+    let l0 = ref max_int and le0 = ref max_int and l1 = ref max_int in
     let consider u v le =
-      let tuple = (Graph.node_label g u, le, Graph.node_label g v) in
-      match !best with
-      | None -> best := Some tuple
-      | Some t -> if compare tuple t < 0 then best := Some tuple
+      let lu = Graph.node_label g u and lv = Graph.node_label g v in
+      if lu < !l0 || (lu = !l0 && lt2 le lv !le0 !l1) then begin
+        l0 := lu;
+        le0 := le;
+        l1 := lv
+      end
     in
     Array.iter
       (fun (u, v, le) ->
         consider u v le;
         consider v u le)
       (Graph.edges g);
-    let l0, le0, l1 = Option.get !best in
+    let l0 = !l0 and le0 = !le0 and l1 = !l1 in
     let first =
       {
         Dfs_code.from_i = 0;
@@ -72,7 +82,7 @@ let fold_min g ~on_edge =
                 match !best_back with
                 | None -> best_back := Some (i, le)
                 | Some (bi, ble) ->
-                  if compare (i, le) (bi, ble) < 0 then best_back := Some (i, le))
+                  if lt2 i le bi ble then best_back := Some (i, le))
               | None -> ())
             back_targets)
         !embeddings;
@@ -110,7 +120,8 @@ let fold_min g ~on_edge =
                         let lw = Graph.node_label g w in
                         match !best_lab with
                         | None -> best_lab := Some (le, lw)
-                        | Some t -> if compare (le, lw) t < 0 then best_lab := Some (le, lw)
+                        | Some (ble, blw) ->
+                          if lt2 le lw ble blw then best_lab := Some (le, lw)
                       end)
                     (Graph.neighbors g emb.(i)))
                 !embeddings;
@@ -177,16 +188,22 @@ let is_min (code : Dfs_code.t) =
       true
     with Not_min -> false
 
+(* the key text is "from,to,from_label,edge_label,to_label;" per edge *)
 let canonical_key g =
-  if Graph.node_count g = 1 then
-    Printf.sprintf "n%d" (Graph.node_label g 0)
+  if Graph.node_count g = 1 then "n" ^ string_of_int (Graph.node_label g 0)
   else
     let code = minimum g in
     let buf = Buffer.create (16 * Array.length code) in
+    let field sep n =
+      Buffer.add_string buf (string_of_int n);
+      Buffer.add_char buf sep
+    in
     Array.iter
       (fun e ->
-        Buffer.add_string buf
-          (Printf.sprintf "%d,%d,%d,%d,%d;" e.Dfs_code.from_i e.to_i
-             e.from_label e.edge_label e.to_label))
+        field ',' e.Dfs_code.from_i;
+        field ',' e.to_i;
+        field ',' e.from_label;
+        field ',' e.edge_label;
+        field ';' e.to_label)
       code;
     Buffer.contents buf

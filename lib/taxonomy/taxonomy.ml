@@ -3,6 +3,13 @@ module Bitset = Tsg_util.Bitset
 
 type id = Label.id
 
+type flat = {
+  anc_first : int array;
+  anc : id array;
+  child_first : int array;
+  child : id array;
+}
+
 type t = {
   labels : Label.t;
   parents : id list array;
@@ -13,6 +20,7 @@ type t = {
   topo : id array; (* ancestors before descendants *)
   roots : id list;
   artificial_from : int; (* ids >= this were synthesized *)
+  flat : flat option Atomic.t; (* [None] until the first [flat] call *)
 }
 
 let label_count t = Array.length t.parents
@@ -60,6 +68,38 @@ let descendants t l = Bitset.to_list t.desc.(l)
 let strict_descendants t l = List.filter (fun d -> d <> l) (descendants t l)
 
 let descendant_set t l = t.desc.(l)
+
+let build_flat t =
+  let n = label_count t in
+  let offsets count =
+    let first = Array.make (n + 1) 0 in
+    for l = 0 to n - 1 do
+      first.(l + 1) <- first.(l) + count l
+    done;
+    first
+  in
+  let anc_first = offsets (fun l -> Bitset.cardinal t.anc.(l)) in
+  let anc = Array.make anc_first.(n) 0 in
+  for l = 0 to n - 1 do
+    ignore
+      (Bitset.fold (fun a j -> anc.(j) <- a; j + 1) t.anc.(l) anc_first.(l))
+  done;
+  let child_first = offsets (fun l -> List.length t.children.(l)) in
+  let child = Array.make child_first.(n) 0 in
+  for l = 0 to n - 1 do
+    List.iteri (fun i c -> child.(child_first.(l) + i) <- c) t.children.(l)
+  done;
+  { anc_first; anc; child_first; child }
+
+(* Domains racing on the first call may each build the arrays; the first
+   to publish wins and every caller returns its copy. *)
+let flat t =
+  match Atomic.get t.flat with
+  | Some f -> f
+  | None ->
+    let f = build_flat t in
+    if Atomic.compare_and_set t.flat None (Some f) then f
+    else Option.get (Atomic.get t.flat)
 
 let depth t l = t.depth.(l)
 
@@ -247,7 +287,7 @@ let build_ids ~labels ~is_a =
     List.filter (fun v -> parents.(v) = []) (List.init n (fun i -> i))
   in
   { labels; parents; children; anc; desc; depth; topo; roots;
-    artificial_from = n0 }
+    artificial_from = n0; flat = Atomic.make None }
 
 let build ~names ~is_a =
   let labels = Label.of_names names in

@@ -93,6 +93,38 @@ val most_general : t -> id -> id
 val avg_strict_ancestors : t -> float
 (** The paper's [d]: average number of (strict) ancestors per label. *)
 
+(** {1 Flat arrays}
+
+    The ancestor and child relations as CSR int arrays, for kernels that
+    walk them once per visit (the occurrence-index build walks every
+    occurrence's ancestors): a plain loop over a slice, with no closure
+    call or list cell per element. The bitsets above stay the structure
+    for membership tests. *)
+
+type flat = {
+  anc_first : int array;
+      (** label -> first index of its ancestors in [anc]; one element
+          more than there are labels *)
+  anc : id array;
+      (** every label's reflexive ancestors, ascending id order (the
+          order of {!ancestors}): label [l]'s are
+          [anc.(anc_first.(l)) .. anc.(anc_first.(l + 1) - 1)] *)
+  child_first : int array;
+      (** label -> first index of its children in [child]; one element
+          more than there are labels *)
+  child : id array;
+      (** every label's direct children, in {!children} order *)
+}
+
+val flat : t -> flat
+(** The taxonomy's flat arrays, built on the first call (one pass over
+    the ancestor bitsets and child lists: O(labels + ancestor pairs +
+    is-a edges)) and cached in the taxonomy, so loading a taxonomy does
+    not pay for them. Later calls, from any domain, return the same
+    arrays; two domains racing on the first call may both build them,
+    and both get the copy published first. The arrays are shared:
+    read-only, do not mutate. *)
+
 (** {1 Depth} *)
 
 val depth : t -> id -> int

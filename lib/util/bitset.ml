@@ -199,6 +199,44 @@ let choose t =
   in
   scan 0
 
+(* one member's image under [map]: set in [dst] unless it repeats [last],
+   the image before it *)
+let image dst (map : int array) i (last : int) =
+  let v = map.(i) in
+  if v <> last then begin
+    if v < last then invalid_arg "Bitset.project_into: map decreases";
+    set dst v
+  end;
+  v
+
+(* [iter]'s word walk with [image] in place of the callback *)
+let project_into ~dst map t =
+  clear dst;
+  match choose t with
+  | None -> 0
+  | Some first ->
+    (* one below the first image, so that image is set (or refused) too *)
+    let last = ref (map.(first) - 1) in
+    for w = 0 to Array.length t.words - 1 do
+      let word = t.words.(w) in
+      if word <> 0 then begin
+        let base = w * bits_per_word in
+        if popcount word >= dense_word then
+          for b = 0 to bits_per_word - 1 do
+            if word land (1 lsl b) <> 0 then
+              last := image dst map (base + b) !last
+          done
+        else begin
+          let rest = ref word in
+          while !rest <> 0 do
+            last := image dst map (base + lowest_bit !rest) !last;
+            rest := !rest land (!rest - 1)
+          done
+        end
+      end
+    done;
+    cardinal dst
+
 let pp ppf t =
   Format.fprintf ppf "@[<hov 1>{%a}@]"
     (Format.pp_print_list

@@ -57,6 +57,19 @@ val iter : (int -> unit) -> t -> unit
     members) one test per bit position. {!fold}, {!exists}, {!for_all},
     {!to_list} and {!choose} share this cost model. *)
 
+val project_into : dst:t -> int array -> t -> int
+(** [project_into ~dst map s] overwrites [dst] with the image of [s]
+    under [map] — [{map.(i) | i ∈ s}] — and returns its size. [map] must
+    not decrease over the members of [s] (an occurrence -> graph map of
+    an embedding list in graph-id order, say), so equal images come in
+    runs: each member costs {!iter}'s word walk, one array read and one
+    comparison with the image before it, and only a new image is set;
+    the size is one {!cardinal} of [dst]. No closure is called per
+    member. Writes only [dst].
+    @raise Invalid_argument when an image lies outside [dst]'s capacity
+    or [map] decreases between two members (an index of [s] beyond
+    [map] raises too); [dst] is then partly written. *)
+
 val fold : (int -> 'a -> 'a) -> t -> 'a -> 'a
 
 val exists : (int -> bool) -> t -> bool

@@ -254,6 +254,9 @@ module Registry = struct
       e "DET002" Error "ambient Random state in library code";
       e "IO101" Error "artifact write bypasses Safe_io";
       e "REG001" Error "code used but absent from the central registry";
+      e "HOT001" Error
+        "polymorphic comparison or hash at a type variable in a Step-2/3 \
+         kernel";
       e "ANA001" Error "malformed tsg.allow suppression attribute";
       e "ANA002" Warning "unreadable cmt file";
       e "ANA003" Warning "stale allowlist entry";

@@ -5,7 +5,7 @@
 # error codes is Tsg_util.Diagnostic.Registry, surfaced by
 # `tsg-analyze --list-rules`. This script fails when:
 #   - a registered rule code is missing from the DESIGN.md catalog,
-#   - a tsg-analyze rule (DOM/DET/IO1/REG/ANA) is missing from README.md,
+#   - a tsg-analyze rule (DOM/DET/IO1/REG/HOT/ANA) is missing from README.md,
 #   - a registered protocol error code is missing from DESIGN.md,
 #   - README.md or DESIGN.md mentions a rule-shaped code the registry
 #     does not know (stale docs or a typo).
@@ -25,7 +25,7 @@ for c in $codes; do
   fi
 done
 
-for c in $(echo "$codes" | grep -E '^(DOM|DET|IO1|REG|ANA)' || true); do
+for c in $(echo "$codes" | grep -E '^(DOM|DET|IO1|REG|HOT|ANA)' || true); do
   if ! grep -q "$c" README.md; then
     echo "tsg-analyze rule $c is missing from the README.md rule table" >&2
     fail=1

@@ -241,6 +241,38 @@ let also_fine code = code = "OVERLOADED"
   check bool "unregistered rule code" true (contains msgs "ZZZ999");
   check bool "unregistered protocol code" true (contains msgs "NOTACODE")
 
+(* named after a Step-2/3 kernel module, where HOT001 applies *)
+let hot001_source =
+  {|
+let mapped map w =
+  let rec go j = j < Array.length map && (map.(j) = w || go (j + 1)) in
+  go 0
+
+let mapped_int (map : int array) (w : int) =
+  let rec go j = j < Array.length map && (map.(j) = w || go (j + 1)) in
+  go 0
+
+let larger a b = max a b
+let larger_int (a : int) b = max a b
+let slot key = Hashtbl.hash key land 1023
+let ordered x y =
+  (compare x y [@tsg.allow "HOT001" "fixture: generic on purpose"])
+|}
+
+let test_hot001 () =
+  let c, summary = analyze [ ("specialize", hot001_source) ] in
+  let lines =
+    List.sort compare
+      (List.map (fun d -> Option.value ~default:0 d.Diagnostic.line)
+         (findings_with c "HOT001"))
+  in
+  (* the generalized helpers; the int-typed ones stay clean *)
+  check (Alcotest.list int) "generalized =, max, Hashtbl.hash" [ 3; 10; 12 ]
+    lines;
+  check int "the allowed compare is suppressed" 1 summary.Analyze.suppressed;
+  let c, _ = analyze [ ("fx_hot001_elsewhere", hot001_source) ] in
+  check int "only kernel modules" 0 (count c "HOT001")
+
 let test_clean_fixture () =
   let c, summary =
     analyze
@@ -496,6 +528,8 @@ let () =
           Alcotest.test_case "DET002 ambient random" `Quick test_det002;
           Alcotest.test_case "IO101 raw open_out" `Quick test_io101;
           Alcotest.test_case "REG001 unregistered codes" `Quick test_reg001;
+          Alcotest.test_case "HOT001 polymorphic compare in kernels" `Quick
+            test_hot001;
           Alcotest.test_case "clean fixture" `Quick test_clean_fixture;
         ] );
       ( "suppression",

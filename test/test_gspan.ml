@@ -167,6 +167,40 @@ let minimum_always_minimal_prop =
       let graph = random_connected_graph rng in
       Min_code.is_min (Min_code.minimum graph))
 
+(* the key text as Printf wrote it: "n<label>" for one node, else
+   "from,to,from_label,edge_label,to_label;" per minimum-code edge *)
+let printf_key graph =
+  if Graph.node_count graph = 1 then
+    Printf.sprintf "n%d" (Graph.node_label graph 0)
+  else
+    String.concat ""
+      (List.map
+         (fun e ->
+           Printf.sprintf "%d,%d,%d,%d,%d;" e.Dfs_code.from_i e.to_i
+             e.from_label e.edge_label e.to_label)
+         (Array.to_list (Min_code.minimum graph)))
+
+let canonical_key_printf_prop =
+  QCheck.Test.make ~name:"canonical key = Printf reference" ~count:300
+    (QCheck.make QCheck.Gen.(int_bound 1_000_000))
+    (fun seed ->
+      let rng = Prng.of_int seed in
+      (* multi-digit labels, and single-node graphs now and then *)
+      let scale = [| 1; 9; 4999; 123_456 |].(Prng.int rng 4) in
+      let graph =
+        if Prng.int rng 8 = 0 then
+          g ~labels:[| scale * Prng.int rng 3 |] ~edges:[]
+        else
+          let base = random_connected_graph rng in
+          g
+            ~labels:(Array.map (fun l -> l * scale) (Graph.node_labels base))
+            ~edges:
+              (List.map
+                 (fun (u, v, l) -> (u, v, l * scale))
+                 (Array.to_list (Graph.edges base)))
+      in
+      Min_code.canonical_key graph = printf_key graph)
+
 (* --- Cam -------------------------------------------------------------------- *)
 
 module Cam = Tsg_gspan.Cam
@@ -623,7 +657,12 @@ let () =
           Alcotest.test_case "canonical key" `Quick
             test_canonical_key_iso_invariant;
         ]
-        @ qsuite [ canonical_permutation_prop; minimum_always_minimal_prop ] );
+        @ qsuite
+            [
+              canonical_permutation_prop;
+              minimum_always_minimal_prop;
+              canonical_key_printf_prop;
+            ] );
       ( "cam",
         [
           Alcotest.test_case "basics" `Quick test_cam_basics;

@@ -356,6 +356,62 @@ let depth_parent_prop =
             (Taxonomy.parents t l))
         (List.init (Taxonomy.label_count t) (fun i -> i)))
 
+(* Random is-a DAGs over up to 30 concepts, as (concepts, seed): each
+   concept gets each earlier one as a parent with probability 1/(k+1),
+   so several concepts stay roots, and roots sharing a descendant get an
+   artificial root above them. *)
+let arb_dag =
+  QCheck.(pair (int_range 1 30) (int_bound 1_000_000))
+
+let random_dag (n, seed) =
+  let rng = Prng.of_int seed in
+  let name = Printf.sprintf "c%d" in
+  let is_a = ref [] in
+  for k = 1 to n - 1 do
+    for p = 0 to k - 1 do
+      if Prng.int rng (k + 1) = 0 then is_a := (name k, name p) :: !is_a
+    done
+  done;
+  Taxonomy.build ~names:(List.init n name) ~is_a:!is_a
+
+(* the flat arrays hold exactly what the closures and lists say *)
+let flat_matches_closures t =
+  let f = Taxonomy.flat t in
+  let n = Taxonomy.label_count t in
+  let slice first arr l =
+    Array.to_list (Array.sub arr first.(l) (first.(l + 1) - first.(l)))
+  in
+  Array.length f.anc_first = n + 1
+  && Array.length f.child_first = n + 1
+  && f.anc_first.(n) = Array.length f.anc
+  && f.child_first.(n) = Array.length f.child
+  && List.for_all
+       (fun l ->
+         slice f.anc_first f.anc l = Bitset.to_list (Taxonomy.ancestor_set t l)
+         && slice f.child_first f.child l = Taxonomy.children t l)
+       (List.init n Fun.id)
+
+let flat_prop =
+  QCheck.Test.make ~name:"CSR = closures" ~count:200 arb_dag
+    (fun dag ->
+      let t = random_dag dag in
+      flat_matches_closures t
+      && flat_matches_closures
+           (Taxonomy_io.parse (Taxonomy_io.to_string t)))
+
+(* two domains reaching for the arrays first both get the one copy *)
+let test_flat_first_use_two_domains () =
+  let rng = Prng.of_int 5 in
+  let t =
+    Synth.generate rng { concepts = 3000; relationships = 6000; depth = 12 }
+  in
+  let d1 = Domain.spawn (fun () -> Taxonomy.flat t) in
+  let d2 = Domain.spawn (fun () -> Taxonomy.flat t) in
+  let f1 = Domain.join d1 and f2 = Domain.join d2 in
+  check bool "same arrays in both domains" true (f1 == f2);
+  check bool "and on later calls" true (Taxonomy.flat t == f1);
+  check bool "arrays match the closures" true (flat_matches_closures t)
+
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
 let () =
@@ -373,6 +429,8 @@ let () =
           Alcotest.test_case "avg strict ancestors" `Quick
             test_avg_strict_ancestors;
           Alcotest.test_case "restrict" `Quick test_restrict;
+          Alcotest.test_case "flat arrays: first use on two domains" `Quick
+            test_flat_first_use_two_domains;
         ] );
       ( "validation",
         [
@@ -414,5 +472,6 @@ let () =
             transitivity_prop;
             most_general_is_root_prop;
             depth_parent_prop;
+            flat_prop;
           ] );
     ]

@@ -428,6 +428,54 @@ let test_timer_monotone () =
   check int "time returns value" 42 x;
   check bool "time non-negative" true (dt >= 0.0)
 
+(* Bitset.project_into against the image built with [iter]: a set, a
+   map that never decreases (steps of 0-2 from a start of 0-2, or one
+   negative start), and a destination capacity from a few below the
+   largest image to a few above it — out-of-capacity images must raise
+   Invalid_argument, as [set] does *)
+let bitset_project_arb =
+  QCheck.make
+    ~print:QCheck.Print.(triple (list int) (array int) int)
+    QCheck.Gen.(
+      bitset_capacity_gen >>= fun cap ->
+      bitset_members_gen cap >>= fun members ->
+      oneof [ int_range 0 2; return (-1) ] >>= fun start ->
+      list_repeat cap (oneofl [ 0; 0; 0; 1; 2 ]) >>= fun steps ->
+      let map = Array.of_list steps in
+      map.(0) <- start;
+      for i = 1 to cap - 1 do
+        map.(i) <- map.(i - 1) + map.(i)
+      done;
+      int_range (-3) 3 >>= fun slack ->
+      return (members, map, max 0 (map.(cap - 1) + 1 + slack)))
+
+let bitset_project_prop =
+  QCheck.Test.make ~name:"projection kernel = iter reference" ~count:500
+    bitset_project_arb
+    (fun (members, map, dcap) ->
+      let s = Bitset.of_list (Array.length map) members in
+      let reference =
+        let dst = Bitset.create dcap in
+        match Bitset.iter (fun i -> Bitset.set dst map.(i)) s with
+        | () -> Some dst
+        | exception Invalid_argument _ -> None
+      in
+      let dst = Bitset.create dcap in
+      match (reference, Bitset.project_into ~dst map s) with
+      | Some r, n -> Bitset.equal dst r && n = Bitset.cardinal r
+      | None, _ -> false
+      | exception Invalid_argument _ -> reference = None)
+
+let test_bitset_project_decreasing () =
+  let s = Bitset.of_list 3 [ 0; 2 ] in
+  let dst = Bitset.of_list 4 [ 3 ] in
+  check int "only members' images count" 2
+    (Bitset.project_into ~dst [| 1; 0; 3 |] s);
+  check (Alcotest.list int) "dst overwritten" [ 1; 3 ] (Bitset.to_list dst);
+  Alcotest.check_raises "a decreasing map"
+    (Invalid_argument "Bitset.project_into: map decreases") (fun () ->
+      ignore (Bitset.project_into ~dst [| 2; 0; 1 |] s))
+
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
 let () =
@@ -449,6 +497,8 @@ let () =
           Alcotest.test_case "exists/forall" `Quick test_bitset_exists_forall;
           Alcotest.test_case "capacity mismatch" `Quick
             test_bitset_capacity_mismatch;
+          Alcotest.test_case "project_into decreasing map" `Quick
+            test_bitset_project_decreasing;
         ]
         @ qsuite
             [
@@ -456,6 +506,7 @@ let () =
               bitset_iteration_consistency_prop;
               bitset_popcount_ops_prop;
               bitset_inter_cardinal_prop;
+              bitset_project_prop;
             ] );
       ( "metrics",
         [
