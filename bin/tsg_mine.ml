@@ -273,8 +273,9 @@ let domains_arg =
        & info [ "domains" ] ~docv:"N"
            ~env:(Cmd.Env.info "TSG_DOMAINS")
            ~doc:"Size of the work-stealing domain pool Steps 2 and 3 run \
-                 on (taxogram and baseline algorithms only); 1 selects the \
-                 sequential pipeline. Defaults to $(b,TSG_DOMAINS) when \
+                 on (taxogram and baseline algorithms only); with 1 each \
+                 class is specialized as soon as it is indexed. Defaults \
+                 to $(b,TSG_DOMAINS) when \
                  set, else the machine's recommended domain count capped \
                  at 8.")
 

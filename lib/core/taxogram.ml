@@ -47,9 +47,6 @@ type class_miner = [ `Gspan | `Level_wise ]
 
 exception Out_of_time_in_mining
 
-(* raised (and caught) internally when a supervised sequential root fails *)
-exception Supervised_stop
-
 let frequent_label_filter taxonomy db ~min_support =
   let counts = Interest.label_frequencies taxonomy db in
   let n = Array.length counts in
@@ -79,14 +76,12 @@ module Spec = struct
     checkpoint : checkpoint_spec option;
     supervised : bool;
     sink : sink;
-    root_batch : int option;
-    spec_batch : int option;
     root_select : (int * int * int -> bool) option;
   }
 
   let make ?(config = default_config) ?(budget = Timer.Budget.unlimited)
       ?(class_miner = `Gspan) ?exec ?domains ?checkpoint ?(supervised = false)
-      ?root_batch ?spec_batch ?root_select sink =
+      ?root_select sink =
     let exec =
       match exec with Some e -> e | None -> Pool.Exec.create ?domains ()
     in
@@ -98,43 +93,21 @@ module Spec = struct
       checkpoint;
       supervised;
       sink;
-      root_batch;
-      spec_batch;
       root_select;
     }
 
   let collect ?config ?budget ?class_miner ?exec ?domains ?checkpoint
-      ?supervised ?root_batch ?spec_batch ?root_select () =
+      ?supervised ?root_select () =
     make ?config ?budget ?class_miner ?exec ?domains ?checkpoint ?supervised
-      ?root_batch ?spec_batch ?root_select `Collect
+      ?root_select `Collect
 
-  let stream ?config ?budget ?class_miner ?exec ?domains ?supervised
-      ?root_batch ?spec_batch emit =
-    make ?config ?budget ?class_miner ?exec ?domains ?supervised ?root_batch
-      ?spec_batch (`Stream emit)
+  let stream ?config ?budget ?class_miner ?exec ?domains ?supervised emit =
+    make ?config ?budget ?class_miner ?exec ?domains ?supervised (`Stream emit)
 
   let domains t = Pool.Exec.domains t.exec
-
-  let with_config config t = { t with config }
-
-  let with_budget budget t = { t with budget }
-
-  let with_class_miner class_miner t = { t with class_miner }
-
-  let with_exec exec t = { t with exec }
-
-  let with_domains d t = { t with exec = Pool.Exec.create ~domains:d () }
-
-  let with_checkpoint checkpoint t = { t with checkpoint }
-
-  let with_supervised supervised t = { t with supervised }
-
-  let with_sink sink t = { t with sink }
-
-  let with_root_select root_select t = { t with root_select }
 end
 
-(* --- checkpoint plumbing shared by both paths ------------------------- *)
+(* --- checkpoint plumbing ---------------------------------------------- *)
 
 (* the spec plus everything resolved up front in [run]: the fingerprint of
    this run's inputs and the previous snapshot, if one was on disk *)
@@ -175,18 +148,6 @@ type saver = {
   mutable sv_last : float;
 }
 
-let saver_of ckpt ~db_size ~roots_total ~stored =
-  Option.map
-    (fun c ->
-      {
-        sv_ctx = c;
-        sv_db_size = db_size;
-        sv_roots_total = roots_total;
-        sv_prefix = List.rev stored;
-        sv_last = neg_infinity;
-      })
-    ckpt
-
 let saver_flush sv =
   Checkpoint.save sv.sv_ctx.ck_spec.path
     {
@@ -198,236 +159,13 @@ let saver_flush sv =
     };
   sv.sv_last <- Unix.gettimeofday ()
 
-let saver_record sv entry =
-  sv.sv_prefix <- entry :: sv.sv_prefix;
-  if Unix.gettimeofday () -. sv.sv_last >= sv.sv_ctx.ck_spec.every_s then
-    saver_flush sv
-
 (* a finished run deletes its checkpoint; an early stop snapshots it *)
 let saver_finish sv ~completed =
   if completed then (
     try Sys.remove sv.sv_ctx.ck_spec.path with Sys_error _ -> ())
   else saver_flush sv
 
-(* --- sequential path (domains = 1) ----------------------------------- *)
-
-(* Identical to the pre-redesign streaming pipeline, except that work is
-   committed at root granularity (a gSpan seed subtree, or one level-wise
-   class): under a budgeted [`Collect] run, a root cut short discards its
-   partial work so the reported set is always a prefix of the canonical
-   root sequence — the same rule the pool path applies at its join.
-   Sequentially the phases never overlap, so each phase's wall clock and
-   CPU time coincide. *)
-let run_sequential ~config ~budget ~class_miner ~sink ~ckpt ~supervised
-    ~root_select taxonomy db =
-  let total_timer = Timer.start () in
-  let relabeled, relabel_wall =
-    Timer.time (fun () -> Relabel.db taxonomy db)
-  in
-  let min_support_count = Db.support_count_to_threshold db config.min_support in
-  let keep_label =
-    keep_label_of config taxonomy db ~min_support:min_support_count
-  in
-  let db_size = Db.size db in
-  let spec_stats = Specialize.fresh_stats () in
-  let class_count = ref 0 in
-  let pattern_count = ref 0 in
-  let enumerate_seconds = ref 0.0 in
-  let oi_entries = ref 0 in
-  let oi_set_members = ref 0 in
-  let covered = Bitset.create db_size in
-  let diagnostics = ref [] in
-  let mining_timer = Timer.start () in
-  let seed_tasks =
-    match class_miner with
-    | `Gspan ->
-      let l =
-        Gspan.mine_seed_tasks ?max_edges:config.max_edges
-          ~min_support:min_support_count relabeled
-      in
-      Some
-        (match root_select with
-        | None -> l
-        | Some keep -> List.filter (fun (seed, _) -> keep seed) l)
-    | `Level_wise -> None
-  in
-  let seeds =
-    match seed_tasks with
-    | Some l -> Array.of_list (List.map fst l)
-    | None -> [||]
-  in
-  let subtrees = Option.map (List.map snd) seed_tasks in
-  (* collected patterns per root, newest root first *)
-  let group_rev = ref [] in
-  let roots_total =
-    match subtrees with Some l -> List.length l | None -> -1
-  in
-  let stored = stored_entries ckpt ~db_size ~roots_total in
-  let skip = List.length stored in
-  let sv = saver_of ckpt ~db_size ~roots_total ~stored in
-  (* merge the resumed prefix before mining the rest *)
-  List.iter
-    (fun (e : Checkpoint.entry) ->
-      class_count := !class_count + e.Checkpoint.classes;
-      oi_entries := !oi_entries + e.Checkpoint.oi_entries;
-      oi_set_members := !oi_set_members + e.Checkpoint.oi_set_members;
-      enumerate_seconds := !enumerate_seconds +. e.Checkpoint.enum_seconds;
-      add_stats spec_stats e.Checkpoint.stats;
-      Bitset.union_into ~dst:covered covered e.Checkpoint.covered;
-      pattern_count := !pattern_count + List.length e.Checkpoint.patterns;
-      group_rev := (e.Checkpoint.root, e.Checkpoint.patterns) :: !group_rev)
-    stored;
-  (* per-root scratch, committed only when the root completes *)
-  let r_classes = ref 0 in
-  let r_entries = ref 0 in
-  let r_members = ref 0 in
-  let r_enum = ref 0.0 in
-  let r_patterns = ref [] in
-  let r_stats = ref (Specialize.fresh_stats ()) in
-  let r_covered = Bitset.create db_size in
-  let commit_root root =
-    class_count := !class_count + !r_classes;
-    oi_entries := !oi_entries + !r_entries;
-    oi_set_members := !oi_set_members + !r_members;
-    enumerate_seconds := !enumerate_seconds +. !r_enum;
-    add_stats spec_stats !r_stats;
-    Bitset.union_into ~dst:covered covered r_covered;
-    (match sink with
-    | `Collect ->
-      pattern_count := !pattern_count + List.length !r_patterns;
-      group_rev := (root, List.rev !r_patterns) :: !group_rev
-    | `Stream _ -> ());
-    (match sv with
-    | Some sv ->
-      saver_record sv
-        {
-          Checkpoint.root;
-          classes = !r_classes;
-          oi_entries = !r_entries;
-          oi_set_members = !r_members;
-          enum_seconds = !r_enum;
-          stats = !r_stats;
-          covered = Bitset.copy r_covered;
-          patterns = List.rev !r_patterns;
-        }
-    | None -> ());
-    r_classes := 0;
-    r_entries := 0;
-    r_members := 0;
-    r_enum := 0.0;
-    r_patterns := [];
-    r_stats := Specialize.fresh_stats ();
-    Bitset.clear r_covered
-  in
-  let process_class (class_pattern : Gspan.pattern) =
-    if Timer.Budget.exceeded budget then raise Out_of_time_in_mining;
-    incr r_classes;
-    Bitset.union_into ~dst:r_covered r_covered
-      class_pattern.Gspan.support_set;
-    let oi =
-      Occ_index.build ~taxonomy ~original:db ?keep_label class_pattern
-    in
-    let sz = Occ_index.size oi in
-    r_entries := !r_entries + sz.Occ_index.entries;
-    r_members := !r_members + sz.Occ_index.set_members;
-    let t = Timer.start () in
-    Fun.protect
-      ~finally:(fun () -> r_enum := !r_enum +. Timer.elapsed_s t)
-      (fun () ->
-        Specialize.enumerate ~taxonomy ~min_support:min_support_count
-          ~enhancements:config.enhancements ~stats:!r_stats ~budget oi
-          (fun p ->
-            match sink with
-            | `Stream emit ->
-              incr pattern_count;
-              emit p
-            | `Collect -> r_patterns := p :: !r_patterns))
-  in
-  (* under supervision a failing root yields a diagnostic and stops the
-     run at the completed prefix, mirroring the pool path's join rule *)
-  let guard root f =
-    if not supervised then f ()
-    else
-      try f () with
-      | (Out_of_time_in_mining | Specialize.Out_of_time) as e -> raise e
-      | e ->
-        let d =
-          match Fault.diagnostic e with
-          | Some d -> d
-          | None ->
-            Diagnostic.makef ~rule:"POOL001" Diagnostic.Error
-              "root %d failed: %s" root (Printexc.to_string e)
-        in
-        diagnostics := d :: !diagnostics;
-        raise Supervised_stop
-  in
-  let completed =
-    try
-      (match class_miner with
-      | `Gspan ->
-        List.iteri
-          (fun root subtree ->
-            if root >= skip then begin
-              guard root (fun () ->
-                  Fault.inject "taxogram.root";
-                  subtree process_class);
-              commit_root root
-            end)
-          (Option.get subtrees)
-      | `Level_wise ->
-        let next = ref 0 in
-        Tsg_gspan.Level_miner.mine ?max_edges:config.max_edges
-          ~min_support:min_support_count relabeled (fun cp ->
-            let root = !next in
-            incr next;
-            if root >= skip then begin
-              guard root (fun () ->
-                  Fault.inject "taxogram.root";
-                  process_class cp);
-              commit_root root
-            end));
-      true
-    with
-    | Out_of_time_in_mining | Specialize.Out_of_time | Supervised_stop ->
-      false
-    | e when Option.is_some sv ->
-      (* an unsupervised crash mid-run: snapshot the completed prefix so a
-         rerun with the same checkpoint path picks up right here *)
-      let bt = Printexc.get_raw_backtrace () in
-      (match sv with Some s -> saver_flush s | None -> ());
-      Printexc.raise_with_backtrace e bt
-  in
-  (match sv with Some s -> saver_finish s ~completed | None -> ());
-  let mining_total = Timer.elapsed_s mining_timer in
-  let mining_seconds = mining_total -. !enumerate_seconds in
-  let groups, patterns =
-    match sink with
-    | `Collect -> Pattern.sort_groups (List.rev !group_rev)
-    | `Stream _ -> ([], [])
-  in
-  {
-    patterns;
-    class_count = !class_count;
-    pattern_count = !pattern_count;
-    completed;
-    diagnostics = List.rev !diagnostics;
-    relabel_wall_seconds = relabel_wall;
-    mining_wall_seconds = mining_seconds;
-    mining_cpu_seconds = mining_seconds;
-    enumerate_wall_seconds = !enumerate_seconds;
-    enumerate_cpu_seconds = !enumerate_seconds;
-    total_wall_seconds = Timer.elapsed_s total_timer;
-    total_cpu_seconds = relabel_wall +. mining_total;
-    spec_stats;
-    oi_entries = !oi_entries;
-    oi_set_members = !oi_set_members;
-    covered_graph_count = Bitset.cardinal covered;
-    root_groups =
-      (if Array.length seeds = 0 then []
-       else List.map (fun (root, ps) -> (seeds.(root), ps)) groups);
-  }
-
-(* --- pool path (domains > 1) ------------------------------------------ *)
+(* --- task outcomes and the checkpoint tracker ------------------------ *)
 
 (* Every pool task returns a list of these, one per root it processed;
    results merge at the join, where bitset unions and stat sums replace
@@ -436,30 +174,16 @@ let run_sequential ~config ~budget ~class_miner ~sink ~ckpt ~supervised
    longer maps 1:1 to a root). *)
 type task_outcome = {
   t_root : int;
-  t_ok : bool;  (* subtree explored / classes enumerated to completion *)
+  t_ok : bool;  (* root mined / classes enumerated to completion *)
   t_classes : int;
-  t_patterns : Pattern.t list;  (* newest first; spec tasks only *)
+  t_patterns : Pattern.t list;  (* newest first; Step-3 tasks only *)
   t_stats : Specialize.stats option;
-  t_mine_s : float;  (* step-2 CPU: subtree exploration + OI building *)
+  t_mine_s : float;  (* step-2 CPU: root mining + OI building *)
   t_enum_s : float;  (* step-3 CPU: specialization *)
   t_entries : int;
   t_members : int;
   t_covered : Bitset.t option;
 }
-
-let mining_outcome ~root ~ok ~classes ~mine_s ~entries ~members ~covered =
-  {
-    t_root = root;
-    t_ok = ok;
-    t_classes = classes;
-    t_patterns = [];
-    t_stats = None;
-    t_mine_s = mine_s;
-    t_enum_s = 0.0;
-    t_entries = entries;
-    t_members = members;
-    t_covered = Some covered;
-  }
 
 (* stand-in for a quarantined supervised task at the join: not-ok, so the
    completed-prefix rule cuts the result before its first root *)
@@ -590,8 +314,52 @@ let chunk size l =
   in
   go [] [] 0 l
 
-let run_pool ~config ~budget ~class_miner ~exec ~sink ~ckpt ~supervised
-    ~root_batch ~spec_batch ~root_select taxonomy db =
+(* --- the one entry point ---------------------------------------------- *)
+
+let run (spec : Spec.t) taxonomy db =
+  let {
+    Spec.config;
+    budget;
+    class_miner;
+    exec;
+    checkpoint;
+    supervised;
+    sink;
+    root_select;
+  } =
+    spec
+  in
+  (match root_select with
+  | None -> ()
+  | Some _ ->
+    (match class_miner with
+    | `Level_wise ->
+      invalid_arg
+        "Taxogram.run: root_select requires the `Gspan class miner (the \
+         level-wise miner has no seed decomposition)"
+    | `Gspan -> ());
+    if Option.is_some checkpoint then
+      invalid_arg
+        "Taxogram.run: root_select cannot be combined with checkpointing \
+         (snapshot prefixes index the full root sequence)");
+  let ckpt =
+    match checkpoint with
+    | None -> None
+    | Some cs ->
+      (match sink with
+      | `Stream _ ->
+        invalid_arg "Taxogram.run: checkpointing requires the `Collect sink"
+      | `Collect -> ());
+      let fp =
+        Checkpoint.fingerprint ~taxonomy ~db
+          ~params:(fingerprint_params ~config ~class_miner)
+      in
+      let loaded =
+        if Sys.file_exists cs.path then Some (Checkpoint.load cs.path)
+        else None
+      in
+      Some { ck_spec = cs; ck_fp = fp; ck_loaded = loaded }
+  in
   let total_timer = Timer.start () in
   let relabeled, relabel_wall =
     Timer.time (fun () -> Relabel.db taxonomy db)
@@ -608,7 +376,11 @@ let run_pool ~config ~budget ~class_miner ~exec ~sink ~ckpt ~supervised
     keep_label_of config taxonomy db ~min_support:min_support_count
   in
   let db_size = Db.size db in
-  let spec_batch = match spec_batch with Some b -> max 1 b | None -> 4 in
+  let domains = Pool.Exec.domains exec in
+  (* classes per Step-3 task. With one domain a fork runs at once
+     ([Pool.fork]), so single classes keep one occurrence index alive at a
+     time; with more, batches of four amortize steal traffic *)
+  let spec_batch = if domains = 1 then 1 else 4 in
   let emit_mutex = Mutex.create () in
   let stream_classes = Atomic.make 0 in
   let stream_emitted = Atomic.make 0 in
@@ -631,14 +403,13 @@ let run_pool ~config ~budget ~class_miner ~exec ~sink ~ckpt ~supervised
     in
     go ()
   in
-  (* step-3 work for a batch of same-root occurrence indexes; forked from
-     mining tasks once [spec_batch] classes accumulate, so steal traffic
-     amortizes over a batch instead of paying per class *)
+  (* step-3 work for a batch of same-root occurrence indexes, forked from
+     the root's mining task *)
   let specialize_batch ~track ~root ois ctx =
-    atomic_min spec_first_us (now_us ());
+    let start_us = now_us () in
+    atomic_min spec_first_us start_us;
     let stats = Specialize.fresh_stats () in
     let acc = ref [] in
-    let t = Timer.start () in
     let ok =
       List.fold_left
         (fun ok oi ->
@@ -660,8 +431,9 @@ let run_pool ~config ~budget ~class_miner ~exec ~sink ~ckpt ~supervised
              | exception Specialize.Out_of_time -> false))
         true ois
     in
-    let enum_s = Timer.elapsed_s t in
-    atomic_max spec_last_us (now_us ());
+    let end_us = now_us () in
+    atomic_max spec_last_us end_us;
+    let enum_s = float_of_int (end_us - start_us) *. 1e-6 in
     let o =
       {
         t_root = root;
@@ -689,29 +461,147 @@ let run_pool ~config ~budget ~class_miner ~exec ~sink ~ckpt ~supervised
     | None -> ());
     [ o ]
   in
-  (* step-2 work shared by both miners: project one mined class into its
-     occurrence index on this domain *)
-  let index_class ~covered ~entries ~members ctx (cp : Gspan.pattern) =
-    Pool.check_deadline ctx;
-    Bitset.union_into ~dst:covered covered cp.Gspan.support_set;
-    let oi = Occ_index.build ~taxonomy ~original:db ?keep_label cp in
-    let sz = Occ_index.size oi in
-    entries := !entries + sz.Occ_index.entries;
-    members := !members + sz.Occ_index.set_members;
-    (match sink with
-    | `Stream _ -> Atomic.incr stream_classes
-    | `Collect -> ());
-    oi
+  (* Step 2's roots in canonical order: a gSpan seed subtree each, or a
+     single level-wise class each. The level-wise miner is breadth-first
+     and sequential, so it mines every class up front; indexing and
+     Step 3 then run per root, as for gSpan. *)
+  let seeds, roots, mining_ok =
+    match class_miner with
+    | `Gspan ->
+      let l =
+        Gspan.mine_seed_tasks ?max_edges:config.max_edges
+          ~min_support:min_support_count relabeled
+      in
+      let l =
+        match root_select with
+        | None -> l
+        | Some keep -> List.filter (fun (seed, _) -> keep seed) l
+      in
+      (Array.of_list (List.map fst l), List.map snd l, true)
+    | `Level_wise ->
+      let classes = ref [] in
+      let ok =
+        try
+          Tsg_gspan.Level_miner.mine ?max_edges:config.max_edges
+            ~min_support:min_support_count relabeled (fun cp ->
+              if Timer.Budget.exceeded budget then raise Out_of_time_in_mining;
+              classes := cp :: !classes);
+          true
+        with Out_of_time_in_mining -> false
+      in
+      ([||], List.rev_map (fun cp visit -> visit cp) !classes, ok)
   in
-  (* run the task list; supervision turns escaped failures into
-     diagnostics, an unsupervised crash snapshots progress before
-     propagating. [batch_start] maps a task's first id component back to
-     the first root its batch covers, for quarantined tasks whose
-     outcomes never materialized. *)
-  let run_tasks ~track ~batch_start tasks =
-    let fail_root id =
-      match id with [] -> 0 | b :: _ -> batch_start.(b)
+  (* step-2 time spent before the fan-out: gSpan's seeds, or all of the
+     level-wise mining *)
+  let discover_s = Timer.elapsed_s mining_timer in
+  (* the level-wise root count is only known after mining, and a budget
+     can cut mining short, so its snapshots record it as unknown *)
+  let roots_total =
+    match class_miner with `Gspan -> List.length roots | `Level_wise -> -1
+  in
+  let stored = stored_entries ckpt ~db_size ~roots_total in
+  let skip = List.length stored in
+  let remaining = List.filteri (fun i _ -> i >= skip) roots in
+  let n_remaining = List.length remaining in
+  let track =
+    make_tracker ckpt ~db_size ~roots_total ~stored ~remaining:n_remaining
+  in
+  (* ~4 mining tasks per domain: coarse enough to amortize steal traffic,
+     fine enough to balance skewed subtrees *)
+  let root_batch = max 1 (n_remaining / (domains * 4)) in
+  (* one root: mine its classes and index each on this domain, forking
+     Step-3 batches as they fill *)
+  let process_root ctx (root, visit) =
+    Fault.inject "taxogram.root";
+    let t0 = Timer.start () in
+    let classes = ref 0 in
+    let entries = ref 0 in
+    let members = ref 0 in
+    let forked = ref 0 in
+    (* time spent inside [fork], which runs the batch itself at one
+       domain: Step 3's, not this root's *)
+    let fork_s = ref 0.0 in
+    let covered = Bitset.create db_size in
+    let pending = ref [] in
+    let pending_n = ref 0 in
+    let flush () =
+      if !pending_n > 0 then begin
+        let ois = List.rev !pending in
+        forked := !forked + !pending_n;
+        pending := [];
+        pending_n := 0;
+        let t = Timer.start () in
+        Pool.fork ctx (specialize_batch ~track ~root ois);
+        fork_s := !fork_s +. Timer.elapsed_s t
+      end
     in
+    let ok =
+      try
+        visit (fun (cp : Gspan.pattern) ->
+            if Timer.Budget.exceeded budget then raise Out_of_time_in_mining;
+            Pool.check_deadline ctx;
+            incr classes;
+            Bitset.union_into ~dst:covered covered cp.Gspan.support_set;
+            let oi = Occ_index.build ~taxonomy ~original:db ?keep_label cp in
+            let sz = Occ_index.size oi in
+            entries := !entries + sz.Occ_index.entries;
+            members := !members + sz.Occ_index.set_members;
+            (match sink with
+            | `Stream _ -> Atomic.incr stream_classes
+            | `Collect -> ());
+            pending := oi :: !pending;
+            incr pending_n;
+            if !pending_n >= spec_batch then flush ());
+        flush ();
+        true
+      with Out_of_time_in_mining ->
+        (* drop the unforked indexes: the root is cut either way *)
+        pending := [];
+        pending_n := 0;
+        false
+    in
+    let mine_s = Timer.elapsed_s t0 -. !fork_s in
+    (match track with
+    | Some tk ->
+      with_tracker tk (fun () ->
+          let a = tk.tk_accs.(root - tk.tk_skip) in
+          a.a_mining_done <- true;
+          a.a_ok <- a.a_ok && ok;
+          a.a_forked <- !forked;
+          a.a_classes <- !classes;
+          a.a_oi_entries <- !entries;
+          a.a_oi_members <- !members;
+          a.a_covered <- Some covered;
+          tracker_advance tk)
+    | None -> ());
+    {
+      t_root = root;
+      t_ok = ok;
+      t_classes = !classes;
+      t_patterns = [];
+      t_stats = None;
+      t_mine_s = mine_s;
+      t_enum_s = 0.0;
+      t_entries = !entries;
+      t_members = !members;
+      t_covered = Some covered;
+    }
+  in
+  let batches =
+    chunk root_batch (List.mapi (fun p visit -> (skip + p, visit)) remaining)
+  in
+  let mining_left = Atomic.make (List.length batches) in
+  let mining_wall = Atomic.make discover_s in
+  let batch_task batch ctx =
+    let outs = List.map (process_root ctx) batch in
+    if Atomic.fetch_and_add mining_left (-1) = 1 then
+      Atomic.set mining_wall (Timer.elapsed_s mining_timer);
+    outs
+  in
+  let tasks = List.map batch_task batches in
+  (* supervision turns escaped failures into diagnostics; an unsupervised
+     crash snapshots progress before propagating *)
+  let outcomes, diags =
     if supervised then begin
       let policy =
         match sink with
@@ -721,20 +611,19 @@ let run_pool ~config ~budget ~class_miner ~exec ~sink ~ckpt ~supervised
         | `Collect -> Pool.default_policy
       in
       let res = Pool.Exec.run_supervised exec ~policy tasks in
-      let diags =
-        List.filter_map
-          (fun (_, r) -> match r with Error d -> Some d | Ok _ -> None)
-          res
-      in
-      let outs =
-        List.concat_map
+      ( List.concat_map
           (fun (id, r) ->
             match r with
             | Ok os -> os
-            | Error _ -> [ failed_outcome ~root:(fail_root id) ])
-          res
-      in
-      (outs, diags)
+            | Error _ ->
+              (* a quarantined task never produced its outcomes: stand in
+                 a failure at the first root of its batch (batch [b] of a
+                 task id [b :: _] starts at root [skip + b * root_batch]) *)
+              [ failed_outcome ~root:(skip + (List.hd id * root_batch)) ])
+          res,
+        List.filter_map
+          (fun (_, r) -> match r with Error d -> Some d | Ok _ -> None)
+          res )
     end
     else
       match Pool.Exec.run exec tasks with
@@ -745,175 +634,6 @@ let run_pool ~config ~budget ~class_miner ~exec ~sink ~ckpt ~supervised
         | Some tk -> with_tracker tk (fun () -> saver_flush tk.tk_sv)
         | None -> ());
         Printexc.raise_with_backtrace e bt
-  in
-  let outcomes, diags, stored, track, seeds, mining_ok, mining_wall_s,
-      mining_cpu_base =
-    match class_miner with
-    | `Gspan ->
-      (* frequent 1-edge DFS-code roots are batched into tasks; each
-         batch explores and indexes its subtrees on whichever domain runs
-         (or steals) it, handing off specialization batches as it goes *)
-      let seed_tasks =
-        let l =
-          Gspan.mine_seed_tasks ?max_edges:config.max_edges
-            ~min_support:min_support_count relabeled
-        in
-        match root_select with
-        | None -> l
-        | Some keep -> List.filter (fun (seed, _) -> keep seed) l
-      in
-      let seeds = Array.of_list (List.map fst seed_tasks) in
-      let subtrees = List.map snd seed_tasks in
-      let roots_total = List.length subtrees in
-      let stored = stored_entries ckpt ~db_size ~roots_total in
-      let skip = List.length stored in
-      let remaining = List.filteri (fun i _ -> i >= skip) subtrees in
-      let n_remaining = List.length remaining in
-      let track =
-        make_tracker ckpt ~db_size ~roots_total ~stored ~remaining:n_remaining
-      in
-      let rb =
-        match root_batch with
-        | Some b -> max 1 b
-        | None ->
-          (* ~4 batches per domain: coarse enough to amortize steal
-             traffic, fine enough to balance skewed subtrees *)
-          max 1 (n_remaining / (Pool.Exec.domains exec * 4))
-      in
-      let process_root ctx (root, subtree) =
-        Fault.inject "taxogram.root";
-        let t0 = Timer.start () in
-        let classes = ref 0 in
-        let entries = ref 0 in
-        let members = ref 0 in
-        let forked = ref 0 in
-        let covered = Bitset.create db_size in
-        let pending = ref [] in
-        let pending_n = ref 0 in
-        let flush () =
-          if !pending_n > 0 then begin
-            let ois = List.rev !pending in
-            forked := !forked + !pending_n;
-            pending := [];
-            pending_n := 0;
-            Pool.fork ctx (specialize_batch ~track ~root ois)
-          end
-        in
-        let ok =
-          try
-            subtree (fun cp ->
-                if Timer.Budget.exceeded budget then
-                  raise Out_of_time_in_mining;
-                incr classes;
-                let oi = index_class ~covered ~entries ~members ctx cp in
-                pending := oi :: !pending;
-                incr pending_n;
-                if !pending_n >= spec_batch then flush ());
-            flush ();
-            true
-          with Out_of_time_in_mining ->
-            (* drop the unforked indexes: the root is cut either way *)
-            pending := [];
-            pending_n := 0;
-            false
-        in
-        let mine_s = Timer.elapsed_s t0 in
-        (match track with
-        | Some tk ->
-          with_tracker tk (fun () ->
-              let a = tk.tk_accs.(root - tk.tk_skip) in
-              a.a_mining_done <- true;
-              a.a_ok <- a.a_ok && ok;
-              a.a_forked <- !forked;
-              a.a_classes <- !classes;
-              a.a_oi_entries <- !entries;
-              a.a_oi_members <- !members;
-              a.a_covered <- Some covered;
-              tracker_advance tk)
-        | None -> ());
-        mining_outcome ~root ~ok ~classes:!classes ~mine_s ~entries:!entries
-          ~members:!members ~covered
-      in
-      let batches = chunk rb (List.mapi (fun p st -> (skip + p, st)) remaining) in
-      let batch_start =
-        Array.of_list (List.map (fun b -> fst (List.hd b)) batches)
-      in
-      let mining_left = Atomic.make (List.length batches) in
-      let mining_wall = Atomic.make 0.0 in
-      let batch_task batch ctx =
-        let outs = List.map (process_root ctx) batch in
-        if Atomic.fetch_and_add mining_left (-1) = 1 then
-          Atomic.set mining_wall (Timer.elapsed_s mining_timer);
-        outs
-      in
-      let tasks = List.map batch_task batches in
-      let outcomes, diags = run_tasks ~track ~batch_start tasks in
-      (outcomes, diags, stored, track, seeds, true, Atomic.get mining_wall,
-       0.0)
-    | `Level_wise ->
-      (* the level-wise miner is inherently breadth-first and sequential;
-         classes stream out of it into batched pool tasks (index + hand
-         off specialization), so step 3 still fans out across the pool *)
-      let classes = ref [] in
-      let mining_ok =
-        try
-          Tsg_gspan.Level_miner.mine ?max_edges:config.max_edges
-            ~min_support:min_support_count relabeled (fun cp ->
-              if Timer.Budget.exceeded budget then raise Out_of_time_in_mining;
-              classes := cp :: !classes);
-          true
-        with Out_of_time_in_mining -> false
-      in
-      let mining_seconds = Timer.elapsed_s mining_timer in
-      let all_classes = List.rev !classes in
-      (* the root count is only known after mining, and a budget can cut
-         mining short, so snapshots record it as unknown *)
-      let roots_total = -1 in
-      let stored = stored_entries ckpt ~db_size ~roots_total in
-      let skip = List.length stored in
-      let remaining = List.filteri (fun i _ -> i >= skip) all_classes in
-      let n_remaining = List.length remaining in
-      let track =
-        make_tracker ckpt ~db_size ~roots_total ~stored ~remaining:n_remaining
-      in
-      let rb =
-        match root_batch with
-        | Some b -> max 1 b
-        | None -> max 1 (n_remaining / (Pool.Exec.domains exec * 4))
-      in
-      let process_class ctx (root, cp) =
-        Fault.inject "taxogram.root";
-        let t0 = Timer.start () in
-        let entries = ref 0 in
-        let members = ref 0 in
-        let covered = Bitset.create db_size in
-        let oi = index_class ~covered ~entries ~members ctx cp in
-        Pool.fork ctx (specialize_batch ~track ~root [ oi ]);
-        (match track with
-        | Some tk ->
-          with_tracker tk (fun () ->
-              let a = tk.tk_accs.(root - tk.tk_skip) in
-              a.a_mining_done <- true;
-              a.a_forked <- 1;
-              a.a_classes <- 1;
-              a.a_oi_entries <- !entries;
-              a.a_oi_members <- !members;
-              a.a_covered <- Some covered;
-              tracker_advance tk)
-        | None -> ());
-        mining_outcome ~root ~ok:true ~classes:1
-          ~mine_s:(Timer.elapsed_s t0) ~entries:!entries ~members:!members
-          ~covered
-      in
-      let batches = chunk rb (List.mapi (fun p cp -> (skip + p, cp)) remaining) in
-      let batch_start =
-        Array.of_list (List.map (fun b -> fst (List.hd b)) batches)
-      in
-      let batch_task batch ctx = List.map (process_class ctx) batch in
-      let tasks = List.map batch_task batches in
-      let outcomes, diags = run_tasks ~track ~batch_start tasks in
-      (outcomes, diags, stored, track, [||], mining_ok, mining_seconds,
-       mining_seconds)
   in
   (* the join: a root is complete when its mining work and every
      specialization class it handed off finished; only the maximal
@@ -935,7 +655,7 @@ let run_pool ~config ~budget ~class_miner ~exec ~sink ~ckpt ~supervised
   let oi_entries = ref 0 in
   let oi_set_members = ref 0 in
   let enumerate_cpu = ref 0.0 in
-  let mining_cpu = ref mining_cpu_base in
+  let mining_cpu = ref discover_s in
   let covered = Bitset.create db_size in
   let patterns_rev = ref [] in
   (* the resumed prefix counts exactly as if mined in this run (its
@@ -1003,7 +723,7 @@ let run_pool ~config ~budget ~class_miner ~exec ~sink ~ckpt ~supervised
     completed;
     diagnostics = diags;
     relabel_wall_seconds = relabel_wall;
-    mining_wall_seconds = mining_wall_s;
+    mining_wall_seconds = Atomic.get mining_wall;
     mining_cpu_seconds = !mining_cpu;
     enumerate_wall_seconds = enumerate_wall;
     enumerate_cpu_seconds = !enumerate_cpu;
@@ -1015,58 +735,3 @@ let run_pool ~config ~budget ~class_miner ~exec ~sink ~ckpt ~supervised
     covered_graph_count = Bitset.cardinal covered;
     root_groups;
   }
-
-(* --- the one entry point ---------------------------------------------- *)
-
-let run (spec : Spec.t) taxonomy db =
-  let {
-    Spec.config;
-    budget;
-    class_miner;
-    exec;
-    checkpoint;
-    supervised;
-    sink;
-    root_batch;
-    spec_batch;
-    root_select;
-  } =
-    spec
-  in
-  (match root_select with
-  | None -> ()
-  | Some _ ->
-    (match class_miner with
-    | `Level_wise ->
-      invalid_arg
-        "Taxogram.run: root_select requires the `Gspan class miner (the \
-         level-wise miner has no seed decomposition)"
-    | `Gspan -> ());
-    if Option.is_some checkpoint then
-      invalid_arg
-        "Taxogram.run: root_select cannot be combined with checkpointing \
-         (snapshot prefixes index the full root sequence)");
-  let ckpt =
-    match checkpoint with
-    | None -> None
-    | Some cs ->
-      (match sink with
-      | `Stream _ ->
-        invalid_arg "Taxogram.run: checkpointing requires the `Collect sink"
-      | `Collect -> ());
-      let fp =
-        Checkpoint.fingerprint ~taxonomy ~db
-          ~params:(fingerprint_params ~config ~class_miner)
-      in
-      let loaded =
-        if Sys.file_exists cs.path then Some (Checkpoint.load cs.path)
-        else None
-      in
-      Some { ck_spec = cs; ck_fp = fp; ck_loaded = loaded }
-  in
-  if Pool.Exec.domains exec = 1 then
-    run_sequential ~config ~budget ~class_miner ~sink ~ckpt ~supervised
-      ~root_select taxonomy db
-  else
-    run_pool ~config ~budget ~class_miner ~exec ~sink ~ckpt ~supervised
-      ~root_batch ~spec_batch ~root_select taxonomy db

@@ -55,22 +55,27 @@ type result = {
       (** step 2: gSpan + occurrence-index building, wall-clock from the
           start of mining until the last mining task finished
           (specialization may still be running — the phases overlap by
-          design) *)
+          design). With one domain a mining task runs its Step-3 work
+          inline, so this span covers Step 3 too and overlaps
+          [enumerate_wall_seconds], as it does with more domains. *)
   mining_cpu_seconds : float;
-      (** step 2 CPU time summed across mining tasks (over the reported
-          roots); equals [mining_wall_seconds] with one domain *)
+      (** step 2 CPU time: seed discovery (or the whole level-wise
+          mining) plus the mining tasks' own time over the reported
+          roots. Step-3 work a mining task runs inline is not counted
+          here, so with one domain [mining_cpu_seconds +.
+          enumerate_cpu_seconds] stays within [total_wall_seconds]. *)
   enumerate_wall_seconds : float;
       (** step 3 wall-clock: first specialization task started to last one
-          finished, across all domains *)
+          finished, across all domains (with one domain this span also
+          holds the Step-2 work between classes) *)
   enumerate_cpu_seconds : float;
       (** step 3 CPU time summed across specialization tasks (over the
-          reported roots, including any resumed from a checkpoint);
-          equals [enumerate_wall_seconds] with one domain *)
+          reported roots, including any resumed from a checkpoint) *)
   total_wall_seconds : float;
   total_cpu_seconds : float;
-      (** sum of the per-phase CPU times; with one domain this tracks
-          [total_wall_seconds], with [d] domains it approaches [d] times
-          the wall time when the run scales *)
+      (** sum of the per-phase CPU times, each task counted once; with one
+          domain this tracks [total_wall_seconds], with [d] domains it
+          approaches [d] times the wall time when the run scales *)
   spec_stats : Specialize.stats;
   oi_entries : int;
       (** occurrence-index labels built across all classes (Lemma 4's
@@ -137,18 +142,21 @@ type class_miner = [ `Gspan | `Level_wise ]
     identical (property-tested). gSpan decomposes into per-seed subtree
     tasks and mines in parallel; the level-wise miner is inherently
     breadth-first, so it mines sequentially while indexing and
-    specialization still fan out across the pool. *)
+    specialization still fan out across the pool. It hands every class
+    over before the first is indexed, at every domain count, so a
+    level-wise run holds all its classes at once where a one-domain
+    gSpan run holds one. *)
 
 (** A complete description of one mining run: what to mine (config,
     budget, miner), where patterns go (sink), and how to execute
-    (executor, supervision, checkpointing, batching).
+    (executor, supervision, checkpointing).
 
     Build one with {!Spec.collect} or {!Spec.stream} — both resolve every
     default at construction time, including the executor (so the domain
     count is decided exactly once, not re-read from the environment by the
-    run) — then adjust with the [with_*] updates or plain record syntax,
-    and hand it to {!run}. One spec can drive many runs; runs sharing a
-    spec share its executor. *)
+    run) — then adjust it with record update syntax, and hand it to
+    {!run}. One spec can drive many runs; runs sharing a spec share its
+    executor. *)
 module Spec : sig
   type nonrec t = {
     config : config;
@@ -158,13 +166,6 @@ module Spec : sig
     checkpoint : checkpoint_spec option;
     supervised : bool;
     sink : sink;
-    root_batch : int option;
-        (** roots per mining task; [None] auto-sizes to ~4 batches per
-            domain. The result is identical for any value
-            (property-tested) — this only tunes scheduling granularity. *)
-    spec_batch : int option;
-        (** classes per specialization task (default 4); same
-            result-invariance as [root_batch] *)
     root_select : (int * int * int -> bool) option;
         (** mine only the gSpan roots whose seed 1-edge
             [(from_label, edge_label, to_label)] — labels of [D_mg],
@@ -186,8 +187,6 @@ module Spec : sig
     ?domains:int ->
     ?checkpoint:checkpoint_spec ->
     ?supervised:bool ->
-    ?root_batch:int ->
-    ?spec_batch:int ->
     ?root_select:(int * int * int -> bool) ->
     unit ->
     t
@@ -203,8 +202,6 @@ module Spec : sig
     ?exec:Tsg_util.Pool.Exec.t ->
     ?domains:int ->
     ?supervised:bool ->
-    ?root_batch:int ->
-    ?spec_batch:int ->
     (Pattern.t -> unit) ->
     t
   (** Spec with a [`Stream] sink (checkpointing is not offered — it
@@ -212,37 +209,21 @@ module Spec : sig
 
   val domains : t -> int
   (** Domain count of the spec's executor. *)
-
-  val with_config : config -> t -> t
-
-  val with_budget : Tsg_util.Timer.Budget.budget -> t -> t
-
-  val with_class_miner : class_miner -> t -> t
-
-  val with_exec : Tsg_util.Pool.Exec.t -> t -> t
-
-  val with_domains : int -> t -> t
-  (** Replaces the executor with a fresh one of the given size. *)
-
-  val with_checkpoint : checkpoint_spec option -> t -> t
-
-  val with_supervised : bool -> t -> t
-
-  val with_sink : sink -> t -> t
-
-  val with_root_select : (int * int * int -> bool) option -> t -> t
 end
 
 val run : Spec.t -> Tsg_taxonomy.Taxonomy.t -> Tsg_graph.Db.t -> result
 (** Mine the database against the taxonomy as the spec describes. Every
     node label of every graph must be a label of the taxonomy.
 
-    A one-domain executor runs the classic sequential pipeline — one class
-    alive at a time, the paper's Step 2 memory profile. With more domains,
-    Steps 2 and 3 fan out over the spec's executor; the run first freezes
-    the taxonomy's label table so every domain reads an immutable
-    snapshot. The pattern set and supports are identical across domain
-    counts and batch sizes (property-tested).
+    Steps 2 and 3 run as tasks on the spec's executor at every domain
+    count: a mining task takes a batch of roots (about four tasks per
+    domain), indexes each class it mines, and forks the classes' Step-3
+    work, one class per task with one domain and four with more. The
+    run first freezes the taxonomy's label table so every domain reads an
+    immutable snapshot. With one domain a fork runs before it returns
+    ({!Tsg_util.Pool.fork}), so a gSpan run keeps one class alive at a
+    time, the paper's Step 2 memory profile. The pattern set and
+    supports are identical across domain counts (property-tested).
 
     When the spec's budget expires the run stops early with
     [completed = false]; see {!sink} for exactly what an early stop
@@ -254,12 +235,13 @@ val run : Spec.t -> Tsg_taxonomy.Taxonomy.t -> Tsg_graph.Db.t -> result
 
     [supervised] turns task failures — injected faults
     ({!Tsg_util.Fault}), per-task deadline overruns, stray exceptions —
-    into {!result.diagnostics} instead of letting them escape: pool tasks
-    are retried and quarantined per {!Tsg_util.Pool.Exec.run_supervised},
-    and the reported set is still a prefix of the canonical root sequence,
-    cut before the first root of the first failing task. Unsupervised,
-    such an exception propagates to the caller (after snapshotting
-    progress when checkpointing is on). *)
+    into {!result.diagnostics} instead of letting them escape: tasks are
+    retried and quarantined per {!Tsg_util.Pool.Exec.run_supervised} at
+    every domain count (one included), and the reported set is still a
+    prefix of the canonical root sequence, cut before the first root of
+    the first failing task. Unsupervised, such an exception propagates
+    to the caller (after snapshotting progress when checkpointing is
+    on). *)
 
 val frequent_label_filter :
   Tsg_taxonomy.Taxonomy.t -> Tsg_graph.Db.t -> min_support:int ->

@@ -187,12 +187,6 @@ let check_deadline ctx =
         (Deadline_exceeded
            { task = ctx.task_id; elapsed_s = elapsed; deadline_s = limit })
 
-let fork ctx f =
-  let k = ctx.forks in
-  ctx.forks <- k + 1;
-  Atomic.incr ctx.st.pending;
-  Ws_deque.push ctx.st.deques.(ctx.dom) { tid = ctx.task_id @ [ k ]; f }
-
 let pool_task_site = "pool.task"
 
 let quarantine_diagnostic ~task ~attempts e bt =
@@ -282,6 +276,22 @@ let exec st dom task =
         let bt = Printexc.get_raw_backtrace () in
         ignore (Atomic.compare_and_set st.failed None (Some (e, bt))))));
   Atomic.decr st.pending
+
+(* With one domain nothing can steal, so a queued child would only wait
+   for its parent to return, holding what it captured all the while: run
+   it now instead, through the same [exec]. Its time does not count
+   against the parent's deadline. *)
+let fork ctx f =
+  let k = ctx.forks in
+  ctx.forks <- k + 1;
+  Atomic.incr ctx.st.pending;
+  let task = { tid = ctx.task_id @ [ k ]; f } in
+  if Array.length ctx.st.deques = 1 then begin
+    let t0 = Unix.gettimeofday () in
+    exec ctx.st ctx.dom task;
+    ctx.started <- ctx.started +. (Unix.gettimeofday () -. t0)
+  end
+  else Ws_deque.push ctx.st.deques.(ctx.dom) task
 
 (* Steal exactly one task (the victim's oldest) and run it here; the
    forks it makes land on this domain's own deque, so a successful steal

@@ -44,7 +44,10 @@ val id : 'a ctx -> int list
 val fork : 'a ctx -> ('a ctx -> 'a) -> unit
 (** [fork ctx f] schedules [f] as a subtask of the current task. The
     subtask runs on this domain or on a thief; its result joins the
-    others at {!Exec.run}'s return, under the forked id. *)
+    others at {!Exec.run}'s return, under the forked id. With one domain
+    there is no thief, so [f] runs before [fork] returns — under its own
+    id, result slot, retries and quarantine, and off the parent's
+    deadline clock. *)
 
 (** {1 Supervision}
 

@@ -8,7 +8,10 @@
 #   - a tsg-analyze rule (DOM/DET/IO1/REG/HOT/ANA) is missing from README.md,
 #   - a registered protocol error code is missing from DESIGN.md,
 #   - README.md or DESIGN.md mentions a rule-shaped code the registry
-#     does not know (stale docs or a typo).
+#     does not know (stale docs or a typo),
+#   - a rule-table row in README.md or DESIGN.md gives a severity other
+#     than the registered one (a cell such as "E/W", for a rule also
+#     reported at a second severity, must include the registered letter).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -45,6 +48,24 @@ for c in $doc_codes; do
     echo "documented code $c is not in Diagnostic.Registry" >&2
     fail=1
   fi
+done
+
+# "CODE E" per registered rule: E(rror), W(arning) or I(nfo)
+severities=$(echo "$listing" |
+  awk '/^Rules/{s=1;next} /^Protocol/{s=0} s&&NF{print $1, toupper(substr($2,1,1))}')
+for f in README.md DESIGN.md; do
+  while read -r c cell; do
+    want=$(echo "$severities" | awk -v c="$c" '$1==c{print $2}')
+    [ -n "$want" ] || continue  # unknown codes are reported above
+    case "/$cell/" in
+      */"$want"/*) ;;
+      *)
+        echo "$f lists rule $c with severity $cell, but it is registered as $want" >&2
+        fail=1
+        ;;
+    esac
+  done < <(awk -F'|' '/^[|] `?[A-Z]+[0-9][0-9][0-9]`? [|]/{
+             gsub(/[ `]/, "", $2); gsub(/ /, "", $3); print $2, $3}' "$f")
 done
 
 if [ "$fail" -eq 0 ]; then

@@ -288,6 +288,22 @@ let test_deadline_quarantine () =
     [ "POOL002"; "ok" ]
     (List.map (fun (_, r) -> rule_of r) results)
 
+let test_inline_children_off_parent_deadline () =
+  (* one domain runs each fork inside [Pool.fork]; the children's 120 ms
+     must not count against the parent's 100 ms deadline *)
+  let pool = Pool.Exec.create ~domains:1 () in
+  let policy = { Pool.default_policy with Pool.deadline_s = Some 0.1 } in
+  let task ctx =
+    for _ = 1 to 2 do
+      Pool.fork ctx (fun _ -> Unix.sleepf 0.06)
+    done;
+    Pool.check_deadline ctx
+  in
+  let results = Pool.Exec.run_supervised pool ~policy [ task ] in
+  check (Alcotest.list Alcotest.string) "parent and children all ok"
+    [ "ok"; "ok"; "ok" ]
+    (List.map (fun (_, r) -> rule_of r) results)
+
 let test_injected_fault_retried_then_ok () =
   (* pool.task fires once; the default policy treats Injected as
      transient, so the victim retries and the run is casualty-free *)
@@ -436,6 +452,29 @@ let test_resume_rejects_other_config () =
       | _ -> Alcotest.fail "resumed under a different configuration"
       | exception Checkpoint.Error d ->
         check Alcotest.string "rule" "CKPT002" d.Diagnostic.rule)
+
+(* one transient fault on the first root: a supervised run retries the
+   task and ends clean, at one domain as at four *)
+let test_supervised_root_fault_retried () =
+  let rng = Prng.of_int 20260807 in
+  let tax, db = random_instance rng in
+  let cfg = config 0.34 in
+  let clean = Taxogram.run (Taxogram.Spec.collect ~config:cfg ~domains:1 ()) tax db in
+  check bool "instance has patterns" true (clean.Taxogram.pattern_count > 0);
+  List.iter
+    (fun domains ->
+      let r =
+        with_faults [ ("taxogram.root", Fault.On_hit 1) ] (fun () ->
+            Taxogram.run
+              (Taxogram.Spec.collect ~config:cfg ~domains ~supervised:true ())
+              tax db)
+      in
+      let at what = Printf.sprintf "%s, domains=%d" what domains in
+      check bool (at "completed") true r.Taxogram.completed;
+      check int (at "no diagnostics") 0 (List.length r.Taxogram.diagnostics);
+      check Alcotest.string (at "clean fingerprint") (fingerprint tax clean)
+        (fingerprint tax r))
+    [ 1; 4 ]
 
 let arb_instance =
   QCheck.make QCheck.Gen.(pair (int_bound 1_000_000) (int_bound 3))
@@ -763,10 +802,15 @@ let () =
             test_fail_after_fork_not_retried;
           Alcotest.test_case "deadline overrun is POOL002" `Quick
             test_deadline_quarantine;
+          Alcotest.test_case "one domain: inline children off the deadline"
+            `Quick test_inline_children_off_parent_deadline;
           Alcotest.test_case "injected fault retried to success" `Quick
             test_injected_fault_retried_then_ok;
           Alcotest.test_case "exhausted injections carry FLT001" `Quick
             test_injected_fault_exhausts_to_flt001;
+          Alcotest.test_case
+            "supervised one-domain run retries a transient root fault" `Quick
+            test_supervised_root_fault_retried;
         ] );
       ( "checkpoint",
         Alcotest.test_case "kill and resume, sequential" `Quick

@@ -38,29 +38,36 @@ let test_pool_empty () =
   let exec = Pool.Exec.create ~domains:2 () in
   check int "no tasks, no results" 0 (List.length (Pool.Exec.run exec []))
 
-let test_pool_fork_ids () =
-  let exec = Pool.Exec.create ~domains:4 () in
+let test_pool_fork_ids domains () =
+  let exec = Pool.Exec.create ~domains () in
   (* each root i forks i subtasks; ids must be [i] then [i;0] .. [i;i-1],
      and the flat listing must come back in lexicographic id order *)
   let task i ctx =
     for k = 0 to i - 1 do
+      let ran = Atomic.make false in
       Pool.fork ctx (fun sub ->
           check (Alcotest.list int) "fork id" [ i; k ] (Pool.id sub);
-          100 + (10 * i) + k)
+          Atomic.set ran true;
+          100 + (10 * i) + k);
+      (* one domain has no thief to wait for: the child runs inside fork *)
+      if domains = 1 then
+        check bool "child ran before fork returned" true (Atomic.get ran)
     done;
     i
   in
   let results = Pool.Exec.run exec (List.init 4 task) in
-  let expected_ids =
+  let expected =
     List.concat_map
-      (fun i -> [ i ] :: List.init i (fun k -> [ i; k ]))
+      (fun i ->
+        ([ i ], i) :: List.init i (fun k -> ([ i; k ], 100 + (10 * i) + k)))
       [ 0; 1; 2; 3 ]
   in
-  check int "root + forked" (List.length expected_ids) (List.length results);
+  check int "root + forked" (List.length expected) (List.length results);
   List.iter2
-    (fun want (got, _) ->
-      check (Alcotest.list int) "sorted by id" want got)
-    expected_ids results
+    (fun (want, v) (got, r) ->
+      check (Alcotest.list int) "sorted by id" want got;
+      check int "result in its own slot" v r)
+    expected results
 
 let test_pool_stealing_tree () =
   (* a binary fork tree deep enough that every domain has work to steal;
@@ -282,29 +289,6 @@ let domains4_equals_domains1_prop =
       && a.Taxogram.class_count = b.Taxogram.class_count
       && a.Taxogram.covered_graph_count = b.Taxogram.covered_graph_count)
 
-let batch_invariance_prop =
-  (* root_batch / spec_batch tune scheduling granularity only: any
-     combination must give the byte-identical result *)
-  QCheck.Test.make ~name:"root_batch/spec_batch never change the result"
-    ~count:25 arb_instance (fun (seed, k) ->
-      let rng = Prng.of_int seed in
-      let tax, db = random_instance rng in
-      let cfg = config (theta_of k) in
-      let reference =
-        Taxogram.run (Taxogram.Spec.collect ~config:cfg ~domains:1 ()) tax db
-      in
-      let want = fingerprint tax reference in
-      List.for_all
-        (fun (root_batch, spec_batch) ->
-          let r =
-            Taxogram.run
-              (Taxogram.Spec.collect ~config:cfg ~domains:4 ~root_batch
-                 ~spec_batch ())
-              tax db
-          in
-          fingerprint tax r = want)
-        [ (1, 1); (2, 3); (64, 64) ])
-
 let stream_equals_collect_prop =
   QCheck.Test.make ~name:"`Stream domains=4 emits the `Collect set" ~count:25
     arb_instance (fun (seed, k) ->
@@ -400,6 +384,36 @@ let budget_prefix_prop =
             r.Taxogram.patterns)
         [ 1; 4 ])
 
+(* the [sink] doc promises the canonical order to a one-domain [`Stream]:
+   every emitted pattern, in emission order, digested over a few fixed
+   instances; the digests were recorded from the earlier sequential
+   implementation, and both miners must keep them *)
+let test_stream_order_pinned () =
+  let digest class_miner =
+    let buf = Buffer.create 4096 in
+    let n = ref 0 in
+    List.iter
+      (fun seed ->
+        let tax, db = random_instance (Prng.of_int seed) in
+        let names = Taxonomy.labels tax in
+        ignore
+          (Taxogram.run
+             (Taxogram.Spec.stream ~config:(config 0.34) ~class_miner
+                ~domains:1 (fun p ->
+                  incr n;
+                  Buffer.add_string buf
+                    (Printf.sprintf "%d %s\n" p.Pattern.support_count
+                       (Pattern.to_string ~names p))))
+             tax db);
+        Buffer.add_string buf "--\n")
+      [ 29; 32; 34; 37 ];
+    (!n, Digest.to_hex (Digest.string (Buffer.contents buf)))
+  in
+  check (Alcotest.pair int Alcotest.string) "gSpan emission order"
+    (167, "fc940a7c2752f08ca7ef4637445b3dc2") (digest `Gspan);
+  check (Alcotest.pair int Alcotest.string) "level-wise emission order"
+    (167, "1359a477b5923079cb08f09c20c1906e") (digest `Level_wise)
+
 let test_spec_builders () =
   let tax =
     Taxonomy.build
@@ -414,10 +428,12 @@ let test_spec_builders () =
         g ~labels:[| id "e"; id "f" |] ~edges:[ (0, 1, 0) ];
       ]
   in
-  let base = Taxogram.Spec.collect ~config:(config 0.5) () in
-  let spec = Taxogram.Spec.with_domains 2 base in
-  check int "with_domains resizes the executor" 2 (Taxogram.Spec.domains spec);
-  let direct = Taxogram.run (Taxogram.Spec.with_domains 1 base) tax db in
+  let base = Taxogram.Spec.collect ~config:(config 0.5) ~domains:1 () in
+  let spec = { base with Taxogram.Spec.exec = Pool.Exec.create ~domains:2 () } in
+  check int "a record update resizes the executor" 2
+    (Taxogram.Spec.domains spec);
+  check int "the base keeps its own" 1 (Taxogram.Spec.domains base);
+  let direct = Taxogram.run base tax db in
   let pooled = Taxogram.run spec tax db in
   check bool "same set through the builders" true
     (Pattern.equal_sets direct.Taxogram.patterns pooled.Taxogram.patterns);
@@ -435,7 +451,9 @@ let () =
         [
           Alcotest.test_case "root ids in order" `Quick test_pool_root_ids;
           Alcotest.test_case "empty task list" `Quick test_pool_empty;
-          Alcotest.test_case "fork ids" `Quick test_pool_fork_ids;
+          Alcotest.test_case "fork ids" `Quick (test_pool_fork_ids 4);
+          Alcotest.test_case "fork ids, one domain: the child runs in fork"
+            `Quick (test_pool_fork_ids 1);
           Alcotest.test_case "stealing on a fork tree" `Quick
             test_pool_stealing_tree;
           Alcotest.test_case "exception propagation" `Quick test_pool_exception;
@@ -455,10 +473,11 @@ let () =
         Alcotest.test_case "expired budget, all domain counts" `Quick
           test_expired_budget_deterministic
         :: Alcotest.test_case "Spec builders" `Quick test_spec_builders
+        :: Alcotest.test_case "one-domain `Stream order pinned" `Quick
+             test_stream_order_pinned
         :: qsuite
              [
                domains4_equals_domains1_prop;
-               batch_invariance_prop;
                stream_equals_collect_prop;
                level_wise_pool_prop;
                budget_prefix_prop;
