@@ -50,13 +50,21 @@ let validate_inputs db_path tax_path =
     exit 2
   end
 
+let refuse d =
+  Printf.eprintf "tsg-mine: %s\n" (Diagnostic.to_string d);
+  exit 2
+
+(* malformed input (unchecked under --no-validate or --directed) is a
+   rule-coded diagnostic and exit 2, never an uncaught exception *)
+let parsed db_path f =
+  try f () with
+  | Taxonomy_io.Parse_error d -> refuse d
+  | Serial.Parse_error (line, msg) ->
+    refuse (Diagnostic.make ~file:db_path ~line ~rule:"DB007" Diagnostic.Error msg)
+
 let load_inputs db_path tax_path =
-  let taxonomy =
-    try Taxonomy_io.load tax_path
-    with Taxonomy_io.Parse_error d ->
-      Printf.eprintf "tsg-mine: %s\n" (Diagnostic.to_string d);
-      exit 2
-  in
+  parsed db_path @@ fun () ->
+  let taxonomy = Taxonomy_io.load tax_path in
   let edge_labels = Label.create () in
   let db =
     Serial.load_db ~node_labels:(Taxonomy.labels taxonomy) ~edge_labels db_path
@@ -74,6 +82,7 @@ let load_inputs db_path tax_path =
   (taxonomy, db, edge_labels)
 
 let run_directed db_path tax_path support max_edges limit quiet =
+  parsed db_path @@ fun () ->
   let taxonomy = Taxonomy_io.load tax_path in
   let env = Tsg_core.Directed.prepare taxonomy in
   let arc_labels = Label.create () in
@@ -116,6 +125,11 @@ let run_directed db_path tax_path support max_edges limit quiet =
 let run db_path tax_path support algorithm max_edges limit quiet directed out
     domains no_validate checkpoint_path checkpoint_every corpus_seq
     supervised =
+  (* the directed miner neither saves nor checkpoints its patterns *)
+  if directed && (Option.is_some out || Option.is_some checkpoint_path) then begin
+    prerr_endline "tsg-mine: --save and --checkpoint do not apply with --directed";
+    exit 2
+  end;
   if directed then run_directed db_path tax_path support max_edges limit quiet
   else begin
   (match (checkpoint_path, algorithm) with
@@ -155,9 +169,7 @@ let run db_path tax_path support algorithm max_edges limit quiet directed out
       in
       let r =
         try Taxogram.run spec taxonomy db with
-        | Tsg_core.Checkpoint.Error d ->
-          Printf.eprintf "tsg-mine: %s\n" (Diagnostic.to_string d);
-          exit 2
+        | Tsg_core.Checkpoint.Error d -> refuse d
         | Tsg_util.Fault.Injected _ as e ->
           Printf.eprintf "tsg-mine: aborted: %s\n" (Printexc.to_string e);
           (match checkpoint_path with

@@ -9,6 +9,7 @@ exception Error of Diagnostic.t
 
 type entry = {
   root : int;
+  seed : (int * int * int) option;
   classes : int;
   oi_entries : int;
   oi_set_members : int;
@@ -20,6 +21,7 @@ type entry = {
 
 type t = {
   fingerprint : int64;
+  params : string;
   corpus_seq : int64;
   db_size : int;
   roots_total : int;
@@ -59,58 +61,77 @@ let fingerprint ~taxonomy ~db ~params =
 
 let magic = "tsgckpt"
 
-let version = 2
+let version = 3
 
-let add_bitset buf set =
-  let bytes = (Bitset.capacity set + 7) / 8 in
-  if bytes = 0 then Buffer.add_char buf '-'
+(* a space, then decimal digits straight into the buffer: a snapshot is
+   mostly small integers, and tsg-pipe writes one on every commit *)
+let add_int buf n =
+  Buffer.add_char buf ' ';
+  if n < 0 then Buffer.add_string buf (string_of_int n)
   else begin
-    let packed = Bytes.make bytes '\000' in
-    Bitset.iter
-      (fun i ->
-        let b = i lsr 3 in
-        Bytes.unsafe_set packed b
-          (Char.unsafe_chr
-             (Char.code (Bytes.unsafe_get packed b) lor (1 lsl (i land 7)))))
-      set;
-    Bytes.iter
-      (fun c -> Buffer.add_string buf (Printf.sprintf "%02x" (Char.code c)))
-      packed
+    let rec digits n =
+      if n >= 10 then digits (n / 10);
+      Buffer.add_char buf (Char.unsafe_chr (48 + (n mod 10)))
+    in
+    digits n
   end
+
+(* sparse: the member count, then the first member and the gap to each
+   next one *)
+let add_set buf set =
+  add_int buf (Bitset.cardinal set);
+  let prev = ref 0 in
+  Bitset.iter
+    (fun i ->
+      add_int buf (i - !prev);
+      prev := i)
+    set
 
 let add_pattern buf (p : Pattern.t) =
   let g = p.Pattern.graph in
   let n = Graph.node_count g in
-  Buffer.add_string buf (Printf.sprintf "p %d" n);
+  Buffer.add_char buf 'p';
+  add_int buf n;
   for v = 0 to n - 1 do
-    Buffer.add_string buf (Printf.sprintf " %d" (Graph.node_label g v))
+    add_int buf (Graph.node_label g v)
   done;
   let edges = Graph.edges g in
-  Buffer.add_string buf (Printf.sprintf " %d" (Array.length edges));
+  add_int buf (Array.length edges);
   Array.iter
-    (fun (u, v, l) -> Buffer.add_string buf (Printf.sprintf " %d %d %d" u v l))
+    (fun (u, v, l) ->
+      add_int buf u;
+      add_int buf v;
+      add_int buf l)
     edges;
-  Buffer.add_char buf ' ';
-  add_bitset buf p.Pattern.support_set;
+  add_set buf p.Pattern.support_set;
   Buffer.add_char buf '\n'
 
+let add_entry buf e =
+  Buffer.add_string buf "root";
+  add_int buf e.root;
+  (match e.seed with
+  | None -> Buffer.add_string buf " -"
+  | Some (a, l, b) -> Printf.bprintf buf " %d,%d,%d" a l b);
+  add_int buf e.classes;
+  add_int buf e.oi_entries;
+  add_int buf e.oi_set_members;
+  Printf.bprintf buf " %h" e.enum_seconds;
+  add_int buf e.stats.Specialize.intersections;
+  add_int buf e.stats.Specialize.visited;
+  add_int buf e.stats.Specialize.emitted;
+  add_int buf e.stats.Specialize.over_generalized;
+  Buffer.add_string buf "\nc";
+  add_set buf e.covered;
+  Buffer.add_char buf '\n';
+  List.iter (add_pattern buf) e.patterns
+
 let to_string t =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf
-    (Printf.sprintf "%s %d %016Lx %Ld %d %d\n" magic version t.fingerprint
-       t.corpus_seq t.db_size t.roots_total);
-  List.iter
-    (fun e ->
-      Buffer.add_string buf
-        (Printf.sprintf "root %d %d %d %d %h %d %d %d %d\n" e.root e.classes
-           e.oi_entries e.oi_set_members e.enum_seconds
-           e.stats.Specialize.intersections e.stats.Specialize.visited
-           e.stats.Specialize.emitted e.stats.Specialize.over_generalized);
-      Buffer.add_string buf "c ";
-      add_bitset buf e.covered;
-      Buffer.add_char buf '\n';
-      List.iter (add_pattern buf) e.patterns)
-    t.entries;
+  if String.contains t.params '\n' then
+    invalid_arg "Checkpoint.to_string: params span more than one line";
+  let buf = Buffer.create 65536 in
+  Printf.bprintf buf "%s %d %016Lx %Ld %d %d %s\n" magic version t.fingerprint
+    t.corpus_seq t.db_size t.roots_total t.params;
+  List.iter (add_entry buf) t.entries;
   let body = Buffer.contents buf in
   body ^ Printf.sprintf "end %s\n" (Checksum.to_hex (Checksum.crc32 body))
 
@@ -127,193 +148,215 @@ let fail ~file ?line fmt =
         (Error (Diagnostic.make ~file ?line ~rule:"CKPT001" Diagnostic.Error msg)))
     fmt
 
-let parse_bitset ~file ~line cap token =
+(* one line's space-separated tokens, consumed left to right *)
+type cursor = {
+  file : string;
+  line : int;
+  toks : string array;
+  mutable pos : int;
+}
+
+let cursor ~file ~line text =
+  { file; line; toks = Array.of_list (String.split_on_char ' ' text); pos = 0 }
+
+let left c = Array.length c.toks - c.pos
+
+let next c =
+  if left c = 0 then fail ~file:c.file ~line:c.line "truncated line";
+  c.pos <- c.pos + 1;
+  c.toks.(c.pos - 1)
+
+(* the next token, as [read] reads it *)
+let token c what read =
+  let s = next c in
+  match read s with
+  | Some v -> v
+  | None -> fail ~file:c.file ~line:c.line "bad %s %S" what s
+
+let at_least lo = function Some n when n >= lo -> Some n | _ -> None
+
+(* every count, id and statistic is a non-negative int *)
+let nat c what = token c what (fun s -> at_least 0 (int_of_string_opt s))
+
+let finish c =
+  if left c > 0 then
+    fail ~file:c.file ~line:c.line "%d unexpected trailing tokens" (left c)
+
+(* a count read before as many items: each item takes at least [width]
+   tokens, so a count the line cannot hold fails before any allocation *)
+let count c what ~width =
+  let n = nat c what in
+  if n > left c / width then fail ~file:c.file ~line:c.line "truncated line";
+  n
+
+let parse_set c ~cap =
   let set = Bitset.create cap in
-  let bytes = (cap + 7) / 8 in
-  if token = "-" then begin
-    if bytes <> 0 then fail ~file ~line "empty bitset for capacity %d" cap;
-    set
-  end
-  else begin
-    if String.length token <> 2 * bytes then
-      fail ~file ~line "bitset holds %d hex digits, expected %d"
-        (String.length token) (2 * bytes);
-    for b = 0 to bytes - 1 do
-      match int_of_string_opt ("0x" ^ String.sub token (2 * b) 2) with
-      | None -> fail ~file ~line "bad bitset byte %s" (String.sub token (2 * b) 2)
-      | Some byte ->
-        for bit = 0 to 7 do
-          if byte land (1 lsl bit) <> 0 then begin
-            let i = (b lsl 3) + bit in
-            if i >= cap then fail ~file ~line "bitset member %d out of range" i;
-            Bitset.set set i
-          end
-        done
-    done;
-    set
-  end
+  let prev = ref 0 in
+  for k = 0 to count c "member count" ~width:1 - 1 do
+    let gap = nat c "member gap" in
+    if (k > 0 && gap = 0) || gap >= cap - !prev then
+      fail ~file:c.file ~line:c.line "member %d out of order or range"
+        (k + 1);
+    prev := !prev + gap;
+    Bitset.set set !prev
+  done;
+  set
 
-let parse_int ~file ~line what s =
-  match int_of_string_opt s with
-  | Some n -> n
-  | None -> fail ~file ~line "bad %s %S" what s
+let parse_pattern c ~db_size =
+  let n = count c "node count" ~width:1 in
+  if n = 0 then fail ~file:c.file ~line:c.line "pattern without nodes";
+  let labels = Array.init n (fun _ -> nat c "node label") in
+  let edges =
+    List.init
+      (count c "edge count" ~width:3)
+      (fun _ ->
+        let u = nat c "edge endpoint" in
+        let v = nat c "edge endpoint" in
+        (u, v, nat c "edge label"))
+  in
+  let support = parse_set c ~cap:db_size in
+  finish c;
+  let graph =
+    try Graph.build ~labels ~edges
+    with Invalid_argument msg ->
+      fail ~file:c.file ~line:c.line "bad pattern: %s" msg
+  in
+  Pattern.make ~db_size graph support
 
-let parse_float ~file ~line what s =
-  match float_of_string_opt s with
-  | Some f -> f
-  | None -> fail ~file ~line "bad %s %S" what s
+let read_seed = function
+  | "-" -> Some None
+  | s -> (
+    match
+      List.map (fun n -> at_least 0 (int_of_string_opt n))
+        (String.split_on_char ',' s)
+    with
+    | [ Some a; Some l; Some b ] -> Some (Some (a, l, b))
+    | _ -> None)
 
-let parse_pattern ~file ~line ~db_size tokens =
-  let int = parse_int ~file ~line in
-  match tokens with
-  | nnodes :: rest ->
-    let nnodes = int "node count" nnodes in
-    if nnodes <= 0 then fail ~file ~line "bad node count %d" nnodes;
-    let rec take n acc = function
-      | rest when n = 0 -> (List.rev acc, rest)
-      | x :: rest -> take (n - 1) (x :: acc) rest
-      | [] -> fail ~file ~line "truncated pattern line"
-    in
-    let labels, rest = take nnodes [] rest in
-    let labels = Array.of_list (List.map (int "node label") labels) in
-    (match rest with
-    | nedges :: rest ->
-      let nedges = int "edge count" nedges in
-      let flat, rest = take (3 * nedges) [] rest in
-      let rec triples = function
-        | u :: v :: l :: more ->
-          (int "edge endpoint" u, int "edge endpoint" v, int "edge label" l)
-          :: triples more
-        | [] -> []
-        | _ -> fail ~file ~line "truncated edge list"
-      in
-      let edges = triples flat in
-      (match rest with
-      | [ sup ] ->
-        let support = parse_bitset ~file ~line db_size sup in
-        let graph =
-          try Graph.build ~labels ~edges
-          with Invalid_argument msg -> fail ~file ~line "bad pattern: %s" msg
-        in
-        Pattern.make ~db_size graph support
-      | _ -> fail ~file ~line "malformed pattern line")
-    | [] -> fail ~file ~line "truncated pattern line")
-  | [] -> fail ~file ~line "empty pattern line"
+let parse_root c ~db_size =
+  let root = nat c "root index" in
+  let seed = token c "seed" read_seed in
+  let classes = nat c "class count" in
+  let oi_entries = nat c "entry count" in
+  let oi_set_members = nat c "member count" in
+  let enum_seconds = token c "enumerate seconds" float_of_string_opt in
+  let intersections = nat c "intersections" in
+  let visited = nat c "visited" in
+  let emitted = nat c "emitted" in
+  let over_generalized = nat c "over-generalized" in
+  finish c;
+  {
+    root;
+    seed;
+    classes;
+    oi_entries;
+    oi_set_members;
+    enum_seconds;
+    stats = { Specialize.intersections; visited; emitted; over_generalized };
+    covered = Bitset.create db_size;
+    patterns = [];
+  }
 
-let parse ~file text =
-  (* split off and verify the crc trailer before trusting anything else *)
+(* the CRC trailer, verified before anything else is trusted; returns the
+   length of the body it covers *)
+let verified_length ~file text =
   let len = String.length text in
   if len = 0 || text.[len - 1] <> '\n' then
     fail ~file "truncated checkpoint (no trailing newline)";
-  let trailer_start =
+  let body =
     match String.rindex_from_opt text (len - 2) '\n' with
     | Some i -> i + 1
     | None -> fail ~file "missing checkpoint trailer"
   in
-  let body = String.sub text 0 trailer_start in
-  (match
-     String.split_on_char ' '
-       (String.trim (String.sub text trailer_start (len - trailer_start)))
-   with
+  match String.split_on_char ' ' (String.sub text body (len - body - 1)) with
   | [ "end"; crc ] ->
-    let actual = Checksum.to_hex (Checksum.crc32 body) in
+    let actual = Checksum.to_hex (Checksum.crc32_sub text ~pos:0 ~len:body) in
     if not (String.equal crc actual) then
-      fail ~file "checksum mismatch: trailer %s, content %s" crc actual
-  | _ -> fail ~file "missing checkpoint trailer");
-  let lines = String.split_on_char '\n' body in
-  let header, rest =
-    match lines with
-    | h :: rest -> (h, rest)
-    | [] -> fail ~file "empty checkpoint"
+      fail ~file "checksum mismatch: trailer %s, content %s" crc actual;
+    body
+  | _ -> fail ~file "missing checkpoint trailer"
+
+let parse_header ~file text =
+  let c = cursor ~file ~line:1 text in
+  if not (String.equal (next c) magic) then
+    fail ~file ~line:1 "not a checkpoint file";
+  let v = nat c "version" in
+  if v <> version then fail ~file ~line:1 "unsupported checkpoint version %d" v;
+  let fingerprint =
+    token c "fingerprint" (fun s -> Int64.of_string_opt ("0x" ^ s))
   in
-  let fingerprint, corpus_seq, db_size, roots_total =
-    match String.split_on_char ' ' header with
-    | [ m; v; fp; seq; db; roots ] when m = magic ->
-      let line = 1 in
-      if parse_int ~file ~line "version" v <> version then
-        fail ~file ~line "unsupported checkpoint version %s" v;
-      (match Int64.of_string_opt ("0x" ^ fp) with
-      | None -> fail ~file ~line "bad fingerprint %S" fp
-      | Some fp ->
-        let seq =
-          match Int64.of_string_opt seq with
-          | Some s when Int64.compare s 0L >= 0 -> s
-          | _ -> fail ~file ~line "bad corpus sequence %S" seq
-        in
-        ( fp,
-          seq,
-          parse_int ~file ~line "database size" db,
-          parse_int ~file ~line "root count" roots ))
-    | _ -> fail ~file ~line:1 "not a checkpoint file"
+  let corpus_seq =
+    token c "corpus sequence" (fun s ->
+        Option.bind (Int64.of_string_opt s) (fun n ->
+            if Int64.compare n 0L >= 0 then Some n else None))
   in
-  if db_size < 0 then fail ~file ~line:1 "negative database size";
+  (* every support set is a bitset of this capacity *)
+  let db_size = nat c "database size" in
+  if db_size > Sys.max_array_length then
+    fail ~file ~line:1 "database size %d out of range" db_size;
+  let roots_total =
+    token c "root count" (fun s -> at_least (-1) (int_of_string_opt s))
+  in
+  (* the rest of the line, spaces and all *)
+  let params = String.concat " " (Array.to_list (Array.sub c.toks c.pos (left c))) in
+  { fingerprint; params; corpus_seq; db_size; roots_total; entries = [] }
+
+(* the body's line at [pos], and the position after it: the CRC-checked
+   body ends its last line *)
+let line_at text pos =
+  let eol = String.index_from text pos '\n' in
+  (String.sub text pos (eol - pos), eol + 1)
+
+(* the CRC-checked header, and the length of the body it opens *)
+let framed ~file text =
+  Tsg_util.Fault.inject "checkpoint.load";
+  let body = verified_length ~file text in
+  if body = 0 then fail ~file "not a checkpoint file";
+  (parse_header ~file (fst (line_at text 0)), body)
+
+let header ~file text = fst (framed ~file text)
+
+let parse ~file text =
+  let header, body = framed ~file text in
+  let db_size = header.db_size in
+  (* newest first, each entry's patterns newest first too *)
   let entries = ref [] in
-  let current = ref None in
-  let lineno = ref 1 in
-  let close_current () =
-    match !current with
-    | None -> ()
-    | Some (e, pats) ->
-      entries := { e with patterns = List.rev pats } :: !entries;
-      current := None
+  let pos = ref (snd (line_at text 0)) in
+  let line = ref 1 in
+  while !pos < body do
+    let line_text, next_pos = line_at text !pos in
+    pos := next_pos;
+    incr line;
+    let c = cursor ~file ~line:!line line_text in
+    match (next c, !entries) with
+    | "root", _ -> entries := parse_root c ~db_size :: !entries
+    | "c", e :: rest ->
+      let covered = parse_set c ~cap:db_size in
+      finish c;
+      entries := { e with covered } :: rest
+    | "p", e :: rest ->
+      entries :=
+        { e with patterns = parse_pattern c ~db_size :: e.patterns } :: rest
+    | ("c" | "p"), [] -> fail ~file ~line:c.line "line before any 'root'"
+    | _ ->
+      if not (String.equal line_text "") then
+        fail ~file ~line:c.line "unrecognized line: %s" line_text
+  done;
+  let entries =
+    List.rev_map (fun e -> { e with patterns = List.rev e.patterns }) !entries
   in
-  List.iter
-    (fun line_text ->
-      incr lineno;
-      let line = !lineno in
-      if line_text = "" then ()
-      else
-        match String.split_on_char ' ' line_text with
-        | [ "root"; idx; classes; oie; oim; enum; i; v; e; o ] ->
-          close_current ();
-          let int = parse_int ~file ~line in
-          let entry =
-            {
-              root = int "root index" idx;
-              classes = int "class count" classes;
-              oi_entries = int "entry count" oie;
-              oi_set_members = int "member count" oim;
-              enum_seconds = parse_float ~file ~line "enumerate seconds" enum;
-              stats =
-                {
-                  Specialize.intersections = int "intersections" i;
-                  visited = int "visited" v;
-                  emitted = int "emitted" e;
-                  over_generalized = int "over-generalized" o;
-                };
-              covered = Bitset.create db_size;
-              patterns = [];
-            }
-          in
-          current := Some (entry, [])
-        | [ "c"; hex ] -> (
-          match !current with
-          | None -> fail ~file ~line "'c' before any 'root' header"
-          | Some (e, pats) ->
-            current :=
-              Some ({ e with covered = parse_bitset ~file ~line db_size hex }, pats))
-        | "p" :: tokens -> (
-          match !current with
-          | None -> fail ~file ~line "'p' before any 'root' header"
-          | Some (e, pats) ->
-            current :=
-              Some (e, parse_pattern ~file ~line ~db_size tokens :: pats))
-        | _ -> fail ~file ~line "unrecognized line: %s" line_text)
-    rest;
-  close_current ();
-  let entries = List.rev !entries in
   List.iteri
     (fun i e ->
       if e.root <> i then
         fail ~file "entries are not a root prefix (position %d holds root %d)"
           i e.root)
     entries;
-  if roots_total >= 0 && List.length entries > roots_total then
-    fail ~file "%d entries for %d roots" (List.length entries) roots_total;
-  { fingerprint; corpus_seq; db_size; roots_total; entries }
+  if header.roots_total >= 0 && List.length entries > header.roots_total then
+    fail ~file "%d entries for %d roots" (List.length entries)
+      header.roots_total;
+  { header with entries }
 
 let load path =
-  Tsg_util.Fault.inject "checkpoint.load";
   let text =
     try Tsg_util.Safe_io.read_file path
     with Sys_error msg -> fail ~file:path "cannot read checkpoint: %s" msg

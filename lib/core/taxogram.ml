@@ -36,7 +36,7 @@ type result = {
   oi_entries : int;
   oi_set_members : int;
   covered_graph_count : int;
-  root_groups : ((int * int * int) * Pattern.t list) list;
+  root_groups : Checkpoint.entry list;
 }
 
 type sink = [ `Collect | `Stream of (Pattern.t -> unit) ]
@@ -113,6 +113,7 @@ end
    this run's inputs and the previous snapshot, if one was on disk *)
 type ckpt_ctx = {
   ck_spec : checkpoint_spec;
+  ck_params : string;
   ck_fp : int64;
   ck_loaded : Checkpoint.t option;
 }
@@ -133,7 +134,7 @@ let stored_entries ckpt ~db_size ~roots_total =
   match ckpt with
   | None -> []
   | Some { ck_loaded = None; _ } -> []
-  | Some { ck_spec; ck_fp; ck_loaded = Some t } ->
+  | Some { ck_spec; ck_fp; ck_loaded = Some t; _ } ->
     Checkpoint.check ~fingerprint:ck_fp ~corpus_seq:ck_spec.corpus_seq
       ~db_size ~roots_total t;
     t.Checkpoint.entries
@@ -152,6 +153,7 @@ let saver_flush sv =
   Checkpoint.save sv.sv_ctx.ck_spec.path
     {
       Checkpoint.fingerprint = sv.sv_ctx.ck_fp;
+      params = sv.sv_ctx.ck_params;
       corpus_seq = sv.sv_ctx.ck_spec.corpus_seq;
       db_size = sv.sv_db_size;
       roots_total = sv.sv_roots_total;
@@ -201,6 +203,35 @@ let failed_outcome ~root =
     t_covered = None;
   }
 
+(* a root's record before any of its outcomes *)
+let blank ~seed ~db_size root =
+  {
+    Checkpoint.root;
+    seed = seed root;
+    classes = 0;
+    oi_entries = 0;
+    oi_set_members = 0;
+    enum_seconds = 0.0;
+    stats = Specialize.fresh_stats ();
+    covered = Bitset.create db_size;
+    patterns = [];
+  }
+
+(* one outcome added into its root's record: the join sums every
+   reported root's outcomes this way, the checkpoint tracker as they
+   arrive *)
+let absorb (e : Checkpoint.entry) o =
+  Option.iter (add_stats e.Checkpoint.stats) o.t_stats;
+  {
+    e with
+    Checkpoint.classes = e.Checkpoint.classes + o.t_classes;
+    oi_entries = e.Checkpoint.oi_entries + o.t_entries;
+    oi_set_members = e.Checkpoint.oi_set_members + o.t_members;
+    enum_seconds = e.Checkpoint.enum_seconds +. o.t_enum_s;
+    covered = Option.value o.t_covered ~default:e.Checkpoint.covered;
+    patterns = List.rev_append o.t_patterns e.Checkpoint.patterns;
+  }
+
 (* Checkpointing a pool run needs to know when a *root* is done — its
    mining work and every specialization class it forked — while tasks
    finish in whatever order the schedule produces. One accumulator per
@@ -211,29 +242,8 @@ type root_acc = {
   mutable a_ok : bool;
   mutable a_forked : int;  (* spec classes the mining side handed off *)
   mutable a_spec_done : int;
-  mutable a_classes : int;
-  mutable a_oi_entries : int;
-  mutable a_oi_members : int;
-  mutable a_enum : float;
-  a_stats : Specialize.stats;
-  mutable a_covered : Bitset.t option;
-  mutable a_patterns : Pattern.t list;
+  mutable a_entry : Checkpoint.entry;
 }
-
-let fresh_acc () =
-  {
-    a_mining_done = false;
-    a_ok = true;
-    a_forked = 0;
-    a_spec_done = 0;
-    a_classes = 0;
-    a_oi_entries = 0;
-    a_oi_members = 0;
-    a_enum = 0.0;
-    a_stats = Specialize.fresh_stats ();
-    a_covered = None;
-    a_patterns = [];
-  }
 
 type tracker = {
   tk_lock : Mutex.t;
@@ -258,21 +268,7 @@ let tracker_advance tk =
     else begin
       let a = tk.tk_accs.(idx) in
       if a.a_mining_done && a.a_ok && a.a_spec_done = a.a_forked then begin
-        tk.tk_sv.sv_prefix <-
-          {
-            Checkpoint.root = tk.tk_next;
-            classes = a.a_classes;
-            oi_entries = a.a_oi_entries;
-            oi_set_members = a.a_oi_members;
-            enum_seconds = a.a_enum;
-            stats = a.a_stats;
-            covered =
-              (match a.a_covered with
-              | Some c -> c
-              | None -> Bitset.create tk.tk_sv.sv_db_size);
-            patterns = a.a_patterns;
-          }
-          :: tk.tk_sv.sv_prefix;
+        tk.tk_sv.sv_prefix <- a.a_entry :: tk.tk_sv.sv_prefix;
         tk.tk_next <- tk.tk_next + 1;
         advanced := true
       end
@@ -285,13 +281,31 @@ let tracker_advance tk =
        >= tk.tk_sv.sv_ctx.ck_spec.every_s
   then saver_flush tk.tk_sv
 
-let make_tracker ckpt ~db_size ~roots_total ~stored ~remaining =
+(* one outcome into its root's accumulator *)
+let record tk o ~update =
+  with_tracker tk (fun () ->
+      let a = tk.tk_accs.(o.t_root - tk.tk_skip) in
+      update a;
+      a.a_ok <- a.a_ok && o.t_ok;
+      a.a_entry <- absorb a.a_entry o;
+      tracker_advance tk)
+
+let make_tracker ckpt ~blank ~db_size ~roots_total ~stored ~remaining =
+  let skip = List.length stored in
   Option.map
     (fun c ->
       {
         tk_lock = Mutex.create ();
-        tk_skip = List.length stored;
-        tk_accs = Array.init remaining (fun _ -> fresh_acc ());
+        tk_skip = skip;
+        tk_accs =
+          Array.init remaining (fun p ->
+              {
+                a_mining_done = false;
+                a_ok = true;
+                a_forked = 0;
+                a_spec_done = 0;
+                a_entry = blank (skip + p);
+              });
         tk_sv =
           {
             sv_ctx = c;
@@ -300,7 +314,7 @@ let make_tracker ckpt ~db_size ~roots_total ~stored ~remaining =
             sv_prefix = List.rev stored;
             sv_last = neg_infinity;
           };
-        tk_next = List.length stored;
+        tk_next = skip;
       })
     ckpt
 
@@ -350,15 +364,18 @@ let run (spec : Spec.t) taxonomy db =
       | `Stream _ ->
         invalid_arg "Taxogram.run: checkpointing requires the `Collect sink"
       | `Collect -> ());
-      let fp =
-        Checkpoint.fingerprint ~taxonomy ~db
-          ~params:(fingerprint_params ~config ~class_miner)
-      in
+      let params = fingerprint_params ~config ~class_miner in
       let loaded =
         if Sys.file_exists cs.path then Some (Checkpoint.load cs.path)
         else None
       in
-      Some { ck_spec = cs; ck_fp = fp; ck_loaded = loaded }
+      Some
+        {
+          ck_spec = cs;
+          ck_params = params;
+          ck_fp = Checkpoint.fingerprint ~taxonomy ~db ~params;
+          ck_loaded = loaded;
+        }
   in
   let total_timer = Timer.start () in
   let relabeled, relabel_wall =
@@ -448,17 +465,11 @@ let run (spec : Spec.t) taxonomy db =
         t_covered = None;
       }
     in
-    (match track with
-    | Some tk ->
-      with_tracker tk (fun () ->
-          let a = tk.tk_accs.(root - tk.tk_skip) in
-          a.a_spec_done <- a.a_spec_done + List.length ois;
-          a.a_ok <- a.a_ok && ok;
-          a.a_enum <- a.a_enum +. enum_s;
-          add_stats a.a_stats stats;
-          a.a_patterns <- List.rev_append !acc a.a_patterns;
-          tracker_advance tk)
-    | None -> ());
+    Option.iter
+      (fun tk ->
+        record tk o ~update:(fun a ->
+            a.a_spec_done <- a.a_spec_done + List.length ois))
+      track;
     [ o ]
   in
   (* Step 2's roots in canonical order: a gSpan seed subtree each, or a
@@ -503,8 +514,13 @@ let run (spec : Spec.t) taxonomy db =
   let skip = List.length stored in
   let remaining = List.filteri (fun i _ -> i >= skip) roots in
   let n_remaining = List.length remaining in
+  let blank =
+    blank ~db_size ~seed:(fun root ->
+        if root < Array.length seeds then Some seeds.(root) else None)
+  in
   let track =
-    make_tracker ckpt ~db_size ~roots_total ~stored ~remaining:n_remaining
+    make_tracker ckpt ~blank ~db_size ~roots_total ~stored
+      ~remaining:n_remaining
   in
   (* ~4 mining tasks per domain: coarse enough to amortize steal traffic,
      fine enough to balance skewed subtrees *)
@@ -560,32 +576,27 @@ let run (spec : Spec.t) taxonomy db =
         pending_n := 0;
         false
     in
-    let mine_s = Timer.elapsed_s t0 -. !fork_s in
-    (match track with
-    | Some tk ->
-      with_tracker tk (fun () ->
-          let a = tk.tk_accs.(root - tk.tk_skip) in
-          a.a_mining_done <- true;
-          a.a_ok <- a.a_ok && ok;
-          a.a_forked <- !forked;
-          a.a_classes <- !classes;
-          a.a_oi_entries <- !entries;
-          a.a_oi_members <- !members;
-          a.a_covered <- Some covered;
-          tracker_advance tk)
-    | None -> ());
-    {
-      t_root = root;
-      t_ok = ok;
-      t_classes = !classes;
-      t_patterns = [];
-      t_stats = None;
-      t_mine_s = mine_s;
-      t_enum_s = 0.0;
-      t_entries = !entries;
-      t_members = !members;
-      t_covered = Some covered;
-    }
+    let o =
+      {
+        t_root = root;
+        t_ok = ok;
+        t_classes = !classes;
+        t_patterns = [];
+        t_stats = None;
+        t_mine_s = Timer.elapsed_s t0 -. !fork_s;
+        t_enum_s = 0.0;
+        t_entries = !entries;
+        t_members = !members;
+        t_covered = Some covered;
+      }
+    in
+    Option.iter
+      (fun tk ->
+        record tk o ~update:(fun a ->
+            a.a_mining_done <- true;
+            a.a_forked <- !forked))
+      track;
+    o
   in
   let batches =
     chunk root_batch (List.mapi (fun p visit -> (skip + p, visit)) remaining)
@@ -650,61 +661,46 @@ let run (spec : Spec.t) taxonomy db =
   (match track with
   | Some tk -> with_tracker tk (fun () -> saver_finish tk.tk_sv ~completed)
   | None -> ());
-  let spec_stats = Specialize.fresh_stats () in
-  let class_count = ref 0 in
-  let oi_entries = ref 0 in
-  let oi_set_members = ref 0 in
-  let enumerate_cpu = ref 0.0 in
+  (* one entry per reported root: the resumed prefix, then this run's
+     roots, each summed from its mining outcome and its Step-3 batches *)
+  let fresh =
+    Array.init (min n_remaining (first_bad - skip)) (fun p -> blank (skip + p))
+  in
   let mining_cpu = ref discover_s in
-  let covered = Bitset.create db_size in
-  let patterns_rev = ref [] in
-  (* the resumed prefix counts exactly as if mined in this run (its
-     mining CPU was spent in the previous run, so it is not re-counted) *)
-  List.iter
-    (fun (e : Checkpoint.entry) ->
-      class_count := !class_count + e.Checkpoint.classes;
-      oi_entries := !oi_entries + e.Checkpoint.oi_entries;
-      oi_set_members := !oi_set_members + e.Checkpoint.oi_set_members;
-      enumerate_cpu := !enumerate_cpu +. e.Checkpoint.enum_seconds;
-      add_stats spec_stats e.Checkpoint.stats;
-      Bitset.union_into ~dst:covered covered e.Checkpoint.covered;
-      patterns_rev := List.rev_append e.Checkpoint.patterns !patterns_rev)
-    stored;
   List.iter
     (fun o ->
-      class_count := !class_count + o.t_classes;
-      oi_entries := !oi_entries + o.t_entries;
-      oi_set_members := !oi_set_members + o.t_members;
-      enumerate_cpu := !enumerate_cpu +. o.t_enum_s;
-      mining_cpu := !mining_cpu +. o.t_mine_s;
-      (match o.t_stats with Some s -> add_stats spec_stats s | None -> ());
-      (match o.t_covered with
-      | Some c -> Bitset.union_into ~dst:covered covered c
-      | None -> ());
-      patterns_rev := List.rev_append o.t_patterns !patterns_rev)
+      fresh.(o.t_root - skip) <- absorb fresh.(o.t_root - skip) o;
+      mining_cpu := !mining_cpu +. o.t_mine_s)
     included;
+  let entries = stored @ Array.to_list fresh in
+  (* the resumed prefix counts exactly as if mined in this run (its
+     mining CPU was spent in the previous run, so it is not re-counted) *)
+  let spec_stats = Specialize.fresh_stats () in
+  let covered = Bitset.create db_size in
+  let class_count, oi_entries, oi_set_members, enumerate_cpu =
+    List.fold_left
+      (fun (c, oe, om, en) (e : Checkpoint.entry) ->
+        add_stats spec_stats e.Checkpoint.stats;
+        Bitset.union_into ~dst:covered covered e.Checkpoint.covered;
+        ( c + e.Checkpoint.classes,
+          oe + e.Checkpoint.oi_entries,
+          om + e.Checkpoint.oi_set_members,
+          en +. e.Checkpoint.enum_seconds ))
+      (0, 0, 0, 0.0) entries
+  in
   let patterns, root_groups =
     match sink with
     | `Stream _ -> ([], [])
-    | `Collect when Array.length seeds = 0 -> (Pattern.sort !patterns_rev, [])
     | `Collect ->
-      (* outcomes land per root in schedule order; regroup by root and
-         restore determinism by sorting inside each group *)
-      let arr = Array.make (Array.length seeds) [] in
-      List.iter
-        (fun (e : Checkpoint.entry) ->
-          arr.(e.Checkpoint.root) <-
-            List.rev_append (List.rev e.Checkpoint.patterns)
-              arr.(e.Checkpoint.root))
-        stored;
-      List.iter
-        (fun o -> arr.(o.t_root) <- List.rev_append o.t_patterns arr.(o.t_root))
-        included;
+      (* outcomes land per root in schedule order; restore determinism
+         by sorting inside each group *)
       let groups, patterns =
         Pattern.sort_groups
-          (Array.to_list (Array.mapi (fun i ps -> (seeds.(i), ps)) arr))
+          (List.map (fun (e : Checkpoint.entry) -> (e, e.Checkpoint.patterns))
+             entries)
       in
-      (patterns, groups)
+      ( patterns,
+        List.map (fun (e, ps) -> { e with Checkpoint.patterns = ps }) groups )
   in
   let enumerate_wall =
     let f = Atomic.get spec_first_us and l = Atomic.get spec_last_us in
@@ -714,7 +710,7 @@ let run (spec : Spec.t) taxonomy db =
     patterns;
     class_count =
       (match sink with
-      | `Collect -> !class_count
+      | `Collect -> class_count
       | `Stream _ -> Atomic.get stream_classes);
     pattern_count =
       (match sink with
@@ -726,12 +722,12 @@ let run (spec : Spec.t) taxonomy db =
     mining_wall_seconds = Atomic.get mining_wall;
     mining_cpu_seconds = !mining_cpu;
     enumerate_wall_seconds = enumerate_wall;
-    enumerate_cpu_seconds = !enumerate_cpu;
+    enumerate_cpu_seconds = enumerate_cpu;
     total_wall_seconds = Timer.elapsed_s total_timer;
-    total_cpu_seconds = relabel_wall +. !mining_cpu +. !enumerate_cpu;
+    total_cpu_seconds = relabel_wall +. !mining_cpu +. enumerate_cpu;
     spec_stats;
-    oi_entries = !oi_entries;
-    oi_set_members = !oi_set_members;
+    oi_entries;
+    oi_set_members;
     covered_graph_count = Bitset.cardinal covered;
     root_groups;
   }

@@ -84,15 +84,14 @@ type result = {
   covered_graph_count : int;
       (** database graphs supporting at least one frequent class — the
           union of class support sets, merged per-domain at the join *)
-  root_groups : ((int * int * int) * Pattern.t list) list;
-      (** [result.patterns] partitioned by gSpan root: one entry per
-          frequent 1-edge seed [(from_label, edge_label, to_label)] (in
-          seed order, labels of the relabeled database [D_mg]), holding
-          every pattern of that root's subtree, canonically sorted. The
-          incremental pipeline caches these groups and re-mines only the
-          roots a delta can touch. Populated for [`Gspan] runs with the
-          [`Collect] sink; [[]] otherwise, and only trustworthy when
-          [completed] is [true]. *)
+  root_groups : Checkpoint.entry list;
+      (** [result.patterns] partitioned by root: one entry per reported
+          root, in root order, holding every pattern of that root's
+          subtree, canonically sorted, with its seed (for [`Gspan]),
+          coverage and statistics. These are the records a checkpoint
+          stores; the incremental pipeline caches and saves them and
+          re-mines only the roots a delta can touch. [[]] under a
+          [`Stream] sink. *)
 }
 
 type sink = [ `Collect | `Stream of (Pattern.t -> unit) ]
@@ -242,6 +241,12 @@ val run : Spec.t -> Tsg_taxonomy.Taxonomy.t -> Tsg_graph.Db.t -> result
     the first failing task. Unsupervised, such an exception propagates
     to the caller (after snapshotting progress when checkpointing is
     on). *)
+
+val fingerprint_params : config:config -> class_miner:class_miner -> string
+(** The one text encoding of a mining configuration. It is hashed into
+    checkpoint fingerprints and stored in snapshot headers
+    ({!Checkpoint.t.params}), where tsg-pipe compares it to refuse a
+    snapshot mined under another configuration. *)
 
 val frequent_label_filter :
   Tsg_taxonomy.Taxonomy.t -> Tsg_graph.Db.t -> min_support:int ->

@@ -60,10 +60,12 @@ let max_graph_nodes t = max_over Graph.node_count t
 
 let max_graph_edges t = max_over Graph.edge_count t
 
-let support_count_to_threshold t theta =
+let threshold_of_size n theta =
   if theta < 0.0 || theta > 1.0 then
     invalid_arg "Db.support_count_to_threshold: theta outside [0,1]";
-  max 1 (int_of_float (ceil (theta *. float_of_int (size t))))
+  max 1 (int_of_float (ceil (theta *. float_of_int n)))
+
+let support_count_to_threshold t theta = threshold_of_size (size t) theta
 
 type statistics = {
   graphs : int;

@@ -46,6 +46,10 @@ val support_count_to_threshold : t -> float -> int
     pattern must occur in to have support at least [theta]
     (i.e. [ceil (theta *. size db)], at least 1). *)
 
+val threshold_of_size : int -> float -> int
+(** [threshold_of_size n theta] is {!support_count_to_threshold} of a
+    database of [n] graphs. *)
+
 (** A Table 1 row. *)
 type statistics = {
   graphs : int;

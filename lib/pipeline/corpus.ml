@@ -11,6 +11,8 @@ type t = {
   c_taxonomy : Taxonomy.t;
   c_edge_labels : Label.t;
   mutable entries : entry list;  (* newest first *)
+  mutable removals : (int64 * int64) list;
+      (* (record, the addition it removed), newest first *)
   mutable c_seq : int64;
 }
 
@@ -19,6 +21,7 @@ let create ~taxonomy () =
     c_taxonomy = taxonomy;
     c_edge_labels = Label.create ();
     entries = [];
+    removals = [];
     c_seq = 0L;
   }
 
@@ -32,6 +35,28 @@ let size t = List.length t.entries
 
 let db t =
   Db.of_list (List.rev_map (fun e -> e.graph) t.entries)
+
+let members ?at t =
+  let w = Option.value at ~default:t.c_seq in
+  (* the live additions up to [w], and those removed since *)
+  let rec since acc = function
+    | (r, added) :: tl when Int64.compare r w > 0 ->
+      since (if Int64.compare added w <= 0 then added :: acc else acc) tl
+    | _ -> acc
+  in
+  let live = List.rev_map (fun e -> e.added_at) t.entries in
+  Array.of_list
+    (List.merge Int64.compare
+       (List.filter (fun s -> Int64.compare s w <= 0) live)
+       (List.sort Int64.compare (since [] t.removals)))
+
+let forget_removals t ~upto =
+  let rec keep = function
+    | ((r, _) as removal) :: tl when Int64.compare r upto > 0 ->
+      removal :: keep tl
+    | _ -> []
+  in
+  t.removals <- keep t.removals
 
 let find t target =
   List.find_map
@@ -65,6 +90,7 @@ let apply t (r : Wal.record) =
       match cut [] t.entries with
       | Some (g, rest) ->
         t.entries <- rest;
+        t.removals <- (r.seq, target) :: t.removals;
         Ok g
       | None -> reject r "remove target %Ld is not in the corpus" target)
     | Wal.Add text -> (

@@ -35,6 +35,18 @@ val db : t -> Tsg_graph.Db.t
     each call; removal shifts the graph ids of later additions, which is
     why nothing downstream may cache id-keyed state across deltas. *)
 
+val members : ?at:int64 -> t -> int64 array
+(** The sequence numbers of the records that added the graphs of the
+    database as it stood at sequence [at] (default: now), in graph-id
+    order: element [i] names graph [i] of that database. A support set
+    mined at [at] indexes these graphs. An [at] before the last
+    {!forget_removals} misses the graphs removed in between. *)
+
+val forget_removals : t -> upto:int64 -> unit
+(** Drop the record of removals at or before sequence [upto]: {!members}
+    is then asked only about later sequences. Keeps a long-running
+    corpus from holding one record per removal it ever applied. *)
+
 val find : t -> int64 -> Tsg_graph.Graph.t option
 (** The still-present graph added by record [seq], if any. *)
 

@@ -2,16 +2,14 @@ module Graph = Tsg_graph.Graph
 module Db = Tsg_graph.Db
 module Label = Tsg_graph.Label
 module Taxonomy = Tsg_taxonomy.Taxonomy
+module Checkpoint = Tsg_core.Checkpoint
 module Pattern = Tsg_core.Pattern
-module Pattern_io = Tsg_core.Pattern_io
 module Relabel = Tsg_core.Relabel
-module Specialize = Tsg_core.Specialize
 module Taxogram = Tsg_core.Taxogram
-module Checksum = Tsg_util.Checksum
+module Bitset = Tsg_util.Bitset
 module Diagnostic = Tsg_util.Diagnostic
 module Fault = Tsg_util.Fault
 module Pool = Tsg_util.Pool
-module Safe_io = Tsg_util.Safe_io
 module Timer = Tsg_util.Timer
 
 module Seed_set = Set.Make (struct
@@ -20,26 +18,36 @@ module Seed_set = Set.Make (struct
   let compare = Stdlib.compare
 end)
 
+(* the cached groups and the database their support sets index *)
+type cache = {
+  groups : Checkpoint.entry list;  (* one per frequent seed, by seed *)
+  basis : int64 array;  (* {!Corpus.members} of that database *)
+}
+
 type t = {
   corpus : Corpus.t;
   config : Taxogram.config;
   exec : Pool.Exec.t;
-  mutable groups : ((int * int * int) * Pattern.t list) list;
-      (* sorted by seed triple *)
-  mutable have_cache : bool;
-  mutable threshold : int;
+  params : string;
+  fingerprint : int64;
+  mutable cache : cache option;  (* [None]: the next refresh mines fully *)
   mutable watermark : int64;
   mutable dirty : Seed_set.t;
 }
 
 let create ~corpus ~config ~exec () =
+  let params = Taxogram.fingerprint_params ~config ~class_miner:`Gspan in
   {
     corpus;
     config;
     exec;
-    groups = [];
-    have_cache = false;
-    threshold = -1;
+    params;
+    (* WAL replay pins the database, so the fingerprint binds the
+       taxonomy and the configuration *)
+    fingerprint =
+      Checkpoint.fingerprint ~taxonomy:(Corpus.taxonomy corpus)
+        ~db:(Db.of_list []) ~params;
+    cache = None;
     watermark = -1L;
     dirty = Seed_set.empty;
   }
@@ -66,65 +74,127 @@ type refresh_stats = {
   wall_s : float;
 }
 
-let pattern_count groups =
-  List.fold_left (fun n (_, ps) -> n + List.length ps) 0 groups
+(* every cached entry comes from a gSpan run or a checked snapshot *)
+let seed (e : Checkpoint.entry) = Option.get e.Checkpoint.seed
 
-let by_seed (a, _) (b, _) = Stdlib.compare a b
+let by_seed a b = Stdlib.compare (seed a) (seed b)
+
+let pattern_count groups =
+  List.fold_left
+    (fun n (e : Checkpoint.entry) -> n + List.length e.Checkpoint.patterns)
+    0 groups
+
+(* graph id in [from]'s database -> graph id in [into]'s, [-1] when the
+   graph left ({!Corpus.members} arrays, both ascending) *)
+let position_map ~from ~into =
+  let map = Array.make (Array.length from) (-1) in
+  let j = ref 0 in
+  Array.iteri
+    (fun i s ->
+      while !j < Array.length into && Int64.compare into.(!j) s < 0 do
+        incr j
+      done;
+      if !j < Array.length into && Int64.equal into.(!j) s then map.(i) <- !j)
+    from;
+  map
+
+exception Stale
+
+(* a clean group, its sets re-indexed onto a database of [size] graphs. A
+   set no member of which moved is kept as it is. A removed graph held no
+   clean root's seed (its removal marked the root dirty), so no clean set
+   holds it; a set that does makes the cache [Stale]. *)
+let remap map ~size (e : Checkpoint.entry) =
+  let set s =
+    if Bitset.capacity s = size && Bitset.for_all (fun i -> map.(i) = i) s
+    then s
+    else begin
+      let dst = Bitset.create size in
+      Bitset.iter
+        (fun i ->
+          if map.(i) < 0 then raise Stale;
+          Bitset.set dst map.(i))
+        s;
+      dst
+    end
+  in
+  let pattern (p : Pattern.t) =
+    let s = set p.Pattern.support_set in
+    if s == p.Pattern.support_set then p
+    else Pattern.make ~db_size:size p.Pattern.graph s
+  in
+  {
+    e with
+    Checkpoint.covered = set e.Checkpoint.covered;
+    patterns = List.map pattern e.Checkpoint.patterns;
+  }
 
 let refresh t =
   Fault.inject "pipeline.remine";
   let timer = Timer.start () in
-  let head = Corpus.seq t.corpus in
   let db = Corpus.db t.corpus in
-  let threshold =
-    Db.support_count_to_threshold db t.config.Taxogram.min_support
-  in
-  let full = (not t.have_cache) || threshold <> t.threshold in
-  if (not full) && Seed_set.is_empty t.dirty then begin
-    (* nothing a delta could have touched; just advance the watermark *)
-    t.watermark <- head;
-    {
-      full = false;
-      roots_mined = 0;
-      roots_cached = List.length t.groups;
-      patterns = pattern_count t.groups;
-      wall_s = Timer.elapsed_s timer;
-    }
-  end
-  else begin
-    let root_select =
-      if full then None else Some (fun seed -> Seed_set.mem seed t.dirty)
-    in
-    let spec =
-      Taxogram.Spec.collect ~config:t.config ~exec:t.exec ?root_select ()
-    in
-    let result = Taxogram.run spec (Corpus.taxonomy t.corpus) db in
-    let mined = result.Taxogram.root_groups in
-    let groups =
-      if full then mined
+  let size = Db.size db in
+  let theta = t.config.Taxogram.min_support in
+  let now = Corpus.members t.corpus in
+  (* the groups this refresh keeps: the clean ones, re-indexed onto the
+     present database; none when the threshold moved (every root's bar
+     moved with it) *)
+  let kept =
+    match t.cache with
+    | Some c
+      when Db.threshold_of_size (Array.length c.basis) theta
+           = Db.support_count_to_threshold db theta -> (
+      let clean =
+        List.filter (fun e -> not (Seed_set.mem (seed e) t.dirty)) c.groups
+      in
+      if c.basis = now then Some clean
       else
-        (* clean groups survive verbatim; dirty ones are replaced by what
-           the selective run found (possibly nothing: vanished roots) *)
-        let kept =
-          List.filter (fun (seed, _) -> not (Seed_set.mem seed t.dirty)) t.groups
-        in
-        List.sort by_seed (List.rev_append kept mined)
-    in
-    t.groups <- groups;
-    t.have_cache <- true;
-    t.threshold <- threshold;
-    t.dirty <- Seed_set.empty;
-    t.watermark <- head;
-    {
-      full;
-      roots_mined = List.length mined;
-      roots_cached = List.length groups - List.length mined;
-      patterns = pattern_count groups;
-      wall_s = Timer.elapsed_s timer;
-    }
-  end
+        let map = position_map ~from:c.basis ~into:now in
+        match List.map (remap map ~size) clean with
+        | groups -> Some groups
+        | exception Stale -> None)
+    | Some _ | None -> None
+  in
+  let mined =
+    match kept with
+    | Some _ when Seed_set.is_empty t.dirty -> []
+    | Some _ | None ->
+      let root_select =
+        if Option.is_none kept then None
+        else Some (fun seed -> Seed_set.mem seed t.dirty)
+      in
+      let spec =
+        Taxogram.Spec.collect ~config:t.config ~exec:t.exec ?root_select ()
+      in
+      (Taxogram.run spec (Corpus.taxonomy t.corpus) db).Taxogram.root_groups
+  in
+  let groups =
+    match (kept, mined) with
+    | None, _ -> mined
+    | Some kept, [] -> kept
+    (* dirty groups are replaced by what the selective run found
+       (possibly nothing: vanished roots) *)
+    | Some kept, _ -> List.sort by_seed (List.rev_append kept mined)
+  in
+  t.cache <- Some { groups; basis = now };
+  t.dirty <- Seed_set.empty;
+  t.watermark <- Corpus.seq t.corpus;
+  (* the cache now indexes the present database; nothing asks for an
+     older one *)
+  Corpus.forget_removals t.corpus ~upto:t.watermark;
+  {
+    full = Option.is_none kept;
+    roots_mined = List.length mined;
+    roots_cached = List.length groups - List.length mined;
+    patterns = pattern_count groups;
+    wall_s = Timer.elapsed_s timer;
+  }
 
-let patterns t = List.concat_map snd t.groups
+let patterns t =
+  match t.cache with
+  | None -> []
+  | Some c ->
+    List.concat_map (fun (e : Checkpoint.entry) -> e.Checkpoint.patterns) c.groups
 
 let render t =
   (* stamped with the WAL watermark: replicas loading this artifact
@@ -139,203 +209,81 @@ let render t =
     ~db_size:(Corpus.size t.corpus) (patterns t)
 
 (* ------------------------------------------------------------------ *)
-(* State snapshots *)
-
-let magic = "tsgpipe"
-
-let version = 1
-
-let enh_bit b = if b then '1' else '0'
-
-let params_string (cfg : Taxogram.config) =
-  let e = cfg.enhancements in
-  Printf.sprintf "theta=%h max_edges=%s enh=%c%c%c%c" cfg.min_support
-    (match cfg.max_edges with None -> "-" | Some n -> string_of_int n)
-    (enh_bit e.Specialize.child_pruning)
-    (enh_bit e.Specialize.label_prefilter)
-    (enh_bit e.Specialize.start_preprocess)
-    (enh_bit e.Specialize.collapse_equal_children)
-
-(* group-header label names share the WAL/Serial constraint of being
-   space-split tokens, so escape whitespace, controls and '%' *)
-let esc s =
-  if String.equal s "" then "%"
-  else begin
-    let b = Buffer.create (String.length s) in
-    String.iter
-      (fun c ->
-        if c = '%' || c <= ' ' || c = '\x7f' then
-          Buffer.add_string b (Printf.sprintf "%%%02X" (Char.code c))
-        else Buffer.add_char b c)
-      s;
-    Buffer.contents b
-  end
-
-let unesc s =
-  if String.equal s "%" then Some ""
-  else begin
-    let n = String.length s in
-    let b = Buffer.create n in
-    let rec go i =
-      if i >= n then Some (Buffer.contents b)
-      else if s.[i] <> '%' then begin
-        Buffer.add_char b s.[i];
-        go (i + 1)
-      end
-      else if i + 2 < n then begin
-        match int_of_string_opt (Printf.sprintf "0x%c%c" s.[i + 1] s.[i + 2]) with
-        | Some code when code >= 0 && code < 256 ->
-          Buffer.add_char b (Char.chr code);
-          go (i + 3)
-        | _ -> None
-      end
-      else None
-    in
-    go 0
-  end
+(* State snapshots: a {!Checkpoint} of a completed run *)
 
 let save_state t path =
-  let tax_labels = Taxonomy.labels (Corpus.taxonomy t.corpus) in
-  let edge_labels = Corpus.edge_labels t.corpus in
-  let db_size = Corpus.size t.corpus in
-  let b = Buffer.create 4096 in
-  Buffer.add_string b
-    (Printf.sprintf "%s %d %Ld %d %d %d %s\n" magic version t.watermark
-       t.threshold db_size (List.length t.groups) (params_string t.config));
-  List.iter
-    (fun ((la, le, lb), ps) ->
-      let block =
-        Pattern_io.to_string ~node_labels:tax_labels ~edge_labels ~db_size ps
-      in
-      Buffer.add_string b
-        (Printf.sprintf "g %d %s %s %s\n" (String.length block)
-           (esc (Label.name tax_labels la))
-           (esc (Label.name edge_labels le))
-           (esc (Label.name tax_labels lb)));
-      Buffer.add_string b block)
-    t.groups;
-  let body = Buffer.contents b in
-  Safe_io.write_atomic path
-    (Printf.sprintf "%send %08lx\n" body (Checksum.crc32 body))
-
-let header_fields content =
-  match String.index_opt content '\n' with
-  | None -> None
-  | Some eol -> (
-    match String.split_on_char ' ' (String.sub content 0 eol) with
-    | m :: v :: seq :: threshold :: db_size :: ngroups :: params
-      when String.equal m magic && String.equal v (string_of_int version) ->
-      Some (seq, threshold, db_size, ngroups, String.concat " " params, eol)
-    | _ -> None)
+  match t.cache with
+  | None -> invalid_arg "Incremental.save_state: nothing mined yet"
+  | Some c ->
+    Checkpoint.save path
+      {
+        Checkpoint.fingerprint = t.fingerprint;
+        params = t.params;
+        corpus_seq = t.watermark;
+        db_size = Array.length c.basis;
+        roots_total = List.length c.groups;
+        entries = List.mapi (fun i e -> { e with Checkpoint.root = i }) c.groups;
+      }
 
 let state_watermark content =
-  match header_fields content with
-  | Some (seq, _, _, _, _, _) -> Int64.of_string_opt seq
-  | None -> None
+  match Checkpoint.header ~file:"state snapshot" content with
+  | s -> Some s.Checkpoint.corpus_seq
+  | exception Checkpoint.Error _ -> None
 
-exception Bad of string
-
-let bad fmt = Printf.ksprintf (fun msg -> raise (Bad msg)) fmt
-
-let require_name what table escaped =
-  match Option.bind (unesc escaped) (Label.find table) with
-  | Some id -> id
-  | None -> bad "%s label %S is not interned" what escaped
-
-(* trailer is "end " + 8 hex digits + newline *)
-let trailer_len = 13
-
-let split_trailer content =
-  let n = String.length content in
-  if n < trailer_len || not (String.equal (String.sub content (n - trailer_len) 4) "end ")
-  then bad "missing trailer";
-  let hex = String.sub content (n - trailer_len + 4) 8 in
-  let body = String.sub content 0 (n - trailer_len) in
-  match Int32.of_string_opt ("0x" ^ hex) with
-  | None -> bad "unreadable trailer checksum %S" hex
-  | Some recorded ->
-    let actual = Checksum.crc32 body in
-    if not (Int32.equal recorded actual) then
-      bad "checksum mismatch: recorded %08lx, computed %08lx" recorded actual;
-    body
-
-let line_at body pos =
-  match String.index_from_opt body pos '\n' with
-  | None -> bad "truncated group header"
-  | Some eol -> (String.sub body pos (eol - pos), eol + 1)
+(* why snapshot [s], whose sets index the graphs [basis] names, cannot be
+   this engine's cache, if it cannot *)
+let unusable t (s : Checkpoint.t) basis =
+  let why fmt = Printf.ksprintf Option.some fmt in
+  let nodes = Taxonomy.label_count (Corpus.taxonomy t.corpus) in
+  let edges = Label.size (Corpus.edge_labels t.corpus) in
+  let known_seed (a, l, b) = a <= b && b < nodes && l < edges in
+  let foreign (p : Pattern.t) =
+    let g = p.Pattern.graph in
+    Array.exists (fun l -> l >= nodes) (Graph.node_labels g)
+    || Array.exists (fun (_, _, l) -> l >= edges) (Graph.edges g)
+  in
+  let rec bad_entry prev = function
+    | [] -> None
+    | (e : Checkpoint.entry) :: rest -> (
+      match e.Checkpoint.seed with
+      | None -> why "root %d has no seed" e.root
+      | Some seed
+        when (not (known_seed seed)) || List.exists foreign e.patterns ->
+        why "root %d holds a label id the replayed tables lack" e.root
+      | Some seed when prev >= Some seed ->
+        why "root %d is out of seed order" e.root
+      | next -> bad_entry next rest)
+  in
+  let head = Corpus.seq t.corpus in
+  if not (String.equal s.params t.params) then
+    why "configuration drift: snapshot %S, engine %S" s.params t.params
+  else if not (Int64.equal s.fingerprint t.fingerprint) then
+    why "taxonomy drift: fingerprint %016Lx, expected %016Lx" s.fingerprint
+      t.fingerprint
+  else if Int64.compare s.corpus_seq head > 0 then
+    why "watermark %Ld is ahead of the log head %Ld" s.corpus_seq head
+  else if List.length s.entries <> s.roots_total then
+    why "incomplete snapshot: %d entries for %d roots"
+      (List.length s.entries) s.roots_total
+  else if Array.length basis <> s.db_size then
+    why "%d graphs at watermark %Ld, the log replays %d" s.db_size
+      s.corpus_seq (Array.length basis)
+  else bad_entry None s.entries
 
 let load_state t content =
-  let tax_labels = Taxonomy.labels (Corpus.taxonomy t.corpus) in
-  let edge_labels = Corpus.edge_labels t.corpus in
-  try
-    let body = split_trailer content in
-    let seq, threshold, ngroups, body_pos =
-      match header_fields body with
-      | None -> bad "unrecognized header"
-      | Some (seq, threshold, _db_size, ngroups, params, eol) ->
-        let expect = params_string t.config in
-        if not (String.equal params expect) then
-          bad "configuration drift: snapshot %S, engine %S" params expect;
-        let seq =
-          match Int64.of_string_opt seq with
-          | Some s when Int64.compare s 0L >= 0 -> s
-          | _ -> bad "unreadable watermark %S" seq
-        in
-        if Int64.compare seq (Corpus.seq t.corpus) > 0 then
-          bad "watermark %Ld is ahead of the log head %Ld" seq
-            (Corpus.seq t.corpus);
-        let threshold =
-          match int_of_string_opt threshold with
-          | Some n when n >= 1 -> n
-          | _ -> bad "unreadable threshold %S" threshold
-        in
-        let ngroups =
-          match int_of_string_opt ngroups with
-          | Some n when n >= 0 -> n
-          | _ -> bad "unreadable group count %S" ngroups
-        in
-        (seq, threshold, ngroups, eol + 1)
-    in
-    let pos = ref body_pos in
-    let groups = ref [] in
-    for _ = 1 to ngroups do
-      let line, after = line_at body !pos in
-      match String.split_on_char ' ' line with
-      | [ "g"; len; from_l; edge_l; to_l ] ->
-        let len =
-          match int_of_string_opt len with
-          | Some n when n >= 0 && after + n <= String.length body -> n
-          | _ -> bad "unreadable group block length %S" len
-        in
-        let la = require_name "node" tax_labels from_l in
-        let le = require_name "edge" edge_labels edge_l in
-        let lb = require_name "node" tax_labels to_l in
-        let seed = if la <= lb then (la, le, lb) else (lb, le, la) in
-        let block = String.sub body after len in
-        let ps =
-          if len = 0 then []
-          else
-            match
-              Pattern_io.parse ~node_labels:tax_labels ~edge_labels block
-            with
-            | exception Pattern_io.Parse_error d ->
-              bad "group block: %s" d.Diagnostic.message
-            | ps, _recorded_db_size -> ps
-        in
-        groups := (seed, ps) :: !groups;
-        pos := after + len
-      | _ -> bad "unrecognized group header %S" line
-    done;
-    if !pos <> String.length body then
-      bad "%d trailing bytes after the last group" (String.length body - !pos);
-    t.groups <- List.sort by_seed !groups;
-    t.have_cache <- true;
-    t.threshold <- threshold;
-    t.watermark <- seq;
-    Ok ()
-  with Bad msg ->
-    t.groups <- [];
-    t.have_cache <- false;
+  t.cache <- None;
+  let refuse msg =
     Error
       (Diagnostic.makef ~rule:"PIPE003" Diagnostic.Warning
          "state snapshot unusable (%s), re-mining from scratch" msg)
+  in
+  match Checkpoint.parse ~file:"state snapshot" content with
+  | exception Checkpoint.Error d -> refuse d.Diagnostic.message
+  | s -> (
+    let basis = Corpus.members ~at:s.Checkpoint.corpus_seq t.corpus in
+    match unusable t s basis with
+    | Some msg -> refuse msg
+    | None ->
+      t.cache <- Some { groups = s.Checkpoint.entries; basis };
+      t.watermark <- s.Checkpoint.corpus_seq;
+      Ok ())

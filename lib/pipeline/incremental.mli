@@ -2,15 +2,17 @@
     pattern set without a full re-mine.
 
     The engine caches the mined pattern set {e per gSpan root} — one
-    group per frequent 1-edge seed of the most-generalized database
-    [D_mg] ({!Tsg_core.Taxogram.result.root_groups}). Every pattern in a
+    {!Tsg_core.Checkpoint.entry} per frequent 1-edge seed of the
+    most-generalized database [D_mg]
+    ({!Tsg_core.Taxogram.result.root_groups}). Every pattern in a
     root's subtree contains the root's seed edge, so a delta graph can
     only affect the roots whose seed 1-edge it contains (after
     relabeling to most-general): those roots are marked {e dirty} and
     re-mined with {!Tsg_core.Taxogram.Spec.root_select}; every other
     group is provably unchanged — additions that lack the seed edge
     cannot add embeddings, removals that lack it cannot take support
-    away — and is reused as-is.
+    away — and is reused, its support sets re-indexed onto the present
+    database (a removal shifts the ids of later graphs).
 
     Two events invalidate the whole cache and force a full re-mine:
     the absolute support threshold [ceil (theta * db_size)] changing
@@ -21,13 +23,16 @@
     (the headline property test).
 
     Between runs the engine persists to a {e state snapshot}: a
-    CRC-trailed, atomically written file holding the watermark (the WAL
-    sequence the groups describe), the threshold, the mining
-    configuration, and every group with label {e names} rather than ids
-    — so a restarted process, whatever its interning history, can adopt
-    it. An unusable snapshot (corrupt, config drift, watermark ahead of
-    the log) degrades to a full re-mine with a [PIPE003] warning, never
-    an error. *)
+    {!Tsg_core.Checkpoint} of a completed run, written and read by the
+    code tsg-mine's [--checkpoint] uses. Its [corpus_seq] is the
+    watermark (the WAL sequence the groups describe), its header carries
+    the mining configuration, and its entries are the groups, numbered
+    in seed order, with label ids. The ids are safe to store because
+    WAL replay interns edge labels in log order, so a restart rebuilds
+    the same tables. An unusable snapshot (corrupt, configuration or
+    taxonomy drift, watermark ahead of the log, incomplete, a label id
+    the replayed tables lack) degrades to a full re-mine with a
+    [PIPE003] warning, never an error. *)
 
 type t
 
@@ -82,18 +87,25 @@ val render : t -> string
 (** {1 State snapshots} *)
 
 val save_state : t -> string -> unit
-(** Atomically persist watermark, threshold, configuration, and groups
-    (labels by name, CRC trailer). *)
+(** Atomically persist the cached groups as a complete snapshot
+    ({!Tsg_core.Checkpoint.save}, so the ["checkpoint.save"] failpoint
+    applies).
+    @raise Invalid_argument before the first {!refresh} or
+    {!load_state}. *)
 
 val state_watermark : string -> int64 option
-(** The watermark a snapshot image claims, without validating the rest —
-    the caller needs it {e before} replaying the WAL (records past the
-    watermark must mark roots dirty as they are applied). [None] when
-    the image is not a state snapshot. *)
+(** The watermark a snapshot image claims, read from its CRC-checked
+    header without parsing the groups — the caller needs it {e before}
+    replaying the WAL (records past the watermark must mark roots dirty
+    as they are applied). [None] when the image is not a readable
+    snapshot, which {!load_state} then refuses too. *)
 
 val load_state : t -> string -> (unit, Tsg_util.Diagnostic.t) result
 (** Adopt a snapshot image. Call after the corpus has been fully
-    replayed (group label names resolve against the replayed tables).
-    [Error] carries a [PIPE003] warning — corrupt image, configuration
-    drift, watermark ahead of the corpus, unresolvable label — and
-    leaves the engine cacheless, so the next {!refresh} mines fully. *)
+    replayed: label ids are checked against the replayed tables, and
+    the support sets index the database as it stood at the watermark.
+    Honors the ["checkpoint.load"] failpoint. [Error] carries a
+    [PIPE003] warning — corrupt image, configuration or taxonomy drift,
+    watermark ahead of the corpus, fewer entries than roots, an unknown
+    label id — and leaves the engine cacheless, so the next {!refresh}
+    mines fully. *)

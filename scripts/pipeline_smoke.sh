@@ -3,7 +3,8 @@
 # fed by tsg-pipe over --push, ~50 deltas (adds and removes) streamed
 # with 1% injected faults on every pipeline fault site, a SIGKILL of
 # tsg-pipe mid-stream, a restart that recovers the WAL and resumes the
-# remaining deltas, and a client blast running throughout. At the end
+# remaining deltas, and a client blast running throughout. The restart
+# must adopt the state snapshot run 1 left (no PIPE003). At the end
 # the served artifact must be byte-identical to a from-scratch mine of
 # the exported corpus, and no client may have seen an error. Run from
 # the repo root after `dune build` (or via `make pipeline-smoke`).
@@ -154,6 +155,12 @@ emit_from $((HEAD + 1)) |
     >"$WORK/run2.out" 2>"$WORK/run2.err" ||
   { cat "$WORK/run2.err" >&2; fail "restarted tsg-pipe failed"; }
 grep -q '^recovered seq ' "$WORK/run2.out" || fail "restart printed no recovery line"
+# a state the restart cannot adopt costs only a silent full re-mine,
+# which the byte-identity check below cannot see
+if grep -q 'PIPE003' "$WORK/run2.err"; then
+  cat "$WORK/run2.err" >&2
+  fail "the restarted tsg-pipe refused its state snapshot (PIPE003)"
+fi
 FINAL=$(grep '^committed seq ' "$WORK/run2.out" | tail -n1)
 [ -n "$FINAL" ] || { cat "$WORK/run2.out" >&2; fail "restart never committed"; }
 echo "== pipeline-smoke: $FINAL"

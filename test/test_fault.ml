@@ -499,6 +499,40 @@ let kill_resume_prop ~domains =
           fingerprint tax full = fingerprint tax resumed
           && not (Sys.file_exists path)))
 
+(* the one reader inverts the one writer on real mining output: seeds
+   (gSpan) or none (level-wise), support sets, coverage and statistics *)
+let snapshot_roundtrip_prop =
+  QCheck.Test.make ~name:"snapshot round trip: parse (to_string t) = t"
+    ~count:30 arb_instance
+    (fun (seed, m) ->
+      let rng = Prng.of_int seed in
+      let tax, db = random_instance rng in
+      let config = config 0.34 in
+      let class_miner = if m land 1 = 0 then `Gspan else `Level_wise in
+      let r =
+        Taxogram.run
+          (Taxogram.Spec.collect ~config ~class_miner ~domains:1 ())
+          tax db
+      in
+      let t =
+        {
+          Checkpoint.fingerprint = Prng.next_int64 rng;
+          params = Taxogram.fingerprint_params ~config ~class_miner;
+          corpus_seq = Int64.of_int (Prng.int rng 1000);
+          db_size = Db.size db;
+          roots_total =
+            (match class_miner with
+            | `Gspan -> List.length r.Taxogram.root_groups
+            | `Level_wise -> -1);
+          entries = r.Taxogram.root_groups;
+        }
+      in
+      List.for_all
+        (fun (e : Checkpoint.entry) ->
+          Option.is_some e.Checkpoint.seed = (class_miner = `Gspan))
+        t.Checkpoint.entries
+      && Checkpoint.parse ~file:"roundtrip" (Checkpoint.to_string t) = t)
+
 let chaos_supervised_prop =
   (* any probabilistic schedule over the mining failpoints: a supervised
      run always completes, casualties surface as coded diagnostics, and
@@ -824,6 +858,7 @@ let () =
                kill_resume_prop ~domains:1;
                kill_resume_prop ~domains:4;
                chaos_supervised_prop;
+               snapshot_roundtrip_prop;
              ] );
       ( "serve",
         [

@@ -201,9 +201,7 @@ let canonical_key_printf_prop =
       in
       Min_code.canonical_key graph = printf_key graph)
 
-(* --- Cam -------------------------------------------------------------------- *)
-
-module Cam = Tsg_gspan.Cam
+(* --- Cam, a test-only cross-check of the DFS-code form -------------------- *)
 
 let test_cam_basics () =
   let a = g ~labels:[| 0; 1; 2 |] ~edges:[ (0, 1, 5); (1, 2, 6) ] in

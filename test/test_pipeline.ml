@@ -6,6 +6,7 @@
    fresh interning history. *)
 
 module Db = Tsg_graph.Db
+module Graph = Tsg_graph.Graph
 module Label = Tsg_graph.Label
 module Serial = Tsg_graph.Serial
 module Taxonomy = Tsg_taxonomy.Taxonomy
@@ -15,6 +16,7 @@ module Fault = Tsg_util.Fault
 module Checksum = Tsg_util.Checksum
 module Diagnostic = Tsg_util.Diagnostic
 module Safe_io = Tsg_util.Safe_io
+module Pattern = Tsg_core.Pattern
 module Specialize = Tsg_core.Specialize
 module Taxogram = Tsg_core.Taxogram
 module Checkpoint = Tsg_core.Checkpoint
@@ -479,6 +481,14 @@ let kill_matrix_cases =
     ( "wal.replay@1 (via pipeline.remine@1)",
       [ ("pipeline.remine", Fault.On_hit 1); ("wal.replay", Fault.On_hit 1) ],
       "wal.replay" );
+    (* the state snapshot is a checkpoint: its write and its read *)
+    ("checkpoint.save@1", [ ("checkpoint.save", Fault.On_hit 1) ],
+     "checkpoint.save");
+    ("checkpoint.save@3", [ ("checkpoint.save", Fault.On_hit 3) ],
+     "checkpoint.save");
+    ( "checkpoint.load@1 (via pipeline.publish@1)",
+      [ ("pipeline.publish", Fault.On_hit 1); ("checkpoint.load", Fault.On_hit 1) ],
+      "checkpoint.load" );
   ]
 
 let kill_matrix_case ~domains schedule fired_site () =
@@ -654,6 +664,210 @@ let test_state_snapshot_rejects_config_drift () =
       match Incremental.load_state engine (read_file h.h_state) with
       | Ok () -> Alcotest.fail "adopted a snapshot mined under another theta"
       | Error d -> check string "rule" "PIPE003" d.Diagnostic.rule)
+
+(* --- State snapshots: the one root-group reader ------------------------------ *)
+
+(* a harness after one full commit of a random instance *)
+let committed_harness ?(theta = 0.34) seed =
+  let rng = Prng.of_int seed in
+  let tax, graphs = random_instance rng in
+  let h = make_harness ~tax ~config:(config theta) ~domains:1 in
+  List.iter (fun g -> apply h (Wal.Add (serialize_graph tax g))) graphs;
+  ignore (commit h);
+  h
+
+(* a fresh engine over a replay of [h]'s log, as a restart builds it *)
+let replayed_engine h =
+  let corpus = Corpus.create ~taxonomy:h.h_tax () in
+  List.iter
+    (fun r -> ignore (Corpus.apply corpus r))
+    (Wal.recover h.h_wal).Wal.replayed;
+  Incremental.create ~corpus ~config:h.h_config ~exec:h.h_exec ()
+
+let expect_pipe003 what = function
+  | Ok () -> Alcotest.failf "adopted %s" what
+  | Error d -> check string ("rule for " ^ what) "PIPE003" d.Diagnostic.rule
+
+let test_state_refuses_incomplete () =
+  let h = committed_harness 47 in
+  Fun.protect
+    ~finally:(fun () -> cleanup_harness h)
+    (fun () ->
+      let image = read_file h.h_state in
+      let s = Checkpoint.parse ~file:"state" image in
+      let n = List.length s.Checkpoint.entries in
+      check bool "the instance has roots" true (n > 1);
+      check int "a complete snapshot" n s.Checkpoint.roots_total;
+      (* a killed run's prefix: fewer entries than roots *)
+      let prefix =
+        { s with Checkpoint.entries = List.filteri (fun i _ -> i < n - 1) s.Checkpoint.entries }
+      in
+      expect_pipe003 "an incomplete snapshot"
+        (Incremental.load_state (replayed_engine h) (Checkpoint.to_string prefix));
+      check bool "the complete snapshot is adopted" true
+        (Result.is_ok (Incremental.load_state (replayed_engine h) image)))
+
+let test_state_refuses_unknown_ids () =
+  let h = committed_harness 48 in
+  Fun.protect
+    ~finally:(fun () -> cleanup_harness h)
+    (fun () ->
+      let s = Checkpoint.parse ~file:"state" (read_file h.h_state) in
+      let nodes = Taxonomy.label_count h.h_tax in
+      let edges = Label.size (Corpus.edge_labels h.h_corpus) in
+      let edge_list g = Array.to_list (Graph.edges g) in
+      let forge what f =
+        let first = List.hd s.Checkpoint.entries in
+        let first =
+          {
+            first with
+            Checkpoint.patterns =
+              List.map
+                (fun (p : Pattern.t) -> { p with Pattern.graph = f p.Pattern.graph })
+                first.Checkpoint.patterns;
+          }
+        in
+        let forged =
+          { s with Checkpoint.entries = first :: List.tl s.Checkpoint.entries }
+        in
+        expect_pipe003 what
+          (Incremental.load_state (replayed_engine h) (Checkpoint.to_string forged))
+      in
+      forge "a node label id past the taxonomy" (fun g ->
+          Graph.build
+            ~labels:(Array.map (fun _ -> nodes) (Graph.node_labels g))
+            ~edges:(edge_list g));
+      forge "an edge label id the log never interned" (fun g ->
+          Graph.build ~labels:(Graph.node_labels g)
+            ~edges:(List.map (fun (u, v, _) -> (u, v, edges)) (edge_list g))))
+
+(* the cache keeps exact support sets, not just their sizes: removals
+   shift later graph ids, and a restart adopts sets indexed at its
+   watermark while the log has moved past it *)
+let test_cached_supports_exact () =
+  let rng = Prng.of_int 49 in
+  let tax, graphs = random_instance rng in
+  let h = make_harness ~tax ~config:(config 0.34) ~domains:1 in
+  let agree what =
+    let scratch =
+      Taxogram.run
+        (Taxogram.Spec.collect ~config:h.h_config ~domains:1 ())
+        tax (Corpus.db h.h_corpus)
+    in
+    check bool what true
+      (Pattern.equal_sets scratch.Taxogram.patterns
+         (Incremental.patterns h.h_engine))
+  in
+  (* remove graph [seq] and add it back as a new graph: the size, and
+     with it the threshold, stays, so the commit keeps clean groups *)
+  let swap seq =
+    apply h (Wal.Remove seq);
+    apply h (Wal.Add (serialize_graph tax (List.nth graphs (Int64.to_int seq - 1))))
+  in
+  Fun.protect
+    ~finally:(fun () -> cleanup_harness h)
+    (fun () ->
+      List.iter (fun g -> apply h (Wal.Add (serialize_graph tax g))) graphs;
+      ignore (commit h);
+      agree "after the first commit";
+      swap 1L;
+      check bool "incremental commit" false (commit h).Incremental.full;
+      agree "after a removal shifted graph ids";
+      (* deltas past the watermark, then a cold restart *)
+      swap 2L;
+      Wal.close h.h_writer;
+      check bool "state adopted past its watermark" true
+        (Result.is_ok
+           (Incremental.load_state (replayed_engine h) (read_file h.h_state)));
+      hboot h;
+      check bool "incremental commit after the restart" false
+        (commit h).Incremental.full;
+      agree "after the restart")
+
+(* a snapshot image with its body changed and its CRC recomputed, so the
+   change reaches the parser instead of the checksum (and the body still
+   ends its last line, so the trailer stays a line of its own) *)
+let reframe image mutate =
+  let cut = String.rindex_from image (String.length image - 2) '\n' + 1 in
+  let body = mutate (String.sub image 0 cut) in
+  let body =
+    if String.ends_with ~suffix:"\n" body then body else body ^ "\n"
+  in
+  Printf.sprintf "%send %s\n" body (Checksum.to_hex (Checksum.crc32 body))
+
+let mutate rng body =
+  let n = String.length body in
+  let i = Prng.int rng (max 1 n) in
+  let set c =
+    let b = Bytes.of_string body in
+    Bytes.set b i c;
+    Bytes.to_string b
+  in
+  if n = 0 then body
+  else
+    match Prng.int rng 4 with
+    | 0 -> set (Char.chr (Char.code body.[i] lxor (1 lsl Prng.int rng 8)))
+    | 1 ->
+      let alphabet = "0123456789 \n-,pcr" in
+      set alphabet.[Prng.int rng (String.length alphabet)]
+    | 2 -> String.sub body 0 i
+    | _ -> String.sub body 0 i ^ String.sub body (i + 1) (n - i - 1)
+
+(* real images from both writers: a killed tsg-mine checkpoint and a
+   tsg-pipe state snapshot, plus the log that state describes *)
+let snapshot_fixtures =
+  lazy
+    (let h = committed_harness ~theta:0.2 50 in
+     at_exit (fun () -> cleanup_harness h);
+     let state = read_file h.h_state in
+     (* killed at its last root, the run leaves all but one on disk *)
+     let roots = (Checkpoint.parse ~file:"state" state).Checkpoint.roots_total in
+     let path = temp_path ".ck" in
+     (with_faults [ ("taxogram.root", Fault.On_hit roots) ] (fun () ->
+          match
+            Taxogram.run
+              (Taxogram.Spec.collect ~config:h.h_config ~domains:1
+                 ~checkpoint:{ Taxogram.path; every_s = 0.0; corpus_seq = 0L }
+                 ())
+              h.h_tax (Corpus.db h.h_corpus)
+          with
+          | _ -> Alcotest.fail "expected the injected fault to stop the run"
+          | exception Fault.Injected _ -> ()));
+     let mine_image = read_file path in
+     rm_f path;
+     (h, [ mine_image; state ]))
+
+let snapshot_robustness_prop =
+  QCheck.Test.make
+    ~name:"mutated snapshots: only Checkpoint.Error or PIPE003, never another exception"
+    ~count:400 arb_seed
+    (fun seed ->
+      let h, images = Lazy.force snapshot_fixtures in
+      let rng = Prng.of_int seed in
+      let path = temp_path ".ck" in
+      Fun.protect
+        ~finally:(fun () -> rm_f path)
+        (fun () ->
+          List.for_all
+            (fun image ->
+              let text =
+                reframe image (fun body ->
+                    let rec go k body = if k = 0 then body else go (k - 1) (mutate rng body) in
+                    go (1 + Prng.int rng 3) body)
+              in
+              Out_channel.with_open_bin path (fun oc -> output_string oc text);
+              (match Checkpoint.load path with
+              | _ | (exception Checkpoint.Error _) -> ());
+              ignore (Incremental.state_watermark text);
+              let engine = replayed_engine h in
+              match Incremental.load_state engine text with
+              | Error d -> String.equal d.Diagnostic.rule "PIPE003"
+              | Ok () ->
+                (* an adopted image must also serve a refresh *)
+                ignore (Incremental.refresh engine);
+                ignore (Incremental.render engine);
+                true)
+            images))
 
 (* --- Corpus rejection ------------------------------------------------------- *)
 
@@ -857,11 +1071,18 @@ let () =
             test_corrupt_state_snapshot_degrades;
           Alcotest.test_case "state snapshot rejects config drift" `Quick
             test_state_snapshot_rejects_config_drift;
+          Alcotest.test_case "state snapshot refuses an incomplete prefix"
+            `Quick test_state_refuses_incomplete;
+          Alcotest.test_case "state snapshot refuses unknown label ids" `Quick
+            test_state_refuses_unknown_ids;
+          Alcotest.test_case "cached support sets stay exact" `Quick
+            test_cached_supports_exact;
         ]
         @ qsuite
             [
               delta_equivalence_prop ~domains:1;
               delta_equivalence_prop ~domains:4;
+              snapshot_robustness_prop;
             ] );
       ( "checkpoint",
         [
