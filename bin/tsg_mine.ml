@@ -4,6 +4,8 @@
      tsg-mine --db pte.db --taxonomy atoms.tax --algorithm tacgm --limit 20 *)
 
 module Db = Tsg_graph.Db
+module Digraph = Tsg_graph.Digraph
+module Graph = Tsg_graph.Graph
 module Label = Tsg_graph.Label
 module Serial = Tsg_graph.Serial
 module Taxonomy = Tsg_taxonomy.Taxonomy
@@ -13,6 +15,8 @@ module Taxogram = Tsg_core.Taxogram
 module Tacgm = Tsg_core.Tacgm
 module Naive = Tsg_core.Naive
 module Specialize = Tsg_core.Specialize
+module Subdivision = Tsg_core.Subdivision
+module Directed = Tsg_core.Directed
 module Diagnostic = Tsg_util.Diagnostic
 
 open Cmdliner
@@ -38,10 +42,11 @@ let algorithm_conv =
   Arg.conv (parse, print)
 
 (* fail fast on malformed artifacts, with rule-coded diagnostics; the
-   --no-validate escape hatch skips straight to loading *)
-let validate_inputs db_path tax_path =
+   --no-validate escape hatch skips straight to loading. The db lint reads
+   undirected ('e') files only, so a directed run lints just the taxonomy *)
+let validate_inputs ~dbs tax_path =
   let c = Diagnostic.collector () in
-  ignore (Tsg_check.Lint.run c ~taxonomy:tax_path ~dbs:[ db_path ] ());
+  ignore (Tsg_check.Lint.run c ~taxonomy:tax_path ~dbs ());
   if Diagnostic.has_errors c then begin
     Diagnostic.print stderr c;
     Printf.eprintf
@@ -50,11 +55,13 @@ let validate_inputs db_path tax_path =
     exit 2
   end
 
-let refuse d =
-  Printf.eprintf "tsg-mine: %s\n" (Diagnostic.to_string d);
+let usage msg =
+  prerr_endline ("tsg-mine: " ^ msg);
   exit 2
 
-(* malformed input (unchecked under --no-validate or --directed) is a
+let refuse d = usage (Diagnostic.to_string d)
+
+(* malformed input (unchecked under --no-validate, or a directed db) is a
    rule-coded diagnostic and exit 2, never an uncaught exception *)
 let parsed db_path f =
   try f () with
@@ -62,15 +69,9 @@ let parsed db_path f =
   | Serial.Parse_error (line, msg) ->
     refuse (Diagnostic.make ~file:db_path ~line ~rule:"DB007" Diagnostic.Error msg)
 
-let load_inputs db_path tax_path =
-  parsed db_path @@ fun () ->
-  let taxonomy = Taxonomy_io.load tax_path in
-  let edge_labels = Label.create () in
-  let db =
-    Serial.load_db ~node_labels:(Taxonomy.labels taxonomy) ~edge_labels db_path
-  in
-  (* every node label read from the db must already be a taxonomy concept;
-     Serial interns unknown names, which would leave them outside the DAG *)
+(* every node label read from the db must already be a taxonomy concept;
+   Serial interns unknown names, which would leave them outside the DAG *)
+let check_labels db_path taxonomy db =
   let c = Diagnostic.collector () in
   Tsg_check.Check_db.validate c ~taxonomy db;
   if Diagnostic.has_errors c then begin
@@ -78,173 +79,173 @@ let load_inputs db_path tax_path =
     Printf.eprintf "tsg-mine: %s uses labels outside the taxonomy (%s)\n"
       db_path (Diagnostic.summary c);
     exit 2
-  end;
-  (taxonomy, db, edge_labels)
+  end
 
-let run_directed db_path tax_path support max_edges limit quiet =
+let load_inputs db_path tax_path domains =
   parsed db_path @@ fun () ->
   let taxonomy = Taxonomy_io.load tax_path in
-  let env = Tsg_core.Directed.prepare taxonomy in
-  let arc_labels = Label.create () in
-  let digraphs =
-    Serial.load_digraphs ~node_labels:(Taxonomy.labels taxonomy) ~arc_labels
-      db_path
+  let edge_labels = Label.create () in
+  let db =
+    Serial.load_db ~node_labels:(Taxonomy.labels taxonomy) ~edge_labels db_path
   in
-  Printf.printf "directed database: %d graphs, taxonomy: %d concepts\n%!"
-    (List.length digraphs)
-    (Taxonomy.label_count taxonomy);
-  let t = Tsg_util.Timer.start () in
-  let max_arcs = max_edges in
-  let patterns =
-    Tsg_core.Directed.mine ~min_support:support ?max_arcs env digraphs
-  in
-  let elapsed = Tsg_util.Timer.elapsed_s t in
-  let sorted =
-    List.sort
-      (fun (a : Tsg_core.Directed.pattern) b ->
-        compare b.Tsg_core.Directed.support_count
-          a.Tsg_core.Directed.support_count)
-      patterns
-  in
-  Printf.printf "%d directed patterns in %.3fs (support >= %.2f)\n"
-    (List.length sorted) elapsed support;
-  if not quiet then begin
-    let shown =
-      match limit with
-      | Some l -> List.filteri (fun i _ -> i < l) sorted
-      | None -> sorted
-    in
-    let names = Taxonomy.labels (Tsg_core.Directed.taxonomy env) in
-    List.iter
-      (fun p ->
-        Format.printf "  %a@." (Tsg_core.Directed.pp_pattern ~names) p)
-      shown
-  end;
-  0
-
-let run db_path tax_path support algorithm max_edges limit quiet directed out
-    domains no_validate checkpoint_path checkpoint_every corpus_seq
-    supervised =
-  (* the directed miner neither saves nor checkpoints its patterns *)
-  if directed && (Option.is_some out || Option.is_some checkpoint_path) then begin
-    prerr_endline "tsg-mine: --save and --checkpoint do not apply with --directed";
-    exit 2
-  end;
-  if directed then run_directed db_path tax_path support max_edges limit quiet
-  else begin
-  (match (checkpoint_path, algorithm) with
-  | Some _, (Alg_tacgm | Alg_naive) ->
-    prerr_endline
-      "tsg-mine: --checkpoint applies to the taxogram and baseline algorithms";
-    exit 2
-  | Some _, (Alg_taxogram | Alg_baseline) | None, _ -> ());
-  if not no_validate then validate_inputs db_path tax_path;
-  let taxonomy, db, edge_labels = load_inputs db_path tax_path in
-  let domains =
-    Option.value ~default:(Tsg_util.Pool.default_domains ()) domains
-  in
+  check_labels db_path taxonomy db;
   Printf.printf
     "database: %d graphs, taxonomy: %d concepts (%d levels), %d domains\n%!"
     (Db.size db)
     (Taxonomy.label_count taxonomy)
     (Taxonomy.level_count taxonomy)
     domains;
-  let incomplete = ref false in
-  let patterns, elapsed =
-    match algorithm with
+  (taxonomy, db, edge_labels)
+
+(* the same label check runs before the arc encoding: an unknown name is
+   interned at the next id, which the extended taxonomy gives the reserved
+   arc concept *)
+let load_directed db_path tax_path =
+  parsed db_path @@ fun () ->
+  let taxonomy = Taxonomy_io.load tax_path in
+  let env =
+    try Directed.prepare taxonomy with Invalid_argument msg -> usage msg
+  in
+  let digraphs =
+    Serial.load_digraphs ~node_labels:(Taxonomy.labels taxonomy)
+      ~arc_labels:(Label.create ()) db_path
+  in
+  let node_graph d = Graph.build ~labels:(Digraph.node_labels d) ~edges:[] in
+  check_labels db_path taxonomy (Db.of_list (List.map node_graph digraphs));
+  Printf.printf "directed database: %d graphs, taxonomy: %d concepts\n%!"
+    (List.length digraphs)
+    (Taxonomy.label_count taxonomy);
+  (env, digraphs)
+
+(* a taxogram or baseline run, over either kind of input *)
+let taxogram_run checkpoint_path mine =
+  match mine () with
+  | patterns, (r : Taxogram.result) ->
+    List.iter
+      (fun d -> Printf.eprintf "tsg-mine: %s\n" (Diagnostic.to_string d))
+      r.diagnostics;
+    if not r.completed then
+      prerr_endline "tsg-mine: run stopped early; reporting the completed prefix";
+    (patterns, r.total_wall_seconds, not r.completed)
+  | exception Tsg_core.Checkpoint.Error d -> refuse d
+  | exception (Tsg_util.Fault.Injected _ as e) ->
+    Printf.eprintf "tsg-mine: aborted: %s\n" (Printexc.to_string e);
+    Option.iter
+      (Printf.eprintf
+         "tsg-mine: progress saved to %s; rerun with --checkpoint to resume\n")
+      checkpoint_path;
+    exit 3
+
+(* the summary line, [save], then the patterns, highest support first;
+   exit 1 when the run stopped early *)
+let report ~support ~limit ~quiet ~what ~count ~show ~save
+    (patterns, elapsed, incomplete) =
+  let sorted = List.sort (fun a b -> compare (count b) (count a)) patterns in
+  Printf.printf "%d %s in %.3fs (support >= %.2f)\n" (List.length sorted)
+    what elapsed support;
+  save sorted;
+  if not quiet then begin
+    let shown =
+      match limit with
+      | Some l -> List.filteri (fun i _ -> i < l) sorted
+      | None -> sorted
+    in
+    List.iter (fun p -> print_endline ("  " ^ show p)) shown;
+    match limit with
+    | Some l when List.length sorted > l ->
+      Printf.printf "  ... (%d more; raise --limit)\n" (List.length sorted - l)
+    | _ -> ()
+  end;
+  if incomplete then 1 else 0
+
+let save_patterns ~no_validate taxonomy db edge_labels out sorted =
+  out |> Option.iter @@ fun path ->
+  if not no_validate then begin
+    (* make sure we never persist a pattern set that tsg-lint would
+       reject: same checks, before any bytes hit the disk *)
+    let c = Diagnostic.collector () in
+    Tsg_check.Check_patterns.validate c ~taxonomy
+      ~node_labels:(Taxonomy.labels taxonomy)
+      ~db_size:(Db.size db) sorted;
+    if Diagnostic.has_errors c then begin
+      Diagnostic.print stderr c;
+      Printf.eprintf
+        "tsg-mine: refusing to save invalid pattern set (%s); \
+         --no-validate to override\n"
+        (Diagnostic.summary c);
+      exit 2
+    end
+  end;
+  (* save with the db's own edge-label table: pattern edge-label ids are
+     the loader's interning, which need not follow the e0..eN name order *)
+  Tsg_core.Pattern_io.save path
+    ~node_labels:(Taxonomy.labels taxonomy)
+    ~edge_labels ~db_size:(Db.size db) sorted;
+  Printf.printf "patterns written to %s\n" path
+
+(* --directed changes only how the input loads and how a pattern prints;
+   its patterns are neither saved nor checkpointed *)
+let run db_path tax_path support algorithm max_edges limit quiet directed out
+    domains no_validate checkpoint_path checkpoint_every corpus_seq
+    supervised =
+  if directed && (Option.is_some out || Option.is_some checkpoint_path) then
+    usage "--save and --checkpoint do not apply with --directed";
+  (match algorithm with
+  | (Alg_tacgm | Alg_naive) when directed ->
+    usage "--directed applies to the taxogram and baseline algorithms"
+  | (Alg_tacgm | Alg_naive) when Option.is_some checkpoint_path ->
+    usage "--checkpoint applies to the taxogram and baseline algorithms"
+  | Alg_tacgm | Alg_naive | Alg_taxogram | Alg_baseline -> ());
+  if not no_validate then
+    validate_inputs ~dbs:(if directed then [] else [ db_path ]) tax_path;
+  let spec =
+    let enhancements =
+      Specialize.(if algorithm = Alg_baseline then all_off else all_on)
+    in
+    let checkpoint =
+      Option.map
+        (fun path -> { Taxogram.path; every_s = checkpoint_every; corpus_seq })
+        checkpoint_path
+    in
+    Taxogram.Spec.collect
+      ~config:{ Taxogram.min_support = support; max_edges; enhancements }
+      ?domains ?checkpoint ~supervised ()
+  in
+  if directed then begin
+    let env, digraphs = load_directed db_path tax_path in
+    let names = Taxonomy.labels (Directed.taxonomy env) in
+    taxogram_run checkpoint_path (fun () ->
+        Subdivision.run env spec digraphs)
+    |> report ~support ~limit ~quiet ~what:"directed patterns"
+         ~count:(fun (p : Directed.pattern) -> p.support_count)
+         ~show:(Format.asprintf "%a" (Directed.pp_pattern ~names))
+         ~save:ignore
+  end
+  else begin
+    let taxonomy, db, edge_labels =
+      load_inputs db_path tax_path (Taxogram.Spec.domains spec)
+    in
+    (match algorithm with
     | Alg_taxogram | Alg_baseline ->
-      let enhancements =
-        if algorithm = Alg_taxogram then Specialize.all_on
-        else Specialize.all_off
-      in
-      let config = { Taxogram.min_support = support; max_edges; enhancements } in
-      let checkpoint =
-        Option.map
-          (fun path ->
-            { Taxogram.path; every_s = checkpoint_every; corpus_seq })
-          checkpoint_path
-      in
-      let spec =
-        Taxogram.Spec.collect ~config ~domains ?checkpoint ~supervised ()
-      in
-      let r =
-        try Taxogram.run spec taxonomy db with
-        | Tsg_core.Checkpoint.Error d -> refuse d
-        | Tsg_util.Fault.Injected _ as e ->
-          Printf.eprintf "tsg-mine: aborted: %s\n" (Printexc.to_string e);
-          (match checkpoint_path with
-          | Some p ->
-            Printf.eprintf
-              "tsg-mine: progress saved to %s; rerun with --checkpoint to \
-               resume\n"
-              p
-          | None -> ());
-          exit 3
-      in
-      List.iter
-        (fun d -> Printf.eprintf "tsg-mine: %s\n" (Diagnostic.to_string d))
-        r.Taxogram.diagnostics;
-      if not r.Taxogram.completed then begin
-        incomplete := true;
-        prerr_endline
-          "tsg-mine: run stopped early; reporting the completed prefix"
-      end;
-      (r.Taxogram.patterns, r.Taxogram.total_wall_seconds)
+      taxogram_run checkpoint_path (fun () ->
+          let r = Taxogram.run spec taxonomy db in
+          (r.Taxogram.patterns, r))
     | Alg_tacgm ->
       let r = Tacgm.run ?max_edges ~min_support:support taxonomy db in
       (match r.Tacgm.outcome with
       | Tacgm.Completed -> ()
       | Tacgm.Out_of_memory -> prerr_endline "tacgm: embedding budget exceeded"
       | Tacgm.Timed_out -> prerr_endline "tacgm: time budget exceeded");
-      (r.Tacgm.patterns, r.Tacgm.total_seconds)
+      (r.Tacgm.patterns, r.Tacgm.total_seconds, false)
     | Alg_naive ->
       let max_edges = Option.value ~default:3 max_edges in
       let t = Tsg_util.Timer.start () in
       let ps = Naive.mine ~max_edges ~min_support:support taxonomy db in
-      (ps, Tsg_util.Timer.elapsed_s t)
-  in
-  let sorted =
-    List.sort
-      (fun (a : Pattern.t) b -> compare b.Pattern.support_count a.Pattern.support_count)
-      patterns
-  in
-  Printf.printf "%d patterns in %.3fs (support >= %.2f)\n" (List.length sorted)
-    elapsed support;
-  (match out with
-  | Some path ->
-    if not no_validate then begin
-      (* make sure we never persist a pattern set that tsg-lint would
-         reject: same checks, before any bytes hit the disk *)
-      let c = Diagnostic.collector () in
-      Tsg_check.Check_patterns.validate c ~taxonomy
-        ~node_labels:(Taxonomy.labels taxonomy)
-        ~db_size:(Db.size db) sorted;
-      if Diagnostic.has_errors c then begin
-        Diagnostic.print stderr c;
-        Printf.eprintf
-          "tsg-mine: refusing to save invalid pattern set (%s); \
-           --no-validate to override\n"
-          (Diagnostic.summary c);
-        exit 2
-      end
-    end;
-    (* save with the db's own edge-label table: pattern edge-label ids are
-       the loader's interning, which need not follow the e0..eN name order *)
-    Tsg_core.Pattern_io.save path
-      ~node_labels:(Taxonomy.labels taxonomy)
-      ~edge_labels ~db_size:(Db.size db) sorted;
-    Printf.printf "patterns written to %s\n" path
-  | None -> ());
-  if not quiet then begin
-    let shown = match limit with Some l -> List.filteri (fun i _ -> i < l) sorted | None -> sorted in
-    let names = Taxonomy.labels taxonomy in
-    List.iter (fun p -> print_endline ("  " ^ Pattern.to_string ~names p)) shown;
-    match limit with
-    | Some l when List.length sorted > l ->
-      Printf.printf "  ... (%d more; raise --limit)\n" (List.length sorted - l)
-    | _ -> ()
-  end;
-  if !incomplete then 1 else 0
+      (ps, Tsg_util.Timer.elapsed_s t, false))
+    |> report ~support ~limit ~quiet ~what:"patterns"
+         ~count:(fun (p : Pattern.t) -> p.support_count)
+         ~show:(Pattern.to_string ~names:(Taxonomy.labels taxonomy))
+         ~save:(save_patterns ~no_validate taxonomy db edge_labels out)
   end
 
 let db_arg =
@@ -294,7 +295,9 @@ let domains_arg =
 let directed_arg =
   Arg.(value & flag & info [ "directed" ]
          ~doc:"Treat the database as directed ('a' lines); --max-edges then \
-               counts arcs. The algorithm is always taxogram in this mode.")
+               counts arcs. Mining runs the taxogram or baseline algorithm \
+               over the arc-subdivided graphs; --save and --checkpoint do \
+               not apply.")
 
 let no_validate_arg =
   Arg.(value & flag & info [ "no-validate" ]

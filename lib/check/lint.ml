@@ -17,12 +17,7 @@ type result = {
 }
 
 let read_file c path =
-  match
-    let ic = open_in path in
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  with
+  match Tsg_util.Safe_io.read_file path with
   | text -> Some text
   | exception Sys_error msg ->
     Diagnostic.emitf c ~file:path ~rule:"IO001" Diagnostic.Error

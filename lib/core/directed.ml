@@ -1,142 +1,57 @@
-module Graph = Tsg_graph.Graph
 module Digraph = Tsg_graph.Digraph
 module Label = Tsg_graph.Label
-module Db = Tsg_graph.Db
 module Taxonomy = Tsg_taxonomy.Taxonomy
-module Bitset = Tsg_util.Bitset
 
-type env = { taxonomy : Taxonomy.t; arc_label : Label.id }
+type env = Digraph.t Subdivision.t
+
+type pattern = Digraph.t Subdivision.pattern
 
 let arc_concept_name = "<arc>"
+
+(* an arc node's half edges are labeled 2e on the source side and 2e+1 on
+   the target side *)
+let arc _ (x, lx) (y, ly) =
+  let (src, ls), (dst, ld) =
+    if lx mod 2 = 0 then ((x, lx), (y, ly)) else ((y, ly), (x, lx))
+  in
+  if ls mod 2 = 0 && ld = ls + 1 then Some (src, dst, ls / 2) else None
 
 let prepare t =
   if Label.mem (Taxonomy.labels t) arc_concept_name then
     invalid_arg
       ("Directed.prepare: taxonomy already defines " ^ arc_concept_name);
-  (* rebuild from the original (non-artificial) concepts plus the arc
-     concept, so ids stay dense and closures are recomputed; artificial
-     roots are re-synthesized by the build *)
-  let originals =
-    List.filter
-      (fun l -> not (Taxonomy.is_artificial t l))
-      (List.init (Taxonomy.label_count t) (fun i -> i))
+  let taxonomy = Subdivision.taxonomy [ t ] ~extra:[ arc_concept_name ] in
+  let arc_label = Taxonomy.id_of_name taxonomy arc_concept_name in
+  let encode dg =
+    Subdivision.encode (Digraph.node_labels dg)
+      (Array.map
+         (fun (u, v, e) -> (u, v, arc_label, 2 * e, (2 * e) + 1))
+         (Digraph.arcs dg))
   in
-  let names = List.map (Taxonomy.name t) originals @ [ arc_concept_name ] in
-  let is_a =
-    List.concat_map
-      (fun l ->
-        List.filter_map
-          (fun p ->
-            if Taxonomy.is_artificial t p then None
-            else Some (Taxonomy.name t l, Taxonomy.name t p))
-          (Taxonomy.parents t l))
-      originals
+  let decode =
+    Subdivision.decode ~is_mid:(Int.equal arc_label) ~node:Option.some
+      ~edge:arc ~build:(fun labels arcs -> Digraph.build ~labels ~arcs)
   in
-  let extended = Taxonomy.build ~names ~is_a in
-  { taxonomy = extended; arc_label = Taxonomy.id_of_name extended arc_concept_name }
+  { Subdivision.taxonomy; encode; decode }
 
-let taxonomy env = env.taxonomy
+let taxonomy (env : env) = env.taxonomy
 
-let arc_label env = env.arc_label
+let arc_label env = Taxonomy.id_of_name (taxonomy env) arc_concept_name
 
-let encode env dg =
-  let n = Digraph.node_count dg in
-  let arcs = Digraph.arcs dg in
-  let labels =
-    Array.init
-      (n + Array.length arcs)
-      (fun i -> if i < n then Digraph.node_label dg i else env.arc_label)
-  in
-  let edges =
-    Array.to_list
-      (Array.mapi
-         (fun k (u, v, e) -> [ (u, n + k, 2 * e); (n + k, v, (2 * e) + 1) ])
-         arcs)
-    |> List.concat
-  in
-  Graph.build ~labels ~edges
+let encode (env : env) = env.encode
 
-let decode env g =
-  let n = Graph.node_count g in
-  let is_arc v = Graph.node_label g v = env.arc_label in
-  let real = ref [] in
-  for v = n - 1 downto 0 do
-    if not (is_arc v) then real := v :: !real
-  done;
-  let remap = Hashtbl.create 8 in
-  List.iteri (fun i v -> Hashtbl.add remap v i) !real;
-  let labels =
-    Array.of_list (List.map (fun v -> Graph.node_label g v) !real)
-  in
-  let ok = ref true in
-  let arcs = ref [] in
-  for v = 0 to n - 1 do
-    if is_arc v then begin
-      match Graph.neighbors g v with
-      | [| (x, lx); (y, ly) |] ->
-        if is_arc x || is_arc y then ok := false
-        else begin
-          let src, dst, e_src, e_dst =
-            if lx mod 2 = 0 then (x, y, lx, ly) else (y, x, ly, lx)
-          in
-          if e_src mod 2 = 0 && e_dst = e_src + 1 then
-            arcs :=
-              (Hashtbl.find remap src, Hashtbl.find remap dst, e_src / 2)
-              :: !arcs
-          else ok := false
-        end
-      | _ -> ok := false
-    end
-    else if
-      Array.exists (fun (w, _) -> not (is_arc w)) (Graph.neighbors g v)
-    then ok := false
-  done;
-  if (not !ok) || !arcs = [] then None
-  else
-    match Digraph.build ~labels ~arcs:!arcs with
-    | dg -> Some dg
-    | exception Invalid_argument _ -> None
+let decode (env : env) = env.decode
 
 let canonical_key env dg =
   Tsg_gspan.Min_code.canonical_key (encode env dg)
 
-type pattern = {
-  digraph : Digraph.t;
-  support_count : int;
-  support : float;
-  support_set : Bitset.t;
-}
-
 let mine ?(min_support = 0.2) ?max_arcs
-    ?(enhancements = Specialize.all_on) env digraphs =
-  let db = Db.of_list (List.map (encode env) digraphs) in
-  let config =
-    {
-      Taxogram.min_support;
-      max_edges = Option.map (fun a -> 2 * a) max_arcs;
-      enhancements;
-    }
-  in
-  let out = ref [] in
-  let spec =
-    Taxogram.Spec.stream ~config ~domains:1 (fun (p : Pattern.t) ->
-        match decode env p.Pattern.graph with
-        | Some dg ->
-          out :=
-            {
-              digraph = dg;
-              support_count = p.Pattern.support_count;
-              support = p.Pattern.support;
-              support_set = p.Pattern.support_set;
-            }
-            :: !out
-        | None -> ())
-  in
-  let _ = Taxogram.run spec env.taxonomy db in
-  List.rev !out
+    ?(enhancements = Specialize.all_on) env =
+  Subdivision.mine env
+    { Taxogram.min_support; max_edges = max_arcs; enhancements }
 
-let pp_pattern ~names ppf p =
-  let g = p.digraph in
+let pp_pattern ~names ppf (p : pattern) =
+  let g = p.graph in
   Format.fprintf ppf "@[<h>pattern[sup=%d (%.2f)]" p.support_count p.support;
   for v = 0 to Digraph.node_count g - 1 do
     Format.fprintf ppf " %d:%s" v (Label.name names (Digraph.node_label g v))

@@ -3,18 +3,15 @@
     The paper states that Taxogram handles directed graphs but, being built
     on a gSpan implementation without direction support, evaluates only
     undirected data (Section 4.1). This module provides the directed mode
-    through a sound reduction: every arc [u -(e)-> v] is subdivided into an
-    auxiliary {e arc node} carrying a reserved label, connected to [u] by an
-    edge labeled [2e] ("source side") and to [v] by an edge labeled [2e+1]
-    ("target side"). Embeddings of an encoded pattern in an encoded graph
-    correspond one-to-one to direction-respecting embeddings of the original
-    pattern, so supports, frequency, and over-generalization all transfer.
-    Mined patterns whose encoding contains a dangling arc node (half an
-    arc — meaningless in directed semantics) are discarded; patterns that
-    decode are exactly the minimal, complete directed pattern set. *)
+    as an instance of the {!Subdivision} reduction: every arc [u -(e)-> v]
+    is subdivided into an auxiliary {e arc node} carrying a reserved label,
+    connected to [u] by an edge labeled [2e] ("source side") and to [v] by
+    an edge labeled [2e+1] ("target side"), so embeddings of an encoded
+    pattern respect arc direction. *)
 
-type env
-(** A taxonomy extended with the reserved arc concept. *)
+type env = Tsg_graph.Digraph.t Subdivision.t
+(** The instance of {!Subdivision}: a taxonomy extended with the reserved
+    arc concept; {!Subdivision.run} mines it under a caller's spec. *)
 
 val arc_concept_name : string
 (** ["<arc>"] — reserved; [prepare] rejects taxonomies that define it. *)
@@ -36,19 +33,13 @@ val encode : env -> Tsg_graph.Digraph.t -> Tsg_graph.Graph.t
 val decode : env -> Tsg_graph.Graph.t -> Tsg_graph.Digraph.t option
 (** Inverse on complete images: [None] when the graph contains a dangling
     arc node, an arc node with inconsistent edge labels, or an edge between
-    two non-arc nodes. Node order of the result follows the first
-    appearance of non-arc nodes. *)
+    two non-arc nodes. Non-arc nodes keep their relative order. *)
 
 val canonical_key : env -> Tsg_graph.Digraph.t -> string
 (** Isomorphism-invariant key for weakly connected digraphs (labels
     included), via the encoding's minimum DFS code. *)
 
-type pattern = {
-  digraph : Tsg_graph.Digraph.t;
-  support_count : int;
-  support : float;
-  support_set : Tsg_util.Bitset.t;
-}
+type pattern = Tsg_graph.Digraph.t Subdivision.pattern
 
 val mine :
   ?min_support:float ->
@@ -58,8 +49,9 @@ val mine :
   Tsg_graph.Digraph.t list ->
   pattern list
 (** Mine the directed database (defaults: [min_support = 0.2], unbounded
-    size, all enhancements). The result is minimal and complete over
-    weakly-connected directed patterns with at least one arc. *)
+    size, all enhancements) with {!Subdivision.mine}. The result is
+    minimal and complete over weakly-connected directed patterns with at
+    least one arc. *)
 
 val pp_pattern :
   names:Tsg_graph.Label.t -> Format.formatter -> pattern -> unit

@@ -1,188 +1,93 @@
 module Graph = Tsg_graph.Graph
-module Db = Tsg_graph.Db
 module Taxonomy = Tsg_taxonomy.Taxonomy
-module Bitset = Tsg_util.Bitset
 
 type env = {
-  taxonomy : Taxonomy.t;
+  code : Graph.t Subdivision.t;
   node_to_combined : int array;
   edge_to_combined : int array;
   combined_to_node : int array; (* -1 when not a node concept *)
   combined_to_edge : int array;
 }
 
-let original_concepts t =
-  List.filter
-    (fun l -> not (Taxonomy.is_artificial t l))
-    (List.init (Taxonomy.label_count t) (fun i -> i))
+type pattern = Graph.t Subdivision.pattern
 
-let edges_of t concepts =
-  List.concat_map
-    (fun l ->
-      List.filter_map
-        (fun p ->
-          if Taxonomy.is_artificial t p then None
-          else Some (Taxonomy.name t l, Taxonomy.name t p))
-        (Taxonomy.parents t l))
-    concepts
+let back arr l =
+  if l < 0 || l >= Array.length arr || arr.(l) < 0 then None else Some arr.(l)
+
+let lookup arr what l =
+  match back arr l with
+  | Some c -> c
+  | None ->
+    invalid_arg (Printf.sprintf "Edge_labeled: not a %s label: %d" what l)
 
 let prepare ~node_taxonomy ~edge_taxonomy =
-  let node_concepts = original_concepts node_taxonomy in
-  let edge_concepts = original_concepts edge_taxonomy in
-  let node_names = List.map (Taxonomy.name node_taxonomy) node_concepts in
-  let edge_names = List.map (Taxonomy.name edge_taxonomy) edge_concepts in
+  let node_names = fst (Taxonomy.declared node_taxonomy) in
   List.iter
     (fun n ->
       if List.mem n node_names then
         invalid_arg
           ("Edge_labeled.prepare: name used by both taxonomies: " ^ n))
-    edge_names;
+    (fst (Taxonomy.declared edge_taxonomy));
   let combined =
-    Taxonomy.build
-      ~names:(node_names @ edge_names)
-      ~is_a:
-        (edges_of node_taxonomy node_concepts
-        @ edges_of edge_taxonomy edge_concepts)
+    Subdivision.taxonomy [ node_taxonomy; edge_taxonomy ] ~extra:[]
   in
-  let to_combined t concepts =
-    let arr = Array.make (Taxonomy.label_count t) (-1) in
-    List.iter
-      (fun l ->
-        arr.(l) <- Taxonomy.id_of_name combined (Taxonomy.name t l))
-      concepts;
-    arr
+  let to_combined t =
+    Array.init (Taxonomy.label_count t) (fun l ->
+        if Taxonomy.is_artificial t l then -1
+        else Taxonomy.id_of_name combined (Taxonomy.name t l))
   in
-  let node_to_combined = to_combined node_taxonomy node_concepts in
-  let edge_to_combined = to_combined edge_taxonomy edge_concepts in
-  let n = Taxonomy.label_count combined in
-  let combined_to_node = Array.make n (-1) in
-  let combined_to_edge = Array.make n (-1) in
-  Array.iteri
-    (fun l c -> if c >= 0 then combined_to_node.(c) <- l)
-    node_to_combined;
-  Array.iteri
-    (fun l c -> if c >= 0 then combined_to_edge.(c) <- l)
-    edge_to_combined;
+  let inverse arr =
+    let inv = Array.make (Taxonomy.label_count combined) (-1) in
+    Array.iteri (fun l c -> if c >= 0 then inv.(c) <- l) arr;
+    inv
+  in
+  let node_to_combined = to_combined node_taxonomy in
+  let edge_to_combined = to_combined edge_taxonomy in
+  let combined_to_node = inverse node_to_combined in
+  let combined_to_edge = inverse edge_to_combined in
+  (* an edge node's half edges are both labeled 0 *)
+  let encode g =
+    let labels =
+      Array.map (lookup node_to_combined "node-taxonomy") (Graph.node_labels g)
+    in
+    let mid (u, v, e) =
+      (u, v, lookup edge_to_combined "edge-taxonomy" e, 0, 0)
+    in
+    Subdivision.encode labels (Array.map mid (Graph.edges g))
+  in
+  let edge mid (x, lx) (y, ly) =
+    if lx = 0 && ly = 0 then
+      Option.map (fun e -> (x, y, e)) (back combined_to_edge mid)
+    else None
+  in
+  let decode =
+    Subdivision.decode
+      ~is_mid:(fun l -> Option.is_some (back combined_to_edge l))
+      ~node:(back combined_to_node) ~edge
+      ~build:(fun labels edges -> Graph.build ~labels ~edges)
+  in
   {
-    taxonomy = combined;
+    code = { taxonomy = combined; encode; decode };
     node_to_combined;
     edge_to_combined;
     combined_to_node;
     combined_to_edge;
   }
 
-let taxonomy env = env.taxonomy
-
-let lookup arr what l =
-  if l < 0 || l >= Array.length arr || arr.(l) < 0 then
-    invalid_arg (Printf.sprintf "Edge_labeled: not a %s label: %d" what l)
-  else arr.(l)
+let taxonomy env = env.code.taxonomy
 
 let node_concept env l = lookup env.node_to_combined "node-taxonomy" l
 
 let edge_concept env l = lookup env.edge_to_combined "edge-taxonomy" l
 
-let back arr l =
-  if l < 0 || l >= Array.length arr || arr.(l) < 0 then None else Some arr.(l)
-
 let node_concept_back env l = back env.combined_to_node l
 
 let edge_concept_back env l = back env.combined_to_edge l
 
-let encode env g =
-  let n = Graph.node_count g in
-  let edges = Graph.edges g in
-  let labels =
-    Array.init
-      (n + Array.length edges)
-      (fun i ->
-        if i < n then node_concept env (Graph.node_label g i)
-        else
-          let _, _, e = edges.(i - n) in
-          edge_concept env e)
-  in
-  let sub_edges =
-    Array.to_list
-      (Array.mapi (fun k (u, v, _) -> [ (u, n + k, 0); (n + k, v, 0) ]) edges)
-    |> List.concat
-  in
-  Graph.build ~labels ~edges:sub_edges
+let encode env = env.code.encode
 
-let decode env g =
-  let n = Graph.node_count g in
-  let kind v = back env.combined_to_edge (Graph.node_label g v) in
-  let real = ref [] in
-  for v = n - 1 downto 0 do
-    if kind v = None then real := v :: !real
-  done;
-  let remap = Hashtbl.create 8 in
-  List.iteri (fun i v -> Hashtbl.add remap v i) !real;
-  let labels =
-    Array.of_list
-      (List.map
-         (fun v ->
-           match back env.combined_to_node (Graph.node_label g v) with
-           | Some l -> l
-           | None -> -1)
-         !real)
-  in
-  if Array.exists (fun l -> l < 0) labels then None
-  else begin
-    let ok = ref true in
-    let out_edges = ref [] in
-    for v = 0 to n - 1 do
-      match kind v with
-      | Some edge_label -> (
-        match Graph.neighbors g v with
-        | [| (x, 0); (y, 0) |] ->
-          if kind x <> None || kind y <> None then ok := false
-          else
-            out_edges :=
-              (Hashtbl.find remap x, Hashtbl.find remap y, edge_label)
-              :: !out_edges
-        | _ -> ok := false)
-      | None ->
-        if Array.exists (fun (w, _) -> kind w = None) (Graph.neighbors g v)
-        then ok := false
-    done;
-    if (not !ok) || !out_edges = [] then None
-    else
-      match Graph.build ~labels ~edges:!out_edges with
-      | decoded -> Some decoded
-      | exception Invalid_argument _ -> None
-  end
-
-type pattern = {
-  graph : Graph.t;
-  support_count : int;
-  support : float;
-  support_set : Bitset.t;
-}
+let decode env = env.code.decode
 
 let mine ?(min_support = 0.2) ?max_edges ?(enhancements = Specialize.all_on)
-    env graphs =
-  let db = Db.of_list (List.map (encode env) graphs) in
-  let config =
-    {
-      Taxogram.min_support;
-      max_edges = Option.map (fun e -> 2 * e) max_edges;
-      enhancements;
-    }
-  in
-  let out = ref [] in
-  let spec =
-    Taxogram.Spec.stream ~config ~domains:1 (fun (p : Pattern.t) ->
-        match decode env p.Pattern.graph with
-        | Some g ->
-          out :=
-            {
-              graph = g;
-              support_count = p.Pattern.support_count;
-              support = p.Pattern.support;
-              support_set = p.Pattern.support_set;
-            }
-            :: !out
-        | None -> ())
-  in
-  let _ = Taxogram.run spec env.taxonomy db in
-  List.rev !out
+    env =
+  Subdivision.mine env.code { Taxogram.min_support; max_edges; enhancements }

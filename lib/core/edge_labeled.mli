@@ -4,16 +4,13 @@
     The paper's definitions omit edge labels "without loss of generality"
     (Section 2). This module makes that claim concrete: given a taxonomy for
     node labels and a second taxonomy for edge labels, every edge
-    [u -(e)- v] is subdivided through an auxiliary {e edge node} labeled
-    with [e]'s concept in a combined taxonomy. Generalized matching on the
-    subdivided graphs is exactly generalized matching with taxonomies on
-    both nodes and edges: an edge labeled [transport] in a pattern matches a
-    database edge labeled [carrier-mediated transport], and so on.
-
-    Patterns decode back to edge-labeled graphs; subdivision artifacts
-    (patterns with dangling edge nodes) are dropped, preserving minimality
-    and completeness over proper edge-labeled patterns by the same argument
-    as the directed mode ({!Directed}). *)
+    [u -(e)- v] is subdivided, as an instance of the {!Subdivision}
+    reduction, through an auxiliary {e edge node} labeled with [e]'s
+    concept in a combined taxonomy (both half edges are labeled 0).
+    Generalized matching on the subdivided graphs is exactly generalized
+    matching with taxonomies on both nodes and edges: an edge labeled
+    [transport] in a pattern matches a database edge labeled
+    [carrier-mediated transport], and so on. *)
 
 type env
 
@@ -45,13 +42,8 @@ val encode : env -> Tsg_graph.Graph.t -> Tsg_graph.Graph.t
 val decode : env -> Tsg_graph.Graph.t -> Tsg_graph.Graph.t option
 (** Back to an edge-labeled graph ([None] on subdivision artifacts). *)
 
-type pattern = {
-  graph : Tsg_graph.Graph.t;
-      (** node labels: node-taxonomy ids; edge labels: edge-taxonomy ids *)
-  support_count : int;
-  support : float;
-  support_set : Tsg_util.Bitset.t;
-}
+type pattern = Tsg_graph.Graph.t Subdivision.pattern
+(** Node labels are node-taxonomy ids; edge labels are edge-taxonomy ids. *)
 
 val mine :
   ?min_support:float ->
@@ -60,5 +52,6 @@ val mine :
   env ->
   Tsg_graph.Graph.t list ->
   pattern list
-(** Mine with generalization on both node and edge labels. Minimal and
-    complete over connected edge-labeled patterns with at least one edge. *)
+(** Mine with generalization on both node and edge labels
+    ({!Subdivision.mine}). Minimal and complete over connected
+    edge-labeled patterns with at least one edge. *)

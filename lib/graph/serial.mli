@@ -7,10 +7,8 @@
     v}
 
     Labels are written by name so files are self-describing; reading interns
-    names into caller-supplied tables. *)
-
-val write_db :
-  Buffer.t -> node_labels:Label.t -> edge_labels:Label.t -> Db.t -> unit
+    names into caller-supplied tables. One writer and one line scanner serve
+    both this format and the directed one below. *)
 
 val db_to_string : node_labels:Label.t -> edge_labels:Label.t -> Db.t -> string
 
@@ -19,7 +17,9 @@ val save_db :
 (** Write to a file path. *)
 
 exception Parse_error of int * string
-(** Line number (1-based) and message. *)
+(** Line number (1-based) and message. A malformed graph (a missing or
+    duplicate node, or a structure the graph constructor refuses) is
+    reported at its [t] line. *)
 
 val parse_db : node_labels:Label.t -> edge_labels:Label.t -> string -> Db.t
 (** Parse the serialized form, interning label names into the given tables.

@@ -38,6 +38,15 @@ let is_artificial t l = l >= t.artificial_from
 
 let parents t l = t.parents.(l)
 
+let declared t =
+  let originals = List.init t.artificial_from Fun.id in
+  let is_a l =
+    List.filter_map
+      (fun p -> if is_artificial t p then None else Some (name t l, name t p))
+      (parents t l)
+  in
+  (List.map (name t) originals, List.concat_map is_a originals)
+
 let children t l = t.children.(l)
 
 let roots t = t.roots

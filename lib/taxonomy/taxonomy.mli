@@ -50,6 +50,11 @@ val is_artificial : t -> id -> bool
 val parents : t -> id -> id list
 (** Direct generalizations (empty for roots). *)
 
+val declared : t -> string list * (string * string) list
+(** What {!build} rebuilds [t] from: the original (non-artificial) concept
+    names in id order, and the is-a pairs between them, children in id
+    order. *)
+
 val children : t -> id -> id list
 (** Direct specializations. *)
 

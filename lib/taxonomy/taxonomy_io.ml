@@ -1,21 +1,10 @@
 module Diagnostic = Tsg_util.Diagnostic
 
 let to_string t =
+  let names, is_a = Taxonomy.declared t in
   let buf = Buffer.create 4096 in
-  for l = 0 to Taxonomy.label_count t - 1 do
-    if not (Taxonomy.is_artificial t l) then
-      Buffer.add_string buf (Printf.sprintf "c %s\n" (Taxonomy.name t l))
-  done;
-  for l = 0 to Taxonomy.label_count t - 1 do
-    if not (Taxonomy.is_artificial t l) then
-      List.iter
-        (fun p ->
-          if not (Taxonomy.is_artificial t p) then
-            Buffer.add_string buf
-              (Printf.sprintf "i %s %s\n" (Taxonomy.name t l)
-                 (Taxonomy.name t p)))
-        (Taxonomy.parents t l)
-  done;
+  List.iter (Printf.bprintf buf "c %s\n") names;
+  List.iter (fun (c, p) -> Printf.bprintf buf "i %s %s\n" c p) is_a;
   Buffer.contents buf
 
 (* .tax artifacts are inputs to every downstream stage: write them
@@ -89,11 +78,4 @@ let of_raw ?file raw =
 
 let parse ?file text = of_raw ?file (parse_raw ?file text)
 
-let load path =
-  let ic = open_in path in
-  let text =
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
-  parse ~file:path text
+let load path = parse ~file:path (Tsg_util.Safe_io.read_file path)

@@ -5,6 +5,7 @@ module Taxonomy = Tsg_taxonomy.Taxonomy
 module Bitset = Tsg_util.Bitset
 module Prng = Tsg_util.Prng
 module Directed = Tsg_core.Directed
+module Subdivision = Tsg_core.Subdivision
 
 let check = Alcotest.check
 let bool = Alcotest.bool
@@ -152,11 +153,11 @@ let test_direction_sensitive_mining () =
   let patterns = Directed.mine ~min_support:1.0 env [ d1; d2 ] in
   check int "single minimal pattern" 1 (List.length patterns);
   let p = List.hd patterns in
-  check int "support both graphs" 2 p.Directed.support_count;
+  check int "support both graphs" 2 p.Subdivision.support_count;
   let ext = Directed.taxonomy env in
   let a = Taxonomy.id_of_name ext "a" in
   check (Alcotest.array int) "a -> a" [| a; a |]
-    (Digraph.node_labels p.Directed.digraph);
+    (Digraph.node_labels p.Subdivision.graph);
   (* the undirected view of the same data is more specific *)
   let undirected =
     Db.of_list
@@ -190,11 +191,11 @@ let test_directed_mining_specific_pattern () =
   let ext = Directed.taxonomy env in
   check (Alcotest.array int) "b -> c"
     [| Taxonomy.id_of_name ext "b"; Taxonomy.id_of_name ext "c" |]
-    (Digraph.node_labels p.Directed.digraph);
+    (Digraph.node_labels p.Subdivision.graph);
   check
     (Alcotest.list (Alcotest.triple int int int))
     "arc direction" [ (0, 1, 0) ]
-    (Array.to_list (Digraph.arcs p.Directed.digraph))
+    (Array.to_list (Digraph.arcs p.Subdivision.graph))
 
 let test_directed_supports_verified () =
   (* mined supports must equal direct generalized-subiso recounts on the
@@ -225,11 +226,11 @@ let test_directed_supports_verified () =
     (fun (p : Directed.pattern) ->
       let recount =
         Tsg_iso.Gen_iso.support_set (Directed.taxonomy env)
-          ~pattern:(Directed.encode env p.Directed.digraph)
+          ~pattern:(Directed.encode env p.Subdivision.graph)
           db
       in
       check bool "support verified" true
-        (Bitset.equal recount p.Directed.support_set))
+        (Bitset.equal recount p.Subdivision.support_set))
     patterns
 
 (* directed mining agrees with the naive specification applied to the
@@ -258,29 +259,46 @@ let directed_equals_naive_prop =
         dg ~labels ~arcs:!arcs
       in
       let digraphs = List.init 3 (fun _ -> random_digraph ()) in
-      let mined =
-        Directed.mine ~min_support:0.67 ~max_arcs:2 env digraphs
-        |> List.map (fun (p : Directed.pattern) ->
-               (Directed.canonical_key env p.Directed.digraph,
-                Bitset.to_list p.Directed.support_set))
-        |> List.sort compare
-      in
-      let encoded_db =
-        Tsg_graph.Db.of_list (List.map (Directed.encode env) digraphs)
-      in
-      let reference =
-        Tsg_core.Naive.mine ~max_edges:4 ~min_support:0.67
-          (Directed.taxonomy env) encoded_db
-        |> List.filter_map (fun (p : Tsg_core.Pattern.t) ->
-               match Directed.decode env p.Tsg_core.Pattern.graph with
-               | Some d ->
-                 Some
-                   (Directed.canonical_key env d,
-                    Bitset.to_list p.Tsg_core.Pattern.support_set)
-               | None -> None)
-        |> List.sort compare
-      in
-      mined = reference)
+      Subdivision_oracle.equals_naive env ~max_edges:2 ~min_support:0.67
+        digraphs
+        (Directed.mine ~min_support:0.67 ~max_arcs:2 env digraphs))
+
+(* Subdivision.run under a caller's spec: the decoded list is the same at
+   any domain count, and a streaming spec, whose callback would see
+   encoded patterns, is refused *)
+let test_run_under_spec () =
+  let rng = Prng.of_int 77 in
+  let t =
+    Tsg_taxonomy.Synth_taxonomy.generate rng
+      { concepts = 12; relationships = 18; depth = 3 }
+  in
+  let env = Directed.prepare t in
+  let digraphs =
+    List.init 8 (fun _ ->
+        let n = 2 + Prng.int rng 3 in
+        dg
+          ~labels:(Array.init n (fun _ -> Prng.int rng 12))
+          ~arcs:(List.init (n - 1) (fun i -> (Prng.int rng (i + 1), i + 1, 0))))
+  in
+  let run domains =
+    let config =
+      { Tsg_core.Taxogram.default_config with min_support = 0.25 }
+    in
+    fst
+      (Subdivision.run env
+         (Tsg_core.Taxogram.Spec.collect ~config ~domains ())
+         digraphs)
+    |> List.map (fun (p : Directed.pattern) ->
+           (Directed.canonical_key env p.graph, Bitset.to_list p.support_set))
+  in
+  let one = run 1 in
+  check bool "patterns found" true (one <> []);
+  check
+    Alcotest.(list (pair string (list int)))
+    "1 domain = 2 domains" one (run 2);
+  match Subdivision.run env (Tsg_core.Taxogram.Spec.stream ignore) digraphs with
+  | _ -> Alcotest.fail "a streaming spec was accepted"
+  | exception Invalid_argument _ -> ()
 
 let test_max_arcs () =
   let t, env = small_env () in
@@ -291,7 +309,7 @@ let test_max_arcs () =
   let patterns = Directed.mine ~min_support:1.0 ~max_arcs:1 env [ chain ] in
   check bool "all single-arc" true
     (List.for_all
-       (fun p -> Digraph.arc_count p.Directed.digraph = 1)
+       (fun p -> Digraph.arc_count p.Subdivision.graph = 1)
        patterns)
 
 let () =
@@ -322,6 +340,7 @@ let () =
           Alcotest.test_case "supports verified" `Quick
             test_directed_supports_verified;
           Alcotest.test_case "max arcs" `Quick test_max_arcs;
+          Alcotest.test_case "run under a spec" `Quick test_run_under_spec;
           QCheck_alcotest.to_alcotest directed_equals_naive_prop;
         ] );
     ]

@@ -3,6 +3,7 @@ module Db = Tsg_graph.Db
 module Taxonomy = Tsg_taxonomy.Taxonomy
 module Bitset = Tsg_util.Bitset
 module Edge_labeled = Tsg_core.Edge_labeled
+module Subdivision = Tsg_core.Subdivision
 
 let check = Alcotest.check
 let bool = Alcotest.bool
@@ -117,8 +118,8 @@ let test_edge_generalization_mining () =
   let patterns = Edge_labeled.mine ~min_support:1.0 env [ g1; g2 ] in
   check int "one generalized pattern" 1 (List.length patterns);
   let p = List.hd patterns in
-  check int "support 2" 2 p.Edge_labeled.support_count;
-  let g = p.Edge_labeled.graph in
+  check int "support 2" 2 p.Subdivision.support_count;
+  let g = p.Subdivision.graph in
   let labels = Graph.node_labels g in
   Array.sort compare labels;
   check (Alcotest.array int) "kinase, receptor"
@@ -145,7 +146,7 @@ let test_specific_edge_label_wins () =
   check int "one pattern" 1 (List.length patterns);
   check (Alcotest.option int) "binds survives"
     (Some (eid "binds"))
-    (Graph.edge_label (List.hd patterns).Edge_labeled.graph 0 1)
+    (Graph.edge_label (List.hd patterns).Subdivision.graph 0 1)
 
 let test_supports_verified () =
   let nodes, edges, env = envs () in
@@ -171,12 +172,57 @@ let test_supports_verified () =
     (fun (p : Edge_labeled.pattern) ->
       let recount =
         Tsg_iso.Gen_iso.support_set (Edge_labeled.taxonomy env)
-          ~pattern:(Edge_labeled.encode env p.Edge_labeled.graph)
+          ~pattern:(Edge_labeled.encode env p.Subdivision.graph)
           encoded_db
       in
       check bool "support verified" true
-        (Bitset.equal recount p.Edge_labeled.support_set))
+        (Bitset.equal recount p.Subdivision.support_set))
     patterns
+
+(* edge-labeled mining agrees with the naive specification applied to the
+   encodings, over random node and edge taxonomies *)
+let edge_labeled_equals_naive_prop =
+  QCheck.Test.make ~name:"edge-labeled mining = naive spec on encodings"
+    ~count:25
+    (QCheck.make QCheck.Gen.(int_bound 1_000_000))
+    (fun seed ->
+      let rng = Tsg_util.Prng.of_int seed in
+      let synth concepts =
+        Tsg_taxonomy.Synth_taxonomy.generate rng
+          { concepts; relationships = concepts + 1; depth = 3 }
+      in
+      let nodes = synth 6 in
+      (* edge concepts renamed apart from the node concepts *)
+      let edges =
+        let t = synth 4 in
+        let name l = "r" ^ Taxonomy.name t l in
+        let ids = List.init (Taxonomy.label_count t) Fun.id in
+        Taxonomy.build ~names:(List.map name ids)
+          ~is_a:
+            (List.concat_map
+               (fun l -> List.map (fun p -> (name l, name p)) (Taxonomy.parents t l))
+               ids)
+      in
+      let env = Edge_labeled.prepare ~node_taxonomy:nodes ~edge_taxonomy:edges in
+      let random_graph () =
+        let n = 2 + Tsg_util.Prng.int rng 2 in
+        let labels = Array.init n (fun _ -> Tsg_util.Prng.int rng 6) in
+        Graph.build ~labels
+          ~edges:
+            (List.init (n - 1) (fun i ->
+                 (i + 1, Tsg_util.Prng.int rng (i + 1), Tsg_util.Prng.int rng 4)))
+      in
+      let graphs = List.init 4 (fun _ -> random_graph ()) in
+      let code =
+        {
+          Subdivision.taxonomy = Edge_labeled.taxonomy env;
+          encode = Edge_labeled.encode env;
+          decode = Edge_labeled.decode env;
+        }
+      in
+      Subdivision_oracle.equals_naive code ~max_edges:2 ~min_support:0.5
+        graphs
+        (Edge_labeled.mine ~min_support:0.5 ~max_edges:2 env graphs))
 
 let () =
   Alcotest.run "edge_labeled"
@@ -199,5 +245,6 @@ let () =
           Alcotest.test_case "specific edge wins" `Quick
             test_specific_edge_label_wins;
           Alcotest.test_case "supports verified" `Quick test_supports_verified;
+          QCheck_alcotest.to_alcotest edge_labeled_equals_naive_prop;
         ] );
     ]

@@ -286,6 +286,78 @@ let test_serial_directed_file_roundtrip () =
   check bool "file roundtrip" true
     (match loaded with [ d' ] -> Tsg_graph.Digraph.equal d d' | _ -> false)
 
+(* --- Serial: the readers agree ------------------------------------------- *)
+
+let parse_outcome f =
+  match f () with
+  | _ -> None
+  | exception Serial.Parse_error (line, msg) -> Some (line, msg)
+
+(* each kind of bad line: the fail-fast readers raise, and the collecting
+   reader records, the same message at the same line. In a case's text,
+   "E" stands for the file's own edge keyword ('e', or 'a' when directed). *)
+let test_serial_bad_lines_agree () =
+  let cases =
+    [
+      ("node before any header", "# c\n\nv 0 n\n",
+       Some (3, "'v' before any 't' header"),
+       Some (3, "'v' before any 't' header"));
+      ("edge before any header", "E 0 1 x\nt # 0\n",
+       Some (1, "'e' before any 't' header"),
+       Some (1, "'a' before any 't' header"));
+      ("bad node index", "t # 0\nv q n\n", Some (2, "bad node index q"),
+       Some (2, "bad node index q"));
+      ("bad endpoints", "t # 0\nv 0 n\nv 1 n\nE 0 q x\n",
+       Some (4, "bad edge endpoints"), Some (4, "bad arc endpoints"));
+      ("unrecognized", "t # 0\nv 0 n extra\n",
+       Some (2, "unrecognized line: v 0 n extra"),
+       Some (2, "unrecognized line: v 0 n extra"));
+      ("'e' line in a directed file", "t # 0\nv 0 n\nv 1 n\ne 0 1 x\n", None,
+       Some (4, "'e' line in a directed database (expected 'a')"));
+      ("'a' line in an undirected file", "t # 0\nv 0 n\nv 1 n\na 0 1 x\n",
+       Some (4, "unrecognized line: a 0 1 x"), None);
+    ]
+  in
+  let outcome = Alcotest.(option (pair int string)) in
+  List.iter
+    (fun (kind, text, undirected, directed) ->
+      let with_keyword k = String.concat k (String.split_on_char 'E' text) in
+      let nl = Label.create () and el = Label.create () in
+      let text_e = with_keyword "e" and text_a = with_keyword "a" in
+      check outcome (kind ^ ": parse_db") undirected
+        (parse_outcome (fun () ->
+             Serial.parse_db ~node_labels:nl ~edge_labels:el text_e));
+      check outcome (kind ^ ": parse_db_raw") undirected
+        (List.nth_opt (Serial.parse_db_raw text_e).Serial.bad_lines 0);
+      check outcome (kind ^ ": parse_digraphs") directed
+        (parse_outcome (fun () ->
+             Serial.parse_digraphs ~node_labels:nl ~arc_labels:el text_a)))
+    cases
+
+(* a malformed graph is reported at its own 't' line, not at the line that
+   closed it (the next header, or past the end of the file) *)
+let test_serial_graph_errors_at_header () =
+  let nl = Label.create () and el = Label.create () in
+  let outcome = Alcotest.(option (pair int string)) in
+  let undirected what expected text =
+    check outcome what (Some expected)
+      (parse_outcome (fun () ->
+           Serial.parse_db ~node_labels:nl ~edge_labels:el text))
+  in
+  undirected "missing node, next graph follows" (1, "missing node 1")
+    "t # 0\nv 0 a\nv 2 b\ne 0 2 x\nt # 1\nv 0 a\n";
+  undirected "missing node, last graph" (5, "missing node 1")
+    "t # 0\nv 0 a\nv 1 b\ne 0 1 x\nt # 1\nv 0 a\nv 2 b\ne 0 2 x\n";
+  undirected "duplicate node" (2, "duplicate node 0")
+    "# c\nt # 0\nv 0 a\nv 0 b\n\nt # 1\n";
+  undirected "refused by Graph.build" (1, "Graph.build: self loop at node 1")
+    "t # 0\nv 0 a\nv 1 b\ne 0 1 x\ne 1 1 x\n";
+  check outcome "refused by Digraph.build"
+    (Some (3, "Digraph.build: duplicate arc (0,1)"))
+    (parse_outcome (fun () ->
+         Serial.parse_digraphs ~node_labels:nl ~arc_labels:el
+           "t # 0\nv 0 a\nt # 1\nv 0 a\nv 1 b\na 0 1 x\na 0 1 y\n"))
+
 (* --- Dot ------------------------------------------------------------------ *)
 
 let contains haystack needle =
@@ -439,6 +511,10 @@ let () =
             test_serial_directed_rejects_edges;
           Alcotest.test_case "directed file roundtrip" `Quick
             test_serial_directed_file_roundtrip;
+          Alcotest.test_case "readers agree on bad lines" `Quick
+            test_serial_bad_lines_agree;
+          Alcotest.test_case "graph errors at the header" `Quick
+            test_serial_graph_errors_at_header;
         ]
         @ qsuite [ serial_roundtrip_prop; parser_fuzz_prop ] );
       ( "dot",
