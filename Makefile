@@ -67,11 +67,13 @@ soak: build
 cluster-smoke: build
 	scripts/cluster_smoke.sh
 
-# tsg-serve fed by tsg-pipe over --push: ~50 deltas streamed with 1%
-# injected faults on every pipeline fault site, tsg-pipe SIGKILLed
-# mid-stream and restarted to resume the remaining deltas; the served
-# artifact must be byte-identical to a from-scratch mine of the
-# exported corpus, with zero client-visible errors throughout
+# the demo artifact's epoch stamps pinned at two supports (content
+# order, text format and hash kernel), then tsg-serve fed by tsg-pipe
+# over --push: ~50 deltas streamed with 1% injected faults on every
+# pipeline fault site, tsg-pipe SIGKILLed mid-stream and restarted to
+# resume the remaining deltas; the served artifact must be
+# byte-identical to a from-scratch mine of the exported corpus, with
+# zero client-visible errors throughout
 pipeline-smoke: build
 	scripts/pipeline_smoke.sh
 

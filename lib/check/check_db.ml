@@ -50,6 +50,18 @@ let check_raw c ?file ?taxonomy ?(stats = false) (raw : Serial.raw_db) =
               node.Serial.v_label
           end)
         g.Serial.g_nodes;
+      (* every gap in the ids is a finding, unless gaps outnumber nodes
+         (a stray huge index): then one finding, not one per gap *)
+      let top = Hashtbl.fold (fun v () acc -> max v acc) declared (-1) in
+      let gaps = top + 1 - Hashtbl.length declared in
+      if gaps > Hashtbl.length declared then
+        error ~line:g.Serial.g_line "DB001" "graph %d: %d missing nodes below %d"
+          gid gaps top
+      else
+        for v = 0 to top - 1 do
+          if not (Hashtbl.mem declared v) then
+            error ~line:g.Serial.g_line "DB001" "graph %d: missing node %d" gid v
+        done;
       let seen_edges = Hashtbl.create 16 in
       List.iter
         (fun (edge : Serial.raw_edge) ->

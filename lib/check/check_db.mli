@@ -6,7 +6,7 @@
     [file:line] locations.
 
     Rules (see DESIGN.md for the catalog):
-    - [DB001] error: bad or duplicate node index within a graph
+    - [DB001] error: bad, duplicate or missing node index within a graph
     - [DB002] error: edge endpoint never declared by a [v] line
     - [DB003] error: self loop
     - [DB004] error: duplicate edge (either endpoint order)

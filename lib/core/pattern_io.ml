@@ -80,27 +80,35 @@ let canonical_form ~edge_labels g =
     remap (fun r -> unrank.(r)) canon
   end
 
-let to_string ~node_labels ~edge_labels ~db_size patterns =
+let body ~node_labels ~edge_labels (p : Pattern.t) =
+  let g = canonical_form ~edge_labels p.Pattern.graph in
+  let buf = Buffer.create 128 in
+  for v = 0 to Graph.node_count g - 1 do
+    Printf.bprintf buf "v %d %s\n" v
+      (escape_name (Label.name node_labels (Graph.node_label g v)))
+  done;
+  Array.iter
+    (fun (u, v, l) ->
+      Printf.bprintf buf "e %d %d %s\n" u v
+        (escape_name (Label.name edge_labels l)))
+    (Graph.edges g);
+  Buffer.contents buf
+
+let of_bodies ~db_size entries =
   let buf = Buffer.create 4096 in
   List.iteri
-    (fun index (p : Pattern.t) ->
-      Buffer.add_string buf
-        (Printf.sprintf "p # %d support %d/%d\n" index p.Pattern.support_count
-           db_size);
-      let g = canonical_form ~edge_labels p.Pattern.graph in
-      for v = 0 to Graph.node_count g - 1 do
-        Buffer.add_string buf
-          (Printf.sprintf "v %d %s\n" v
-             (escape_name (Label.name node_labels (Graph.node_label g v))))
-      done;
-      Array.iter
-        (fun (u, v, l) ->
-          Buffer.add_string buf
-            (Printf.sprintf "e %d %d %s\n" u v
-               (escape_name (Label.name edge_labels l))))
-        (Graph.edges g))
-    patterns;
+    (fun index (support, body) ->
+      Printf.bprintf buf "p # %d support %d/%d\n" index support db_size;
+      Buffer.add_string buf body)
+    entries;
   Buffer.contents buf
+
+let to_string ~node_labels ~edge_labels ~db_size patterns =
+  of_bodies ~db_size
+    (List.map
+       (fun (p : Pattern.t) ->
+         (p.Pattern.support_count, body ~node_labels ~edge_labels p))
+       patterns)
 
 let save path ~node_labels ~edge_labels ~db_size patterns =
   Tsg_util.Fault.inject "pattern_io.save";

@@ -28,12 +28,24 @@ val canonical_form :
     Disconnected and single-node graphs are returned unchanged. Writers
     ({!to_string}) and the [PAT002] lint check share this definition. *)
 
+val body :
+  node_labels:Tsg_graph.Label.t ->
+  edge_labels:Tsg_graph.Label.t ->
+  Pattern.t ->
+  string
+(** A pattern's [v] and [e] lines in {!canonical_form} node order: its
+    text but the [p] header. *)
+
+val of_bodies : db_size:int -> (int * string) list -> string
+(** [(support count, body)] pairs under [p] headers numbered in order. *)
+
 val to_string :
   node_labels:Tsg_graph.Label.t ->
   edge_labels:Tsg_graph.Label.t ->
   db_size:int ->
   Pattern.t list ->
   string
+(** {!of_bodies} over each pattern's support count and {!body}. *)
 
 val save :
   string ->

@@ -18,9 +18,14 @@ module Seed_set = Set.Make (struct
   let compare = Stdlib.compare
 end)
 
+(* a cached root group and, from its first render on, its patterns'
+   artifact text, which holds while the group is clean: a remap keeps
+   every graph and support count, and a label's name never changes *)
+type group = { entry : Checkpoint.entry; mutable text : Publish.entry list option }
+
 (* the cached groups and the database their support sets index *)
 type cache = {
-  groups : Checkpoint.entry list;  (* one per frequent seed, by seed *)
+  groups : group list;  (* one per frequent seed, by seed *)
   basis : int64 array;  (* {!Corpus.members} of that database *)
 }
 
@@ -75,13 +80,13 @@ type refresh_stats = {
 }
 
 (* every cached entry comes from a gSpan run or a checked snapshot *)
-let seed (e : Checkpoint.entry) = Option.get e.Checkpoint.seed
+let seed g = Option.get g.entry.Checkpoint.seed
 
 let by_seed a b = Stdlib.compare (seed a) (seed b)
 
 let pattern_count groups =
   List.fold_left
-    (fun n (e : Checkpoint.entry) -> n + List.length e.Checkpoint.patterns)
+    (fun n g -> n + List.length g.entry.Checkpoint.patterns)
     0 groups
 
 (* graph id in [from]'s database -> graph id in [into]'s, [-1] when the
@@ -104,7 +109,7 @@ exception Stale
    set no member of which moved is kept as it is. A removed graph held no
    clean root's seed (its removal marked the root dirty), so no clean set
    holds it; a set that does makes the cache [Stale]. *)
-let remap map ~size (e : Checkpoint.entry) =
+let remap map ~size g =
   let set s =
     if Bitset.capacity s = size && Bitset.for_all (fun i -> map.(i) = i) s
     then s
@@ -123,11 +128,9 @@ let remap map ~size (e : Checkpoint.entry) =
     if s == p.Pattern.support_set then p
     else Pattern.make ~db_size:size p.Pattern.graph s
   in
-  {
-    e with
-    Checkpoint.covered = set e.Checkpoint.covered;
-    patterns = List.map pattern e.Checkpoint.patterns;
-  }
+  let e = g.entry in
+  let patterns = List.map pattern e.Checkpoint.patterns in
+  { g with entry = { e with Checkpoint.covered = set e.covered; patterns } }
 
 let refresh t =
   Fault.inject "pipeline.remine";
@@ -166,7 +169,9 @@ let refresh t =
       let spec =
         Taxogram.Spec.collect ~config:t.config ~exec:t.exec ?root_select ()
       in
-      (Taxogram.run spec (Corpus.taxonomy t.corpus) db).Taxogram.root_groups
+      List.map
+        (fun entry -> { entry; text = None })
+        (Taxogram.run spec (Corpus.taxonomy t.corpus) db).Taxogram.root_groups
   in
   let groups =
     match (kept, mined) with
@@ -193,8 +198,7 @@ let refresh t =
 let patterns t =
   match t.cache with
   | None -> []
-  | Some c ->
-    List.concat_map (fun (e : Checkpoint.entry) -> e.Checkpoint.patterns) c.groups
+  | Some c -> List.concat_map (fun g -> g.entry.Checkpoint.patterns) c.groups
 
 let render t =
   (* stamped with the WAL watermark: replicas loading this artifact
@@ -203,10 +207,18 @@ let render t =
   let epoch_seq =
     if Int64.compare t.watermark 0L >= 0 then Some t.watermark else None
   in
-  Publish.render ?epoch_seq
-    ~taxonomy:(Corpus.taxonomy t.corpus)
-    ~edge_labels:(Corpus.edge_labels t.corpus)
-    ~db_size:(Corpus.size t.corpus) (patterns t)
+  let entry =
+    Publish.entry ~taxonomy:(Corpus.taxonomy t.corpus)
+      ~edge_labels:(Corpus.edge_labels t.corpus)
+  in
+  let text g =
+    if Option.is_none g.text then
+      g.text <- Some (List.map entry g.entry.Checkpoint.patterns);
+    Option.get g.text
+  in
+  let groups = match t.cache with Some c -> c.groups | None -> [] in
+  Publish.assemble ~epoch_seq ~db_size:(Corpus.size t.corpus)
+    (List.concat_map text groups)
 
 (* ------------------------------------------------------------------ *)
 (* State snapshots: a {!Checkpoint} of a completed run *)
@@ -222,7 +234,7 @@ let save_state t path =
         corpus_seq = t.watermark;
         db_size = Array.length c.basis;
         roots_total = List.length c.groups;
-        entries = List.mapi (fun i e -> { e with Checkpoint.root = i }) c.groups;
+        entries = List.mapi (fun i g -> { g.entry with root = i }) c.groups;
       }
 
 let state_watermark content =
@@ -284,6 +296,7 @@ let load_state t content =
     match unusable t s basis with
     | Some msg -> refuse msg
     | None ->
-      t.cache <- Some { groups = s.Checkpoint.entries; basis };
+      let groups = List.map (fun entry -> { entry; text = None }) s.entries in
+      t.cache <- Some { groups; basis };
       t.watermark <- s.Checkpoint.corpus_seq;
       Ok ())

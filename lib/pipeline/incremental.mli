@@ -78,11 +78,18 @@ val patterns : t -> Tsg_core.Pattern.t list
     canonical bytes. *)
 
 val render : t -> string
-(** The publishable artifact ({!Publish.render}) for the cached set
-    against the current corpus size, stamped with the engine's WAL
-    watermark as its epoch sequence (unstamped before the first
-    {!refresh}). Equal pattern sets render equal stamp {e payloads}
-    whatever the watermark ({!Tsg_query.Epoch.payload}). *)
+(** The publishable artifact for the cached set against the current
+    corpus size — the payload {!Publish.render} gives for {!patterns} —
+    stamped with the engine's WAL watermark as its epoch sequence
+    (unstamped before the first {!refresh}). Equal pattern sets render
+    equal stamp {e payloads} whatever the watermark
+    ({!Tsg_query.Epoch.payload}).
+
+    Each group keeps its patterns' {!Publish.entry} text from its first
+    render on, so a commit canonicalizes and prints only the roots it
+    re-mined: a re-mined root, and every group after a full re-mine or
+    {!load_state}, starts without it; a clean group keeps it through a
+    re-index of its support sets (no graph or support count changes). *)
 
 (** {1 State snapshots} *)
 

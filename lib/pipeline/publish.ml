@@ -7,25 +7,34 @@ module Serve = Tsg_query.Serve
 module Epoch = Tsg_query.Epoch
 module Protocol = Tsg_query.Protocol
 
-let render ?epoch_seq ~taxonomy ~edge_labels ~db_size patterns =
-  let node_labels = Taxonomy.labels taxonomy in
-  (* sort by each pattern's own one-pattern rendering: canonical node
-     order and label names only, so the order (and hence the bytes) is a
-     function of content, not of this process's interning history *)
-  let keyed =
-    List.map
-      (fun p ->
-        (Pattern_io.to_string ~node_labels ~edge_labels ~db_size [ p ], p))
-      patterns
+type entry = { key : string; support : int; body : string }
+
+let entry ~taxonomy ~edge_labels (p : Tsg_core.Pattern.t) =
+  let node_labels = Taxonomy.labels taxonomy and support = p.support_count in
+  let body = Pattern_io.body ~node_labels ~edge_labels p in
+  { key = string_of_int support ^ "/"; support; body }
+
+(* the byte order of the one-pattern renderings "p # 0 support S/N\n" ^
+   body, a function of content, not of this process's interning history.
+   N is shared and '/' sorts below every digit, so that is the order of
+   S's digits and '/' as bytes, then of the body: "12/" < "9/" < "90/" *)
+let by_content a b =
+  match String.compare a.key b.key with
+  | 0 -> String.compare a.body b.body
+  | c -> c
+
+let assemble ~epoch_seq ~db_size entries =
+  let payload =
+    Pattern_io.of_bodies ~db_size
+      (List.map (fun e -> (e.support, e.body)) (List.sort by_content entries))
   in
-  let sorted =
-    List.map snd
-      (List.sort (fun (a, _) (b, _) -> String.compare a b) keyed)
-  in
-  let payload = Pattern_io.to_string ~node_labels ~edge_labels ~db_size sorted in
   match epoch_seq with
   | None -> payload
   | Some seq -> Epoch.stamp ~seq payload
+
+let render ?epoch_seq ~taxonomy ~edge_labels ~db_size patterns =
+  assemble ~epoch_seq ~db_size
+    (List.map (entry ~taxonomy ~edge_labels) patterns)
 
 let write path content =
   Fault.inject "pipeline.publish";

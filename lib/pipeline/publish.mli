@@ -1,10 +1,11 @@
 (** The artifact publisher: from a pattern set to a served engine.
 
-    Rendering is {e content-ordered}: patterns are sorted by their own
-    serialized form (label names, canonical node numbering — see
-    {!Tsg_core.Pattern_io}), never by interned ids. Two processes with
-    different interning histories — the long-lived incremental daemon
-    and a from-scratch mine of the same corpus — therefore render
+    Rendering is {e content-ordered}: patterns are sorted by the digits
+    of their support count and ['/'] as bytes, then by their
+    {!Tsg_core.Pattern_io.body} (label names, canonical node numbering),
+    never by interned ids. Two processes with different interning
+    histories — the long-lived incremental daemon and a from-scratch
+    mine of the same corpus — therefore render
     byte-identical artifacts for equal pattern sets, which is the
     property the delta-equivalence tests pin down.
 
@@ -15,6 +16,19 @@
     failure the previous artifact bytes are restored and re-pushed, and
     the incident surfaces as a [PIPE002] diagnostic. *)
 
+type entry
+(** One pattern's support count and {!Tsg_core.Pattern_io.body}. *)
+
+val entry :
+  taxonomy:Tsg_taxonomy.Taxonomy.t ->
+  edge_labels:Tsg_graph.Label.t ->
+  Tsg_core.Pattern.t ->
+  entry
+
+val assemble : epoch_seq:int64 option -> db_size:int -> entry list -> string
+(** The entries content-sorted and numbered, stamped when [epoch_seq] is
+    given: the one assembly {!render} and {!Incremental.render} share. *)
+
 val render :
   ?epoch_seq:int64 ->
   taxonomy:Tsg_taxonomy.Taxonomy.t ->
@@ -22,10 +36,11 @@ val render :
   db_size:int ->
   Tsg_core.Pattern.t list ->
   string
-(** The pattern set in {!Tsg_core.Pattern_io} text form, content-sorted.
-    With [epoch_seq] (the publisher's WAL watermark) the artifact is
-    prefixed with a [# epoch] stamp ({!Tsg_query.Epoch.stamp}) so
-    loaders can verify integrity and clusters can agree on a version;
+(** {!assemble} over each pattern's {!entry}: the pattern set in
+    {!Tsg_core.Pattern_io} text form, content-sorted. With [epoch_seq]
+    (the publisher's WAL watermark) the artifact is prefixed with a
+    [# epoch] stamp ({!Tsg_query.Epoch.stamp}) so loaders can verify
+    integrity and clusters can agree on a version;
     the payload after the stamp is identical to the unstamped
     rendering. *)
 

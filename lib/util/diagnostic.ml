@@ -198,7 +198,7 @@ module Registry = struct
       e "TAX008" Info "taxonomy statistics";
       e "TAX009" Error "taxonomy syntax error";
       (* tsg-lint: graph database passes *)
-      e "DB001" Error "bad or duplicate node index";
+      e "DB001" Error "bad, duplicate or missing node index";
       e "DB002" Error "edge endpoint references a missing node";
       e "DB003" Error "self-loop";
       e "DB004" Error "duplicate edge";

@@ -60,9 +60,27 @@ split_db() { # <db> <dir>
     f      { print > f }' "$1"
 }
 
+# one add block per graph file
+adds() { for g in "$@"; do echo add; cat "$g"; echo .; done; }
+
 split_db examples/data/demo.db "$WORK/graphs"
 GRAPHS=("$WORK"/graphs/g_*.txt)
 [ "${#GRAPHS[@]}" -gt 0 ] || fail "could not split demo.db into graphs"
+
+# Artifact bytes pinned across changes: demo.db's 40 graphs as 40 adds
+# and one commit. The stamp's hex is the FNV-1a of the payload, so these
+# two lines pin the content order, the text format and the hash kernel.
+echo "== pipeline-smoke: stamp pins"
+for pin in "0.3 # epoch 40 0285e8d60e7c4d48" "0.1 # epoch 40 f7a217ce02895538"; do
+  support=${pin%% *}
+  { adds "${GRAPHS[@]}"; echo commit; } |
+    "$BIN/tsg-pipe" --wal "$WORK/pin-$support.wal" --taxonomy "$TAX" \
+      --out "$WORK/pin-$support.pat" --support "$support" --quiet \
+      >"$WORK/pin.out" 2>&1 || { cat "$WORK/pin.out" >&2; fail "tsg-pipe failed at support $support"; }
+  stamp=$(head -n1 "$WORK/pin-$support.pat")
+  [ "$stamp" = "${pin#* }" ] ||
+    fail "support $support: stamp '$stamp', pinned '${pin#* }'"
+done
 
 # The canonical delta plan: DELTAS numbered command blocks, every 6th a
 # remove of the oldest still-live add. Each block consumes exactly one
@@ -77,7 +95,7 @@ for i in $(seq 1 "$DELTAS"); do
     live=("${live[@]:1}")
   else
     g=${GRAPHS[$(((i - 1) % ${#GRAPHS[@]}))]}
-    { echo add; cat "$g"; echo .; } >"$f"
+    adds "$g" >"$f"
     live+=("$i")
   fi
 done
@@ -185,9 +203,7 @@ grep -q "^exported seq $DELTAS " "$WORK/export2.out" ||
 # from-scratch reference artifact: a fresh WAL, no state, no faults —
 # every graph of the exported corpus added in one batch and mined cold
 split_db "$WORK/corpus_final.db" "$WORK/final_graphs"
-for g in "$WORK"/final_graphs/g_*.txt; do
-  echo add; cat "$g"; echo .
-done | "$BIN/tsg-pipe" --wal "$WORK/scratch.wal" --taxonomy "$TAX" \
+adds "$WORK"/final_graphs/g_*.txt | "$BIN/tsg-pipe" --wal "$WORK/scratch.wal" --taxonomy "$TAX" \
   --out "$WORK/scratch.pat" --support "$SUPPORT" --quiet \
   >"$WORK/scratch.out" 2>&1 || { cat "$WORK/scratch.out" >&2; fail "from-scratch mine failed"; }
 # the epoch stamps differ by design — the live artifact carries the

@@ -145,6 +145,30 @@ let test_db001_duplicate_node () =
   assert_rule ~line:4 c "DB001";
   check int "exit 2" 2 (Diagnostic.exit_code c)
 
+(* every gap in a graph's node ids is its own finding at the graph's 't'
+   line, in every graph (the fail-fast parse stops at the first), while a
+   stray huge index is one finding, not one per gap *)
+let test_db001_missing_nodes () =
+  let db = "t # 0\nv 0 a\nv 2 b\ne 0 2 e0\nt # 1\nv 0 a\nv 3 b\ne 0 3 e0\n" in
+  let c = lint ~tax:tax_ok ~db () in
+  check
+    Alcotest.(list (pair (option int) string))
+    "three gaps"
+    [
+      (Some 1, "graph 0: missing node 1");
+      (Some 5, "graph 1: missing node 1");
+      (Some 5, "graph 1: missing node 2");
+    ]
+    (List.map
+       (fun d ->
+         check Alcotest.string "rule" "DB001" d.Diagnostic.rule;
+         (d.Diagnostic.line, d.Diagnostic.message))
+       (Diagnostic.items c));
+  let c = lint ~tax:tax_ok ~db:"t # 0\nv 0 a\nv 99999 b\ne 0 99999 e0\n" () in
+  check Alcotest.(list string) "one finding for a stray index"
+    [ "graph 0: 99998 missing nodes below 99999" ]
+    (List.map (fun d -> d.Diagnostic.message) (Diagnostic.items c))
+
 let test_db002_dangling_endpoint () =
   let c = lint ~tax:tax_ok ~db:"t # 0\nv 0 a\nv 1 b\ne 0 5 e0\n" () in
   assert_rule ~line:4 c "DB002";
@@ -673,6 +697,8 @@ let () =
         [
           Alcotest.test_case "DB001 duplicate node" `Quick
             test_db001_duplicate_node;
+          Alcotest.test_case "DB001 missing nodes" `Quick
+            test_db001_missing_nodes;
           Alcotest.test_case "DB002 dangling endpoint" `Quick
             test_db002_dangling_endpoint;
           Alcotest.test_case "DB003 self loop" `Quick test_db003_self_loop;

@@ -161,11 +161,53 @@ let test_crc32_vector () =
   check bool "empty" true (Checksum.crc32 "" = 0l);
   check bool "order matters" true (Checksum.crc32 "ab" <> Checksum.crc32 "ba")
 
+(* epoch stamps, shard fingerprints and checkpoint fingerprints are these
+   exact values: the FNV-1a 64 reference vectors *)
 let test_fnv1a64 () =
   check bool "deterministic" true
     (Checksum.fnv1a64 "taxogram" = Checksum.fnv1a64 "taxogram");
   check bool "distinguishes" true
-    (Checksum.fnv1a64 "taxogram" <> Checksum.fnv1a64 "taxogran")
+    (Checksum.fnv1a64 "taxogram" <> Checksum.fnv1a64 "taxogran");
+  List.iter
+    (fun (s, h) ->
+      check Alcotest.int64 (Printf.sprintf "fnv1a64 %S" s) h (Checksum.fnv1a64 s))
+    [
+      ("", 0xcbf29ce484222325L);
+      ("a", 0xaf63dc4c8601ec8cL);
+      ("foobar", 0x85944171f73967e8L);
+    ]
+
+(* the kernels against their textbook definitions: FNV-1a as a fold over
+   the bytes, CRC-32 bit by bit with no table *)
+let fnv1a64_reference s =
+  String.fold_left
+    (fun h c ->
+      Int64.mul (Int64.logxor h (Int64.of_int (Char.code c))) 0x100000001b3L)
+    0xcbf29ce484222325L s
+
+let crc32_reference s =
+  let crc =
+    String.fold_left
+      (fun crc c ->
+        let crc = ref (Int32.logxor crc (Int32.of_int (Char.code c))) in
+        for _ = 0 to 7 do
+          crc :=
+            if Int32.logand !crc 1l <> 0l then
+              Int32.logxor 0xEDB88320l (Int32.shift_right_logical !crc 1)
+            else Int32.shift_right_logical !crc 1
+        done;
+        !crc)
+      0xFFFFFFFFl s
+  in
+  Int32.logxor crc 0xFFFFFFFFl
+
+let kernels_prop =
+  QCheck.Test.make ~name:"fnv1a64 and crc32 = reference definitions"
+    ~count:300
+    QCheck.(string_of_size Gen.(int_bound 300))
+    (fun s ->
+      Int64.equal (Checksum.fnv1a64 s) (fnv1a64_reference s)
+      && Int32.equal (Checksum.crc32 s) (crc32_reference s))
 
 (* --- Safe_io --------------------------------------------------------------- *)
 
@@ -818,7 +860,8 @@ let () =
         [
           Alcotest.test_case "crc32 known vector" `Quick test_crc32_vector;
           Alcotest.test_case "fnv1a64" `Quick test_fnv1a64;
-        ] );
+        ]
+        @ qsuite [ kernels_prop ] );
       ( "safe_io",
         [
           Alcotest.test_case "atomic write survives a torn write" `Quick

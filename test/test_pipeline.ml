@@ -20,6 +20,7 @@ module Pattern = Tsg_core.Pattern
 module Specialize = Tsg_core.Specialize
 module Taxogram = Tsg_core.Taxogram
 module Checkpoint = Tsg_core.Checkpoint
+module Pattern_io = Tsg_core.Pattern_io
 module Wal = Tsg_pipeline.Wal
 module Corpus = Tsg_pipeline.Corpus
 module Incremental = Tsg_pipeline.Incremental
@@ -784,6 +785,58 @@ let test_cached_supports_exact () =
         (commit h).Incremental.full;
       agree "after the restart")
 
+(* at every commit, the groups' cached entries render what Publish.render
+   makes of the engine's patterns. The script adds the graphs one commit
+   each (the threshold ceil (0.34 n) moves at n = 3 and 6: full
+   re-mines, between re-mines of dirty roots), removes the first graph
+   and adds one back (same size: every clean group re-indexed), restarts
+   cold through [load_state], and commits deltas after the restart *)
+let cached_render_prop =
+  QCheck.Test.make
+    ~name:"Incremental.render = Publish.render of its patterns, every commit"
+    ~count:10 arb_seed
+    (fun seed ->
+      let rng = Prng.of_int seed in
+      let tax, graphs = random_instance rng in
+      let h = make_harness ~tax ~config:(config 0.34) ~domains:1 in
+      let add () =
+        apply h (Wal.Add (serialize_graph tax (Prng.choose rng (Array.of_list graphs))))
+      in
+      let commit_agrees () =
+        let stats = commit h in
+        let e = h.h_engine in
+        let fresh =
+          Publish.render ~taxonomy:tax
+            ~edge_labels:(Corpus.edge_labels h.h_corpus)
+            ~db_size:(Corpus.size h.h_corpus) (Incremental.patterns e)
+        in
+        if not (String.equal (Epoch.payload (Incremental.render e)) fresh) then
+          QCheck.Test.fail_reportf "commit at seq %Ld renders stale text"
+            (Corpus.seq h.h_corpus);
+        stats.Incremental.full
+      in
+      Fun.protect
+        ~finally:(fun () -> cleanup_harness h)
+        (fun () ->
+          let fulls =
+            List.map
+              (fun g ->
+                apply h (Wal.Add (serialize_graph tax g));
+                commit_agrees ())
+              graphs
+          in
+          apply h (Wal.Remove 1L);
+          add ();
+          let swap_full = commit_agrees () in
+          Wal.close h.h_writer;
+          hboot h;
+          let restart_full = commit_agrees () in
+          apply h (Wal.Remove 2L);
+          add ();
+          ignore (commit_agrees ());
+          List.length (List.filter Fun.id fulls) >= 3
+          && (not swap_full) && not restart_full))
+
 (* a snapshot image with its body changed and its CRC recomputed, so the
    change reaches the parser instead of the checksum (and the body still
    ends its last line, so the trailer stays a line of its own) *)
@@ -948,6 +1001,47 @@ let test_checkpoint_rejects_moved_corpus () =
 
 (* --- Suite ------------------------------------------------------------------ *)
 
+(* --- Publish.render --------------------------------------------------------- *)
+
+(* the content order as first defined: sort the one-pattern renderings,
+   then render the sorted list *)
+let render_reference ?epoch_seq ~taxonomy ~edge_labels ~db_size patterns =
+  let node_labels = Taxonomy.labels taxonomy in
+  let one p = Pattern_io.to_string ~node_labels ~edge_labels ~db_size [ p ] in
+  let sorted =
+    List.map snd
+      (List.sort
+         (fun (a, _) (b, _) -> String.compare a b)
+         (List.map (fun p -> (one p, p)) patterns))
+  in
+  let payload = Pattern_io.to_string ~node_labels ~edge_labels ~db_size sorted in
+  match epoch_seq with None -> payload | Some seq -> Epoch.stamp ~seq payload
+
+(* each graph of a random instance twice, at support counts on both sides
+   of the 1-, 2- and 3-digit boundaries, where byte order and numeric
+   order disagree *)
+let render_oracle_prop =
+  QCheck.Test.make ~name:"Publish.render = sorted one-pattern renderings"
+    ~count:50 arb_seed
+    (fun seed ->
+      let rng = Prng.of_int seed in
+      let tax, graphs = random_instance rng in
+      let db_size = 120 in
+      let pattern g =
+        let set = Tsg_util.Bitset.create db_size in
+        for i = 0 to Prng.choose rng [| 1; 2; 9; 10; 11; 12; 99; 100; 101 |] - 1 do
+          Tsg_util.Bitset.set set i
+        done;
+        Pattern.make ~db_size g set
+      in
+      let patterns = List.concat_map (fun g -> [ pattern g; pattern g ]) graphs in
+      let epoch_seq = if Prng.bool rng then Some 7L else None in
+      String.equal
+        (Publish.render ?epoch_seq ~taxonomy:tax ~edge_labels:gen_edge_labels
+           ~db_size patterns)
+        (render_reference ?epoch_seq ~taxonomy:tax
+           ~edge_labels:gen_edge_labels ~db_size patterns))
+
 (* --- Publish.push ---------------------------------------------------------- *)
 
 (* a stub server: one connection at a time, every request line answered
@@ -1083,6 +1177,7 @@ let () =
               delta_equivalence_prop ~domains:1;
               delta_equivalence_prop ~domains:4;
               snapshot_robustness_prop;
+              cached_render_prop;
             ] );
       ( "checkpoint",
         [
@@ -1093,5 +1188,6 @@ let () =
         [
           Alcotest.test_case "push names the server's error code" `Quick
             test_push_reports_error_code;
-        ] );
+        ]
+        @ qsuite [ render_oracle_prop ] );
     ]
