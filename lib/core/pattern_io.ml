@@ -149,23 +149,25 @@ let parse_located ?file ~node_labels ~edge_labels text =
     match !current with
     | None -> ()
     | Some p ->
-      let count =
-        List.fold_left (fun acc (v, _) -> max acc (v + 1)) 0 p.labels
-      in
-      let labels = Array.make count (-1) in
+      (* one slot per 'v' line, as in {!Serial}: an index past the slots
+         is reported as the missing node it leaves below it; a block's
+         errors name its 'p' line *)
+      let line = p.header_line in
+      let labels = Array.make (List.length p.labels) (-1) in
       List.iter
         (fun (v, l) ->
-          if v < 0 || labels.(v) <> -1 then
-            fail !lineno (Printf.sprintf "bad or duplicate node %d" v)
+          if v >= Array.length labels then ()
+          else if v < 0 || labels.(v) <> -1 then
+            fail line (Printf.sprintf "bad or duplicate node %d" v)
           else labels.(v) <- l)
         p.labels;
       Array.iteri
         (fun v l ->
-          if l = -1 then fail !lineno (Printf.sprintf "missing node %d" v))
+          if l = -1 then fail line (Printf.sprintf "missing node %d" v))
         labels;
       let graph =
         try Graph.build ~labels ~edges:p.edges
-        with Invalid_argument msg -> fail !lineno msg
+        with Invalid_argument msg -> fail line msg
       in
       (* the support set's membership is not recorded; restore cardinality *)
       let set = Bitset.create (max !db_size p.support) in

@@ -480,13 +480,8 @@ let run (spec : Spec.t) taxonomy db =
     match class_miner with
     | `Gspan ->
       let l =
-        Gspan.mine_seed_tasks ?max_edges:config.max_edges
+        Gspan.mine_seed_tasks ?max_edges:config.max_edges ?select:root_select
           ~min_support:min_support_count relabeled
-      in
-      let l =
-        match root_select with
-        | None -> l
-        | Some keep -> List.filter (fun (seed, _) -> keep seed) l
       in
       (Array.of_list (List.map fst l), List.map snd l, true)
     | `Level_wise ->

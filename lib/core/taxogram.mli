@@ -171,7 +171,8 @@ module Spec : sig
             [from_label <= to_label] — satisfies the predicate. The
             selected roots produce exactly what a full run would produce
             for them (their subtrees are independent), which is how the
-            incremental pipeline re-mines dirty roots. [None] mines
+            incremental pipeline re-mines dirty roots. Seed discovery
+            builds embeddings for the selected seeds only. [None] mines
             everything. {!run} raises [Invalid_argument] when combined
             with [`Level_wise] (no seed decomposition) or with
             checkpointing (snapshot prefixes index the full root

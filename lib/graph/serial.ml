@@ -80,16 +80,17 @@ exception Parse_error of int * string
 let fail line msg = raise (Parse_error (line, msg))
 
 (* a graph's node and edge lines, checked and built when the graph closes;
-   its errors name its 't' line *)
+   its errors name its 't' line. The node array has one slot per 'v'
+   line: an index past it leaves a slot below it empty, which is the
+   missing node reported, so a stray huge index allocates nothing. *)
 let finish build line labels edges =
-  let count = List.fold_left (fun acc (v, _) -> max acc (v + 1)) 0 labels in
-  let array = Array.make count (-1) in
+  let array = Array.make (List.length labels) (-1) in
   List.iter
     (fun (v, l) ->
       if v < 0 then fail line (Printf.sprintf "negative node index %d" v)
-      else if array.(v) <> -1 then
-        fail line (Printf.sprintf "duplicate node %d" v)
-      else array.(v) <- l)
+      else if v < Array.length array then
+        if array.(v) <> -1 then fail line (Printf.sprintf "duplicate node %d" v)
+        else array.(v) <- l)
     labels;
   Array.iteri
     (fun v l -> if l = -1 then fail line (Printf.sprintf "missing node %d" v))

@@ -12,37 +12,6 @@ type pattern = {
   embeddings : embedding list;
 }
 
-let support_of_embeddings db embs =
-  let set = Bitset.create (Db.size db) in
-  List.iter (fun e -> Bitset.set set e.graph_id) embs;
-  set
-
-let single_edge_seeds db =
-  let table = Hashtbl.create 256 in
-  Db.iteri
-    (fun gid g ->
-      Array.iter
-        (fun (u, v, le) ->
-          let lu = Graph.node_label g u and lv = Graph.node_label g v in
-          let orientations =
-            if lu < lv then [ (u, v, lu, lv) ]
-            else if lv < lu then [ (v, u, lv, lu) ]
-            else [ (u, v, lu, lv); (v, u, lv, lu) ]
-          in
-          List.iter
-            (fun (a, b, la, lb) ->
-              let key = (la, le, lb) in
-              let emb = { graph_id = gid; map = [| a; b |] } in
-              let existing =
-                Option.value ~default:[] (Hashtbl.find_opt table key)
-              in
-              Hashtbl.replace table key (emb :: existing))
-            orientations)
-        (Graph.edges g))
-    db;
-  Hashtbl.fold (fun key embs acc -> (key, List.rev embs) :: acc) table []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
-
 (* --- count-first rightmost-path extension ------------------------------- *)
 
 (* A candidate extension of a code is one DFS edge: backward from the
@@ -229,12 +198,15 @@ let neighbor_index (adj : (int * int) array) (v : int) =
    traversal order the embedding lists must keep — per embedding,
    backward targets ascending, then forward anchors rightmost first,
    neighbours in adjacency order *)
-let count_candidates s rg db ~r ~back ~rpath embeddings =
+let reset s =
   for k = 0 to s.slots - 1 do
     s.table.(s.slot_pos.(k)) <- -1
   done;
   s.slots <- 0;
-  s.cands <- 0;
+  s.cands <- 0
+
+let count_candidates s rg db ~r ~back ~rpath embeddings =
+  reset s;
   let rec walk e = function
     | [] -> ()
     | emb :: rest ->
@@ -343,33 +315,98 @@ let explore_subtree ~max_edges ~min_support rg db root_edge root_embs root_set
   in
   grow [| root_edge |] root_embs root_set
 
-let mine_seed_tasks ?max_edges ~min_support db =
+(* --- seeds ----------------------------------------------------------- *)
+
+(* A one-edge seed (from, edge, to), from <= to by id, is the key of a
+   forward extension anchored at from - node_lo; so int order is seed
+   order. *)
+let seed_key rg ~la ~le ~lb = key rg ~anchor:(la - rg.node_lo) ~le ~lw:lb
+
+let seed_of_key rg k =
+  let lb = (k mod rg.node_span) + rg.node_lo in
+  let rest = k / rg.node_span in
+  ((rest / rg.edge_span) + rg.node_lo, (rest mod rg.edge_span) + rg.edge_lo, lb)
+
+(* walk 1 over every database edge: tally its seed's distinct-graph
+   support and trace its slot, allocating nothing per edge *)
+let count_seeds s rg db =
+  reset s;
+  Db.iteri
+    (fun gid g ->
+      Graph.fold_edges
+        (fun u v le () ->
+          let lu = Graph.node_label g u and lv = Graph.node_label g v in
+          tally s gid
+            (if lu <= lv then seed_key rg ~la:lu ~le ~lb:lv
+             else seed_key rg ~la:lv ~le ~lb:lu)
+            0)
+        g ())
+    db
+
+(* The frequent seeds [select] keeps, in seed order, each with its
+   embeddings (database order; both orientations when the end labels
+   agree) and support set. Only the kept seeds' embeddings are built, by
+   replaying the trace over the edges. *)
+let seeds s rg ~min_support ~select db =
+  count_seeds s rg db;
+  let chosen = ref [] in
+  for k = s.slots - 1 downto 0 do
+    s.kept.(k) <- -1;
+    if s.count.(k) >= min_support && select (seed_of_key rg s.slot_key.(k))
+    then chosen := k :: !chosen
+  done;
+  let chosen = Array.of_list !chosen in
+  Array.sort (fun a b -> Int.compare s.slot_key.(a) s.slot_key.(b)) chosen;
+  let n = Array.length chosen in
+  Array.iteri (fun j k -> s.kept.(k) <- j) chosen;
+  let embs = Array.make n [] in
+  let sets = Array.init n (fun _ -> Bitset.create (Db.size db)) in
+  if n > 0 then begin
+    let c = ref 0 in
+    Db.iteri
+      (fun gid g ->
+        Graph.fold_edges
+          (fun u v _ () ->
+            let j = s.kept.(s.cand_slot.(!c)) in
+            incr c;
+            if j >= 0 then begin
+              Bitset.set sets.(j) gid;
+              let lu = Graph.node_label g u and lv = Graph.node_label g v in
+              let emb a b = { graph_id = gid; map = [| a; b |] } in
+              embs.(j) <-
+                (if lu < lv then emb u v :: embs.(j)
+                 else if lv < lu then emb v u :: embs.(j)
+                 else emb v u :: emb u v :: embs.(j))
+            end)
+          g ())
+      db
+  end;
+  List.init n (fun j ->
+      (seed_of_key rg s.slot_key.(chosen.(j)), List.rev embs.(j), sets.(j)))
+
+let mine_seed_tasks ?max_edges ?select ~min_support db =
   if min_support < 1 then invalid_arg "Gspan.mine: min_support must be >= 1";
   let max_edges = Option.value ~default:max_int max_edges in
   if max_edges < 1 then []
   else
     let rg = ranges_of db in
-    List.filter_map
-      (fun ((la, le, lb), embs) ->
-        let set = support_of_embeddings db embs in
-        if Bitset.cardinal set >= min_support then
-          let edge =
-            {
-              Dfs_code.from_i = 0;
-              to_i = 1;
-              from_label = la;
-              edge_label = le;
-              to_label = lb;
-            }
-          in
-          Some
-            ( (la, le, lb),
-              fun report ->
-                explore_subtree ~max_edges ~min_support rg db edge embs set
-                  report
-            )
-        else None)
-      (single_edge_seeds db)
+    let select = Option.value select ~default:(fun _ -> true) in
+    List.map
+      (fun (((la, le, lb) as seed), embs, set) ->
+        let edge =
+          {
+            Dfs_code.from_i = 0;
+            to_i = 1;
+            from_label = la;
+            edge_label = le;
+            to_label = lb;
+          }
+        in
+        ( seed,
+          fun report ->
+            explore_subtree ~max_edges ~min_support rg db edge embs set report
+        ))
+      (seeds (Domain.DLS.get scratch_key) rg ~min_support ~select db)
 
 let mine_tasks ?max_edges ~min_support db =
   List.map snd (mine_seed_tasks ?max_edges ~min_support db)

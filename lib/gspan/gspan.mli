@@ -66,6 +66,7 @@ val mine_tasks :
 
 val mine_seed_tasks :
   ?max_edges:int ->
+  ?select:(Tsg_graph.Label.id * Tsg_graph.Label.id * Tsg_graph.Label.id -> bool) ->
   min_support:int ->
   Tsg_graph.Db.t ->
   ((Tsg_graph.Label.id * Tsg_graph.Label.id * Tsg_graph.Label.id)
@@ -76,7 +77,13 @@ val mine_seed_tasks :
     id, the canonical orientation). Every pattern a task reports
     contains its seed edge, which is what lets an incremental re-mine
     skip roots no changed graph can touch. [mine_tasks] is
-    [List.map snd] of this. *)
+    [List.map snd] of this.
+
+    [select] (default: every seed) is asked once per frequent seed, and
+    the result is exactly the selected subsequence of the unselected
+    call's. The seed scan counts every edge's seed without allocating
+    per edge; only selected seeds get embeddings and a support set, so
+    a run that selects a few roots does not pay for the rest. *)
 
 val frequent_labels : min_support:int -> Tsg_graph.Db.t -> Tsg_graph.Label.id list
 (** Node labels occurring in at least [min_support] distinct graphs. *)

@@ -12,10 +12,17 @@ module Fault = Tsg_util.Fault
 module Pool = Tsg_util.Pool
 module Timer = Tsg_util.Timer
 
+(* a root's seed 1-edge (from, edge, to), ordered as the miner orders
+   its roots *)
+let compare_seed ((a, l, b) : int * int * int) (a', l', b') =
+  if a <> a' then Int.compare a a'
+  else if l <> l' then Int.compare l l'
+  else Int.compare b b'
+
 module Seed_set = Set.Make (struct
   type t = int * int * int
 
-  let compare = Stdlib.compare
+  let compare = compare_seed
 end)
 
 (* a cached root group and, from its first render on, its patterns'
@@ -82,7 +89,7 @@ type refresh_stats = {
 (* every cached entry comes from a gSpan run or a checked snapshot *)
 let seed g = Option.get g.entry.Checkpoint.seed
 
-let by_seed a b = Stdlib.compare (seed a) (seed b)
+let by_seed a b = compare_seed (seed a) (seed b)
 
 let pattern_count groups =
   List.fold_left

@@ -19,6 +19,7 @@ type t = {
   depth : int array;
   topo : id array; (* ancestors before descendants *)
   roots : id list;
+  most_general : id array; (* the root among each label's ancestors *)
   artificial_from : int; (* ids >= this were synthesized *)
   flat : flat option Atomic.t; (* [None] until the first [flat] call *)
 }
@@ -116,11 +117,7 @@ let max_depth t = Array.fold_left max 0 t.depth
 
 let level_count t = if label_count t = 0 then 0 else max_depth t + 1
 
-let most_general t l =
-  match List.filter (fun r -> Bitset.mem t.anc.(l) r) t.roots with
-  | [ r ] -> r
-  | [] -> l (* only possible when l is itself an isolated root *)
-  | _ -> assert false (* build guarantees a unique root per label *)
+let most_general t l = t.most_general.(l)
 
 let avg_strict_ancestors t =
   let n = label_count t in
@@ -295,7 +292,15 @@ let build_ids ~labels ~is_a =
   let roots =
     List.filter (fun v -> parents.(v) = []) (List.init n (fun i -> i))
   in
-  { labels; parents; children; anc; desc; depth; topo; roots;
+  (* the merge above leaves one root per label, so every parent of a
+     label shares its root; topological order fills parents first *)
+  let most_general = Array.make n (-1) in
+  Array.iter
+    (fun v ->
+      most_general.(v) <-
+        (match parents.(v) with [] -> v | p :: _ -> most_general.(p)))
+    topo;
+  { labels; parents; children; anc; desc; depth; topo; roots; most_general;
     artificial_from = n0; flat = Atomic.make None }
 
 let build ~names ~is_a =

@@ -93,7 +93,8 @@ val descendant_set : t -> id -> Tsg_util.Bitset.t
 
 val most_general : t -> id -> id
 (** The unique most general ancestor (a root; unique thanks to artificial
-    roots). Used by Taxogram's relabeling step. *)
+    roots). Used by Taxogram's relabeling step. An array read: {!build}
+    computes every label's once. *)
 
 val avg_strict_ancestors : t -> float
 (** The paper's [d]: average number of (strict) ancestors per label. *)

@@ -20,7 +20,16 @@
     themselves; everything a task returns is published to the caller at
     the {!Exec.run} join. Per-domain scratch ({!Tsg_util.Arena}) lives
     in [Domain.DLS] — worker domains drain their arenas when a run ends,
-    and the calling domain keeps its arena warm across runs. *)
+    and the calling domain keeps its arena warm across runs.
+
+    Worker domains are parked, not joined, between runs: they wait on a
+    condition in one process-wide free list, and a run with [d] domains
+    takes [d - 1] of them, spawning a new one only when the list is
+    short (so a nested or concurrent run never waits for a busy one).
+    Parked workers are joined at exit, so after a multi-domain run the
+    process keeps domains alive: OCaml's [Unix.fork] refuses to run
+    then. A worker records backtraces while it runs a job for a caller
+    that does. *)
 
 val default_domains : unit -> int
 (** The domain count used when a caller does not choose one: the
@@ -105,9 +114,9 @@ val check_deadline : 'a ctx -> unit
 module Exec : sig
   type t
   (** An execution handle: a snapshot of the domain count taken at
-      {!create} time. Cheap; domains are spawned per {!run} and joined
-      before it returns, so a handle may be reused or discarded
-      freely. *)
+      {!create} time. Cheap; it owns no domain (each {!run} borrows
+      parked workers and returns them before it does), so a handle may
+      be reused or discarded freely. *)
 
   val create : ?domains:int -> unit -> t
   (** [create ()] snapshots {!default_domains} {e once}; [~domains] (at

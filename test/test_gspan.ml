@@ -534,6 +534,32 @@ let gspan_matches_reference_prop =
       in
       trace Gspan.mine = trace Reference_gspan.mine)
 
+(* A seed predicate moves into the seed scan: the selected call's seeds
+   are the unselected call's, filtered, and each task mines the same
+   classes. The predicate is a hash of the seed: none, all, or about a
+   half or a third of the seeds. *)
+let seed_select_prop =
+  QCheck.Test.make
+    ~name:"selected seed tasks = selected subsequence, same classes" ~count:200
+    (QCheck.make QCheck.Gen.(pair (int_bound 1_000_000) (int_bound 1_000_000)))
+    (fun (seed, salt) ->
+      let rng = Prng.of_int seed in
+      let db = random_small_db rng in
+      let min_support = 1 + Prng.int rng 3 in
+      let max_edges = match Prng.int rng 6 with 0 -> None | k -> Some k in
+      let select s =
+        match salt mod 4 with 0 -> false | k -> Hashtbl.hash (s, salt) mod k = 0
+      in
+      let classes (s, task) =
+        let acc = ref [] in
+        task (fun p -> acc := pattern_trace p :: !acc);
+        (s, List.rev !acc)
+      in
+      let all = Gspan.mine_seed_tasks ?max_edges ~min_support db in
+      let picked = Gspan.mine_seed_tasks ?max_edges ~select ~min_support db in
+      List.map classes picked
+      = List.map classes (List.filter (fun (s, _) -> select s) all))
+
 (* --- Level_miner -------------------------------------------------------------- *)
 
 module Level_miner = Tsg_gspan.Level_miner
@@ -679,7 +705,11 @@ let () =
           Alcotest.test_case "frequent labels" `Quick test_frequent_labels;
         ]
         @ qsuite
-            [ gspan_matches_brute_force_prop; gspan_matches_reference_prop ] );
+            [
+              gspan_matches_brute_force_prop;
+              gspan_matches_reference_prop;
+              seed_select_prop;
+            ] );
       ( "level_miner",
         [
           Alcotest.test_case "triangle" `Quick test_level_miner_triangle;

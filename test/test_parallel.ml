@@ -21,6 +21,11 @@ let check = Alcotest.check
 let bool = Alcotest.bool
 let int = Alcotest.int
 
+let contains haystack needle =
+  let nh = String.length haystack and nn = String.length needle in
+  let rec go i = i + nn <= nh && (String.sub haystack i nn = needle || go (i + 1)) in
+  nn = 0 || go 0
+
 (* --- Pool ------------------------------------------------------------------ *)
 
 let test_pool_root_ids () =
@@ -106,6 +111,68 @@ let test_pool_exception () =
      failed run leaves no poisoned state behind *)
   let results = Pool.Exec.run exec (List.init 4 (fun i _ctx -> i)) in
   check int "handle reusable after failure" 4 (List.length results)
+
+(* helper domains are parked between runs, not spawned per run: 200
+   two-domain runs, each long enough for the helper to take its own
+   tasks, see one helper domain at most *)
+let test_pool_parks_workers () =
+  let exec = Pool.Exec.create ~domains:2 () in
+  let lock = Mutex.create () and seen = Hashtbl.create 8 in
+  let task _ctx =
+    Unix.sleepf 0.0005;
+    let d = (Domain.self () :> int) in
+    Mutex.protect lock (fun () -> Hashtbl.replace seen d ())
+  in
+  for _ = 1 to 200 do
+    ignore (Pool.Exec.run exec (List.init 4 (fun _ -> task)))
+  done;
+  Hashtbl.remove seen (Domain.self () :> int);
+  check bool "at most one helper domain over 200 runs" true
+    (Hashtbl.length seen <= 1)
+
+let test_pool_nested_run () =
+  let exec = Pool.Exec.create ~domains:2 () in
+  let outer i _ctx =
+    Pool.Exec.run exec (List.init 3 (fun k _ctx -> (10 * i) + k))
+    |> List.fold_left (fun acc (_, v) -> acc + v) 0
+  in
+  check
+    Alcotest.(list (pair (list int) int))
+    "every outer task ran its own 2-domain run"
+    (List.init 4 (fun i -> ([ i ], (30 * i) + 3)))
+    (Pool.Exec.run exec (List.init 4 outer))
+
+(* the raising task may run on either domain: raise from each root in
+   turn; the backtrace must start at the raise in this file (a helper
+   that recorded nothing leaves only the pool's re-raise), and the exec
+   must stay usable *)
+let test_pool_raise_backtrace () =
+  let was = Printexc.backtrace_status () in
+  Printexc.record_backtrace true;
+  Fun.protect
+    ~finally:(fun () -> Printexc.record_backtrace was)
+    (fun () ->
+      let exec = Pool.Exec.create ~domains:2 () in
+      for raiser = 0 to 3 do
+        let task i _ctx =
+          if i = raiser then raise (Failure (Printf.sprintf "boom %d" i));
+          Unix.sleepf 0.001;
+          i
+        in
+        (match Pool.Exec.run exec (List.init 4 task) with
+        | _ -> Alcotest.fail "expected the task's exception"
+        | exception Failure msg ->
+          let raised_at =
+            List.hd (String.split_on_char '\n' (Printexc.get_backtrace ()))
+          in
+          check Alcotest.string "the task's exception"
+            (Printf.sprintf "boom %d" raiser) msg;
+          check bool
+            (Printf.sprintf "backtrace of root %d names the raise site" raiser)
+            true (contains raised_at "test/test_parallel.ml"));
+        check int "the next run succeeds" 4
+          (List.length (Pool.Exec.run exec (List.init 4 (fun i _ctx -> i))))
+      done)
 
 let test_default_domains_env () =
   let orig = Sys.getenv_opt "TSG_DOMAINS" in
@@ -457,6 +524,12 @@ let () =
           Alcotest.test_case "stealing on a fork tree" `Quick
             test_pool_stealing_tree;
           Alcotest.test_case "exception propagation" `Quick test_pool_exception;
+          Alcotest.test_case "workers parked between runs" `Quick
+            test_pool_parks_workers;
+          Alcotest.test_case "a task runs a nested 2-domain run" `Quick
+            test_pool_nested_run;
+          Alcotest.test_case "a raise keeps its backtrace, the exec its use"
+            `Quick test_pool_raise_backtrace;
           Alcotest.test_case "TSG_DOMAINS override" `Quick
             test_default_domains_env;
           Alcotest.test_case "Exec snapshots TSG_DOMAINS once" `Quick

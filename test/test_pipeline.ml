@@ -953,6 +953,54 @@ let test_corpus_rejects () =
   | Ok _ -> check int "empty" 0 (Corpus.size corpus)
   | Error d -> Alcotest.fail d.Diagnostic.message
 
+(* A 4-line block whose second node index is 50,000,000. Each reader
+   (the database reader, the pattern reader and a pipeline add) must
+   report "missing node 1" at the block's header line, allocating a
+   small multiple of the input rather than a 400 MB node array. *)
+let test_node_index_bomb () =
+  let tax = Taxonomy.build ~names:[ "c0"; "c1" ] ~is_a:[ ("c1", "c0") ] in
+  let body = "v 0 c0\nv 50000000 c1\ne 0 50000000 e0\n" in
+  let bounded what input f =
+    let before = Gc.allocated_bytes () in
+    let outcome = f input in
+    let grew = Gc.allocated_bytes () -. before in
+    if grew > 64.0 *. float_of_int (String.length input) then
+      Alcotest.failf "%s: %.0f bytes allocated for a %d-byte input" what grew
+        (String.length input);
+    outcome
+  in
+  let graph = "t # 0\n" ^ body in
+  check
+    Alcotest.(option (pair int string))
+    "Serial.parse_db" (Some (1, "missing node 1"))
+    (bounded "Serial.parse_db" graph (fun text ->
+         match
+           Serial.parse_db ~node_labels:(Taxonomy.labels tax)
+             ~edge_labels:(Label.create ()) text
+         with
+         | _ -> None
+         | exception Serial.Parse_error (line, msg) -> Some (line, msg)));
+  check
+    Alcotest.(option (pair (option int) string))
+    "Pattern_io.parse" (Some (Some 1, "missing node 1"))
+    (bounded "Pattern_io.parse" ("p # 0 support 1/1\n" ^ body) (fun text ->
+         match
+           Pattern_io.parse ~node_labels:(Taxonomy.labels tax)
+             ~edge_labels:(Label.create ()) text
+         with
+         | _ -> None
+         | exception Pattern_io.Parse_error d ->
+           Some (d.Diagnostic.line, d.Diagnostic.message)));
+  let corpus = Corpus.create ~taxonomy:tax () in
+  check
+    Alcotest.(option string)
+    "Corpus.apply" (Some "delta 1 rejected: graph line 1: missing node 1")
+    (bounded "Corpus.apply" graph (fun text ->
+         match Corpus.apply corpus { Wal.seq = 1L; op = Wal.Add text } with
+         | Ok _ -> None
+         | Error d -> Some d.Diagnostic.message));
+  check int "the rejected add left the corpus empty" 0 (Corpus.size corpus)
+
 (* --- Checkpoint corpus fingerprint (CKPT003) -------------------------------- *)
 
 let test_checkpoint_rejects_moved_corpus () =
@@ -1152,7 +1200,12 @@ let () =
           Alcotest.test_case "lint pass (WAL001-WAL003)" `Quick
             test_wal_validate;
         ] );
-      ("corpus", [ Alcotest.test_case "rejections" `Quick test_corpus_rejects ]);
+      ( "corpus",
+        [
+          Alcotest.test_case "rejections" `Quick test_corpus_rejects;
+          Alcotest.test_case "node-index bomb: header line, bounded allocation"
+            `Quick test_node_index_bomb;
+        ] );
       ( "kill-matrix",
         kill_matrix_tests ~domains:1 @ kill_matrix_tests ~domains:4 );
       ( "incremental",

@@ -363,7 +363,7 @@ let depth_parent_prop =
 let arb_dag =
   QCheck.(pair (int_range 1 30) (int_bound 1_000_000))
 
-let random_dag (n, seed) =
+let random_is_a (n, seed) =
   let rng = Prng.of_int seed in
   let name = Printf.sprintf "c%d" in
   let is_a = ref [] in
@@ -372,7 +372,11 @@ let random_dag (n, seed) =
       if Prng.int rng (k + 1) = 0 then is_a := (name k, name p) :: !is_a
     done
   done;
-  Taxonomy.build ~names:(List.init n name) ~is_a:!is_a
+  (List.init n name, !is_a)
+
+let random_dag dag =
+  let names, is_a = random_is_a dag in
+  Taxonomy.build ~names ~is_a
 
 (* the flat arrays hold exactly what the closures and lists say *)
 let flat_matches_closures t =
@@ -398,6 +402,34 @@ let flat_prop =
       flat_matches_closures t
       && flat_matches_closures
            (Taxonomy_io.parse (Taxonomy_io.to_string t)))
+
+(* [most_general] reads an array filled at build time: it must be the one
+   root among the label's reflexive ancestors. Each draw adds a label
+   under two roots (merged under an artificial root) and an isolated
+   label to a random DAG. *)
+let most_general_array_prop =
+  QCheck.Test.make ~name:"most_general = the root among the reflexive ancestors"
+    ~count:200 arb_dag (fun dag ->
+      let names, is_a = random_is_a dag in
+      let t =
+        Taxonomy.build
+          ~names:(names @ [ "ra"; "rb"; "rab"; "iso" ])
+          ~is_a:(is_a @ [ ("rab", "ra"); ("rab", "rb") ])
+      in
+      let root_among_ancestors l =
+        match
+          List.filter (fun r -> Taxonomy.is_ancestor t ~anc:r l) (Taxonomy.roots t)
+        with
+        | [ r ] -> Some r
+        | _ -> None
+      in
+      let mg n = Taxonomy.most_general t (Taxonomy.id_of_name t n) in
+      Taxonomy.is_artificial t (mg "rab")
+      && mg "ra" = mg "rab"
+      && mg "iso" = Taxonomy.id_of_name t "iso"
+      && List.for_all
+           (fun l -> root_among_ancestors l = Some (Taxonomy.most_general t l))
+           (List.init (Taxonomy.label_count t) Fun.id))
 
 (* two domains reaching for the arrays first both get the one copy *)
 let test_flat_first_use_two_domains () =
@@ -471,6 +503,7 @@ let () =
             duality_prop;
             transitivity_prop;
             most_general_is_root_prop;
+            most_general_array_prop;
             depth_parent_prop;
             flat_prop;
           ] );
